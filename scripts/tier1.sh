@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 verification: configure + build + full ctest suite, then the
 # threading tests again under ThreadSanitizer from a separate build tree
-# (KLOTSKI_SANITIZE=thread), so data races in the parallel evaluator fail
-# the gate even when the plain run happens to pass.
+# (KLOTSKI_SANITIZE=thread), so data races in the worker pools fail the
+# gate even when the plain run happens to pass.
 #
 # Usage: scripts/tier1.sh [jobs]
 set -euo pipefail
@@ -128,10 +128,11 @@ cmake -B build-tsan -S . -DKLOTSKI_SANITIZE=thread
 cmake --build build-tsan -j"${JOBS}" --target test_core test_obs test_traffic test_sim test_whatif test_serve
 # Run the binaries directly: only these targets are built in the TSan tree,
 # and ctest would trip over the undiscovered sibling test targets.
-./build-tsan/tests/test_core \
-  --gtest_filter='ParallelEvaluator.*:PresetsAToC/ParallelPlannerDeterminism.*'
+# The planners' one thread axis, the EcmpRouter worker pool inside each
+# satisfiability check: whole A* and DP runs at 4 router threads, then the
+# randomized router equivalence suite.
+./build-tsan/tests/test_core --gtest_filter='*ParallelPlannerDeterminism.*'
 ./build-tsan/tests/test_obs
-# Intra-check router parallelism: the EcmpRouter worker pool under TSan.
 ./build-tsan/tests/test_traffic --gtest_filter='EcmpParallel*'
 # Chaos sweep worker pool: per-seed isolation means the only shared state
 # is the verdict vector and the obs counters — TSan checks that claim.
@@ -178,31 +179,52 @@ KLOTSKI_CHAOS_SEEDS=10 ./build-asan/tests/test_sim
 ./build-asan/tests/test_migration --gtest_filter='SymmetryIncremental.*'
 
 # Observability smoke: plan a small preset with --metrics-out/--trace-out at
-# --threads=1 and --threads=4, check both artifacts re-parse with the
-# in-tree JSON parser, that sat_cache_hits + sat_cache_misses ==
-# evaluations, and that the evaluator counters are thread-invariant (the DP
-# planner batches exactly the states the serial run evaluates).
+# --threads=1 and --threads=4 with each planner, check both artifacts
+# re-parse with the in-tree JSON parser, that sat_cache_hits +
+# sat_cache_misses == evaluations, and that the evaluator counters are
+# thread-invariant (the threads only split the work inside each check).
 OBS_TMP="$(mktemp -d)"
 trap 'rm -rf "${OBS_TMP}"' EXIT
 ./build/tools/klotski_synth --preset=A --scale=reduced \
   --out="${OBS_TMP}/a.npd.json"
-for threads in 1 4; do
-  ./build/tools/klotski_plan --npd="${OBS_TMP}/a.npd.json" --planner=dp \
-    --threads="${threads}" \
-    --metrics-out="${OBS_TMP}/metrics-t${threads}.json" \
-    --trace-out="${OBS_TMP}/trace-t${threads}.json" \
-    --out="${OBS_TMP}/plan-t${threads}.json"
+for planner in astar dp; do
+  for threads in 1 4; do
+    ./build/tools/klotski_plan --npd="${OBS_TMP}/a.npd.json" \
+      --planner="${planner}" --threads="${threads}" \
+      --metrics-out="${OBS_TMP}/metrics-${planner}-t${threads}.json" \
+      --trace-out="${OBS_TMP}/trace-${planner}-t${threads}.json" \
+      --out="${OBS_TMP}/plan-${planner}-t${threads}.json"
+    ./build/tools/klotski_metrics_check \
+      --metrics="${OBS_TMP}/metrics-${planner}-t${threads}.json" \
+      --trace="${OBS_TMP}/trace-${planner}-t${threads}.json"
+  done
   ./build/tools/klotski_metrics_check \
-    --metrics="${OBS_TMP}/metrics-t${threads}.json" \
-    --trace="${OBS_TMP}/trace-t${threads}.json"
+    --metrics="${OBS_TMP}/metrics-${planner}-t1.json" \
+    --expect-same="${OBS_TMP}/metrics-${planner}-t4.json"
 done
-./build/tools/klotski_metrics_check \
-  --metrics="${OBS_TMP}/metrics-t1.json" \
-  --expect-same="${OBS_TMP}/metrics-t4.json"
 # A numeric flag with trailing garbage must be a loud usage error (exit 2).
 if ./build/tools/klotski_plan --npd="${OBS_TMP}/a.npd.json" --threads=abc \
     > /dev/null 2>&1; then
   echo "tier1: FAIL — --threads=abc was not rejected" >&2
+  exit 1
+fi
+# So must a flag the tool does not know, e.g. the retired --router-threads
+# (folded into --threads): exit 2, not a silent run on defaults.
+rc=0
+./build/tools/klotski_plan --npd="${OBS_TMP}/a.npd.json" --router-threads=2 \
+  > /dev/null 2>&1 || rc=$?
+if [[ "${rc}" -ne 2 ]]; then
+  echo "tier1: FAIL — klotski_plan --router-threads exited ${rc}, want 2" >&2
+  exit 1
+fi
+rc=0
+# A daemon that accepted the flag would serve forever; timeout turns that
+# into exit 124.
+timeout 10 ./build/tools/klotski_served \
+  --socket="${OBS_TMP}/unknown-flag.sock" --router-threads=2 \
+  > /dev/null 2>&1 || rc=$?
+if [[ "${rc}" -ne 2 ]]; then
+  echo "tier1: FAIL — klotski_served --router-threads exited ${rc}, want 2" >&2
   exit 1
 fi
 

@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "klotski/core/cost_model.h"
-#include "klotski/core/parallel_evaluator.h"
 #include "klotski/core/search_arena.h"
 #include "klotski/core/state_evaluator.h"
 #include "klotski/obs/trace.h"
@@ -135,9 +134,7 @@ Plan AStarPlanner::plan(migration::MigrationTask& task,
       options.mem_budget_mb > 0.0 ? options.mem_budget_mb * 1024.0 * 1024.0
                                   : 0.0);
   plan.provenance.mem_budget_mb = options.mem_budget_mb;
-  if (options.sat_cache_max_entries > 0) {
-    evaluator.set_cache_capacity(options.sat_cache_max_entries);
-  } else if (budget_bytes > 0) {
+  if (budget_bytes > 0) {
     // Keep the verdict cache to roughly a quarter of the budget (entries
     // cost ~16 bytes of slot + 4|V| bytes of key across two generations).
     evaluator.set_cache_capacity(std::max<std::size_t>(
@@ -237,22 +234,6 @@ Plan AStarPlanner::plan(migration::MigrationTask& task,
   // ids (kNoNode for nodes that were dropped — they cannot be on the final
   // path, which only ever walks live parent chains).
   std::vector<std::uint32_t> trace_nodes;
-
-  // Speculative prefetch (options.num_threads > 1): when a node is pushed,
-  // its topology's feasibility will be wanted at its own expansion (the
-  // boundary check below), so batch-evaluate freshly pushed successors on
-  // worker clones and seed the satisfiability cache. Verdicts are pure
-  // functions of the state, so the plan and its cost are identical to the
-  // serial search; sat_checks/cache_hits bookkeeping differs (speculative
-  // states may never be expanded). Needs the cache to transport verdicts,
-  // hence disabled for the w/o-ESC ablation.
-  std::unique_ptr<ParallelEvaluator> parallel_eval;
-  if (options.num_threads > 1 && options.checker_factory &&
-      options.use_satisfiability_cache) {
-    parallel_eval = std::make_unique<ParallelEvaluator>(
-        evaluator, options.checker_factory, options.num_threads);
-  }
-  StateBatch prefetch_batch(static_cast<std::size_t>(num_types));
 
   // Budget bookkeeping. Compaction scratch lives outside the loop so the
   // enforcement passes reuse it.
@@ -371,7 +352,6 @@ Plan AStarPlanner::plan(migration::MigrationTask& task,
     // duplicates of already-reached states and never need the check.
     bool boundary_known = false;
     bool boundary_ok = false;
-    if (parallel_eval != nullptr) prefetch_batch.clear();
 
     for (std::int32_t a = 0; a < num_types; ++a) {
       const auto ia = static_cast<std::size_t>(a);
@@ -410,13 +390,6 @@ Plan AStarPlanner::plan(migration::MigrationTask& task,
                 : cost.heuristic(child.data(), target, a);
       }
       open.push(QueueEntry{g + h, arena.finished(index), seq++, index});
-      if (parallel_eval != nullptr) {
-        prefetch_batch.push(child.data(), child_hash);
-      }
-    }
-
-    if (parallel_eval != nullptr && prefetch_batch.size() > 1) {
-      parallel_eval->evaluate_batch(prefetch_batch);
     }
 
     if (total_pushed > options.max_states) {

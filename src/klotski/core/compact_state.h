@@ -82,35 +82,4 @@ struct SearchStateHash {
   }
 };
 
-/// A flat batch of count vectors with their precomputed hashes: what the
-/// planners hand to ParallelEvaluator. One contiguous buffer instead of a
-/// vector-of-vectors, so refilling it every expansion allocates nothing.
-class StateBatch {
- public:
-  explicit StateBatch(std::size_t stride) : stride_(stride) {}
-
-  std::size_t stride() const { return stride_; }
-  std::size_t size() const { return hashes_.size(); }
-  bool empty() const { return hashes_.empty(); }
-  void clear() {
-    data_.clear();
-    hashes_.clear();
-  }
-
-  void push(const std::int32_t* counts, std::uint64_t hash) {
-    data_.insert(data_.end(), counts, counts + stride_);
-    hashes_.push_back(hash);
-  }
-
-  const std::int32_t* counts(std::size_t i) const {
-    return data_.data() + i * stride_;
-  }
-  std::uint64_t hash(std::size_t i) const { return hashes_[i]; }
-
- private:
-  std::size_t stride_;
-  std::vector<std::int32_t> data_;
-  std::vector<std::uint64_t> hashes_;
-};
-
 }  // namespace klotski::core

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "klotski/core/cost_model.h"
-#include "klotski/core/parallel_evaluator.h"
 #include "klotski/core/state_evaluator.h"
 #include "klotski/obs/trace.h"
 #include "klotski/util/timer.h"
@@ -49,9 +48,7 @@ Plan DpPlanner::plan(migration::MigrationTask& task,
   // The DP table is dense and pre-sized, so the memory budget only governs
   // the satisfiability cache here; the A* planner owns open-list eviction.
   plan.provenance.mem_budget_mb = options.mem_budget_mb;
-  if (options.sat_cache_max_entries > 0) {
-    evaluator.set_cache_capacity(options.sat_cache_max_entries);
-  } else if (options.mem_budget_mb > 0.0) {
+  if (options.mem_budget_mb > 0.0) {
     const auto budget_bytes = static_cast<std::size_t>(
         options.mem_budget_mb * 1024.0 * 1024.0);
     evaluator.set_cache_capacity(std::max<std::size_t>(
@@ -117,19 +114,6 @@ Plan DpPlanner::plan(migration::MigrationTask& task,
   std::vector<std::uint8_t> safe(static_cast<std::size_t>(num_states), 2);
   safe[0] = 1;  // the origin was checked above
 
-  // Batched evaluation (options.num_threads > 1): the boundary states an
-  // index needs are known before its inner loop runs, so they can be
-  // checked concurrently on worker clones. The batch below contains exactly
-  // the states the serial lazy path would evaluate, so verdicts, sat-check
-  // counts and the resulting plan are bit-identical to num_threads == 1.
-  std::unique_ptr<ParallelEvaluator> parallel_eval;
-  if (options.num_threads > 1 && options.checker_factory) {
-    parallel_eval = std::make_unique<ParallelEvaluator>(
-        evaluator, options.checker_factory, options.num_threads);
-  }
-  StateBatch batch(static_cast<std::size_t>(num_types));
-  std::vector<long long> batch_pidx;
-
   CountVector counts(static_cast<std::size_t>(num_types), 0);
   CountVector scratch(static_cast<std::size_t>(num_types), 0);
   // The count hash rides the odometer: each digit change is one O(1)
@@ -153,42 +137,6 @@ Plan DpPlanner::plan(migration::MigrationTask& task,
       return finish(std::move(plan));
     }
     ++plan.stats.visited_states;
-
-    if (parallel_eval != nullptr) {
-      // Collect the distinct predecessors whose safety this index will ask
-      // for: pidx != origin, not yet evaluated, and some finite-cost entry
-      // of a different type exists (the lazy trigger below). Distinctness
-      // holds because strides of types with blocks are strictly increasing.
-      batch.clear();
-      batch_pidx.clear();
-      for (std::int32_t a = 0; a < num_types; ++a) {
-        if (counts[static_cast<std::size_t>(a)] == 0) continue;
-        const long long pidx = idx - strides[static_cast<std::size_t>(a)];
-        if (pidx == 0 || safe[static_cast<std::size_t>(pidx)] != 2) continue;
-        bool needed = false;
-        for (std::int32_t ap = 0; ap < num_types; ++ap) {
-          if (ap != a &&
-              f[static_cast<std::size_t>(pidx * num_types + ap)] != kInf) {
-            needed = true;
-            break;
-          }
-        }
-        if (!needed) continue;
-        scratch = counts;
-        --scratch[static_cast<std::size_t>(a)];
-        batch.push(scratch.data(),
-                   StateHasher::update(counts_hash, a,
-                                       counts[static_cast<std::size_t>(a)],
-                                       scratch[static_cast<std::size_t>(a)]));
-        batch_pidx.push_back(pidx);
-      }
-      if (!batch.empty()) {
-        const auto& verdicts = parallel_eval->evaluate_batch(batch);
-        for (std::size_t k = 0; k < batch_pidx.size(); ++k) {
-          safe[static_cast<std::size_t>(batch_pidx[k])] = verdicts[k] ? 1 : 0;
-        }
-      }
-    }
 
     for (std::int32_t a = 0; a < num_types; ++a) {
       if (counts[static_cast<std::size_t>(a)] == 0) continue;

@@ -63,9 +63,8 @@ struct SearchProvenance {
 /// Publishes one run's stats into the global obs registry (no-op while
 /// metrics are disabled): planner.* and evaluator.* counters, the
 /// planner.frontier_peak gauge, and a planner.wall_seconds histogram
-/// sample. Called from every planner's finish path so counter totals are
-/// invariant under PlannerOptions::num_threads (the evaluation counts are
-/// logical — what the serial search does — not per-worker physical work).
+/// sample. Called from every planner's finish path. The search is serial,
+/// so these counters are identical at any CheckerConfig::router_threads.
 void publish_planner_metrics(const std::string& planner,
                              const PlannerStats& stats,
                              const SearchProvenance* provenance = nullptr);

@@ -1,7 +1,6 @@
 // Planner interface shared by Klotski-A*, Klotski-DP and the baselines.
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <string>
 
@@ -11,15 +10,6 @@
 #include "klotski/migration/task.h"
 
 namespace klotski::core {
-
-/// Builds a fresh constraint stack bound to `task`. ParallelEvaluator calls
-/// this once per worker thread with a worker-private task whose topology is
-/// a private clone, so the returned composite (plus whatever it references —
-/// routers, demand sets) must be built on that task, never on shared state.
-/// The shared_ptr keeps any auxiliary objects alive (aliasing constructor;
-/// see pipeline::make_standard_checker_factory).
-using CheckerFactory = std::function<std::shared_ptr<constraints::CompositeChecker>(
-    migration::MigrationTask& task)>;
 
 /// Warm-start input for re-planning (pipeline/replan.cpp, DESIGN.md §11):
 /// state salvaged from the previous planning epoch. Both members are pure
@@ -72,17 +62,9 @@ struct PlannerOptions {
   /// search instead of OOMing. The degradation (and the loss of the
   /// optimality guarantee) is recorded in Plan::provenance. The baseline
   /// process footprint (topology, demands, routers) is outside the budget.
+  /// A budget also caps the satisfiability cache at roughly a quarter of
+  /// it; unbudgeted runs keep the SatCache default.
   double mem_budget_mb = 0.0;
-  /// Per-generation entry cap for the satisfiability cache; 0 = the
-  /// SatCache default (1M entries/generation). mem_budget_mb derives a
-  /// tighter cap automatically when this is unset.
-  std::size_t sat_cache_max_entries = 0;
-  /// Worker threads for batched feasibility evaluation (DP inner loop, A*
-  /// successor prefetch). 1 = serial, bit-identical to the pre-threading
-  /// planners. Values > 1 require checker_factory.
-  int num_threads = 1;
-  /// Worker constraint-stack builder; ignored when num_threads <= 1.
-  CheckerFactory checker_factory;
   /// Warm-start state from a previous planning epoch; nullptr = cold start.
   /// Not owned; must outlive the plan() call.
   const WarmStart* warm = nullptr;

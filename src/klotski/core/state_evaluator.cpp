@@ -199,23 +199,4 @@ bool StateEvaluator::feasible(const std::int32_t* counts,
   return ok;
 }
 
-void StateEvaluator::absorb_external(long long sat_checks,
-                                     long long cache_hits) {
-  sat_checks_ += sat_checks;
-  cache_hits_ += cache_hits;
-  evaluations_ += sat_checks + cache_hits;
-  // Logical delta/full attribution: serial execution of these evaluations
-  // would have materialized each one, the first from scratch only when this
-  // evaluator has no valid resident state (planners always check the origin
-  // serially first, so in practice all absorbed evaluations count as delta).
-  long long delta = sat_checks;
-  const bool delta_ok = incremental_ && current_valid_ &&
-                        task_.topo->state_version() == current_version_;
-  if (!delta_ok && sat_checks > 0) {
-    ++full_replays_;
-    --delta;
-  }
-  delta_applies_ += delta;
-}
-
 }  // namespace klotski::core

@@ -21,7 +21,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 
 #include "klotski/constraints/composite.h"
 #include "klotski/core/sat_cache.h"
@@ -59,24 +58,6 @@ class StateEvaluator {
   void set_incremental(bool on) { incremental_ = on; }
   bool incremental() const { return incremental_; }
 
-  /// Shared-cache plumbing for ParallelEvaluator: batch verdicts computed on
-  /// worker clones are merged back through these, keeping the stats
-  /// consistent with the serial accounting.
-  bool use_cache() const { return use_cache_; }
-  std::optional<bool> cache_lookup(const std::int32_t* counts,
-                                   std::uint64_t hash) {
-    return cache_->lookup(counts, target_.size(), hash);
-  }
-  void cache_store(const std::int32_t* counts, std::uint64_t hash, bool ok) {
-    cache_->store(counts, target_.size(), hash, ok);
-  }
-  std::optional<bool> cache_lookup(const CountVector& counts) {
-    return cache_->lookup(counts);
-  }
-  void cache_store(const CountVector& counts, bool ok) {
-    cache_->store(counts, ok);
-  }
-
   /// Warm-start plumbing (PlannerOptions::warm): replaces the verdict cache
   /// with a shared instance — carried over from a previous planning epoch,
   /// and harvestable by the caller after the search. Every carried entry
@@ -93,13 +74,6 @@ class StateEvaluator {
     cache_->set_max_entries(max_entries);
   }
   std::size_t cache_bytes() const { return cache_->approx_memory_bytes(); }
-  /// Merges verdict counts computed on worker clones into this evaluator's
-  /// accounting. The delta/full split is *logical*: it mirrors what this
-  /// evaluator's own materialize() would have decided for each of the
-  /// `sat_checks` evaluations had they run serially, so the counters stay
-  /// identical across PlannerOptions::num_threads even though each worker
-  /// clone physically pays its own warm-up replay.
-  void absorb_external(long long sat_checks, long long cache_hits);
 
   long long sat_checks() const { return sat_checks_; }
   long long cache_hits() const { return cache_hits_; }
@@ -108,8 +82,6 @@ class StateEvaluator {
   long long delta_applies() const { return delta_applies_; }
   long long full_replays() const { return full_replays_; }
   const SatCache& cache() const { return *cache_; }
-  migration::MigrationTask& task() { return task_; }
-  constraints::CompositeChecker& checker() { return checker_; }
 
  private:
   /// One op touching an element, keyed by its position in the canonical

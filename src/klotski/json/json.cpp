@@ -170,6 +170,12 @@ bool Value::operator==(const Value& other) const {
 
 namespace {
 
+// Deepest array/object nesting parse() accepts. The parser recurses once per
+// level and reads untrusted socket requests, so deeper input must fail with
+// a parse error instead of overflowing the stack; real documents (NPD, plans,
+// checkpoints) nest fewer than 10 levels.
+constexpr int kMaxDepth = 512;
+
 class Parser {
  public:
   explicit Parser(std::string_view text) : text_(text) {}
@@ -239,8 +245,16 @@ class Parser {
     skip_whitespace();
     const char c = peek();
     switch (c) {
-      case '{': return parse_object();
-      case '[': return parse_array();
+      case '{':
+      case '[': {
+        if (depth_ == kMaxDepth) {
+          fail("nesting deeper than " + std::to_string(kMaxDepth) + " levels");
+        }
+        ++depth_;
+        Value v = c == '{' ? parse_object() : parse_array();
+        --depth_;
+        return v;
+      }
       case '"': return Value(parse_string());
       case 't':
         if (consume_literal("true")) return Value(true);
@@ -419,6 +433,7 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  // open arrays/objects around pos_
 };
 
 namespace {

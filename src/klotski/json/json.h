@@ -100,7 +100,8 @@ class Value {
       data_;
 };
 
-/// Parses a complete JSON document; trailing non-space input is an error.
+/// Parses a complete JSON document; trailing non-space input is an error,
+/// and so is array/object nesting deeper than 512 levels.
 Value parse(std::string_view text);
 
 /// Serializes. indent < 0 => compact single line; otherwise pretty-printed.

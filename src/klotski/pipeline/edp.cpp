@@ -12,7 +12,6 @@
 #include "klotski/core/state_evaluator.h"
 #include "klotski/obs/metrics.h"
 #include "klotski/obs/trace.h"
-#include "klotski/util/thread_budget.h"
 
 namespace klotski::pipeline {
 
@@ -43,17 +42,6 @@ CheckerBundle make_standard_checker(migration::MigrationTask& task,
   return bundle;
 }
 
-core::CheckerFactory make_standard_checker_factory(const CheckerConfig& config) {
-  return [config](migration::MigrationTask& task) {
-    auto bundle =
-        std::make_shared<CheckerBundle>(make_standard_checker(task, config));
-    // Aliasing constructor: the returned pointer addresses the composite but
-    // owns the bundle, so the router outlives every checker that needs it.
-    return std::shared_ptr<constraints::CompositeChecker>(
-        bundle, bundle->checker.get());
-  };
-}
-
 EdpResult run_pipeline(const npd::NpdDocument& doc,
                        const EdpOptions& options) {
   obs::Span pipeline_span("edp/run_pipeline");
@@ -71,24 +59,9 @@ EdpResult run_pipeline(const npd::NpdDocument& doc,
 
   CheckerBundle bundle = make_standard_checker(task, options.checker);
   std::unique_ptr<core::Planner> planner = make_planner(options.planner);
-  core::PlannerOptions planner_options = options.planner_options;
-  if (planner_options.num_threads > 1 && !planner_options.checker_factory) {
-    // Split the intra-check router budget across the evaluator's worker
-    // clones so inter-state (num_threads) and intra-check (router_threads)
-    // parallelism compose without oversubscribing the machine (the shared
-    // rule in util/thread_budget.h): each of the N worker-private routers
-    // gets router_threads / N workers.
-    CheckerConfig worker_config = options.checker;
-    worker_config.router_threads =
-        util::split_thread_budget(planner_options.num_threads,
-                                  options.checker.router_threads)
-            .inner;
-    planner_options.checker_factory =
-        make_standard_checker_factory(worker_config);
-  }
   {
     obs::Span span("edp/plan");
-    result.plan = planner->plan(task, *bundle.checker, planner_options);
+    result.plan = planner->plan(task, *bundle.checker, options.planner_options);
   }
 
   if (result.plan.found) {

@@ -44,24 +44,15 @@ struct CheckerConfig {
   /// Plain ECMP by default; kCapacityWeighted models the §7.1 temporary
   /// routing configurations that balance traffic by circuit capacity.
   traffic::SplitMode routing = traffic::SplitMode::kEqualSplit;
-  /// Intra-check worker threads for the ECMP router (> 1 recomputes
-  /// independent dirty demand groups of one satisfiability check in
-  /// parallel; results stay bit-identical to serial). Composes with
-  /// PlannerOptions::num_threads: run_pipeline splits this budget across
-  /// the evaluator's worker-private router clones.
+  /// Worker threads for the ECMP router, the planner's only thread axis:
+  /// > 1 recomputes the independent dirty demand groups of one
+  /// satisfiability check in parallel. Loads, verdicts, plans and the
+  /// planner's counters stay bit-identical to serial.
   int router_threads = 1;
 };
 
 CheckerBundle make_standard_checker(migration::MigrationTask& task,
                                     const CheckerConfig& config = {});
-
-/// Factory form of make_standard_checker for PlannerOptions::checker_factory:
-/// each call builds a fresh bundle on the given task (ParallelEvaluator
-/// passes a worker-private task + topology clone) and returns the composite
-/// as an aliasing shared_ptr that keeps the whole bundle — router included —
-/// alive.
-core::CheckerFactory make_standard_checker_factory(
-    const CheckerConfig& config = {});
 
 struct EdpOptions {
   std::string planner = "astar";

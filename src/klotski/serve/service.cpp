@@ -17,7 +17,6 @@
 #include "klotski/sim/chaos.h"
 #include "klotski/traffic/demand_io.h"
 #include "klotski/traffic/forecast.h"
-#include "klotski/util/thread_budget.h"
 #include "klotski/whatif/whatif.h"
 
 namespace klotski::serve {
@@ -191,23 +190,11 @@ std::string PlanService::compute_plan_text(const json::Value& params) {
   migration::MigrationTask& task = mig.task;
 
   const pipeline::CheckerConfig checker_config =
-      checker_config_for(knobs, options_.router_threads);
+      checker_config_for(knobs, options_.threads);
 
   core::PlannerOptions planner_options;
   planner_options.alpha = knobs.alpha;
   planner_options.deadline_seconds = knobs.deadline;
-  planner_options.num_threads = util::split_thread_budget(
-                                    options_.plan_threads, 1)
-                                    .outer;
-  if (planner_options.num_threads > 1) {
-    pipeline::CheckerConfig worker_config = checker_config;
-    worker_config.router_threads =
-        util::split_thread_budget(planner_options.num_threads,
-                                  checker_config.router_threads)
-            .inner;
-    planner_options.checker_factory =
-        pipeline::make_standard_checker_factory(worker_config);
-  }
 
   pipeline::CheckerBundle bundle =
       pipeline::make_standard_checker(task, checker_config);
@@ -289,7 +276,7 @@ Response PlanService::run_audit(const Request& request) {
   const core::Plan plan =
       pipeline::plan_from_json(task, require_object(params, "plan"));
   pipeline::CheckerBundle bundle = pipeline::make_standard_checker(
-      task, checker_config_for(knobs, options_.router_threads));
+      task, checker_config_for(knobs, options_.threads));
   const pipeline::AuditReport audit = pipeline::audit_plan(
       task, *bundle.checker, plan,
       params.get_bool("check_every_action", false));
@@ -420,7 +407,7 @@ Response PlanService::run_replan(const Request& request,
                                  params.get_double("growth", 0.002));
 
   pipeline::ReplanOptions options;
-  options.checker = checker_config_for(knobs, options_.router_threads);
+  options.checker = checker_config_for(knobs, options_.threads);
   options.planner_options.alpha = knobs.alpha;
   options.planner_options.deadline_seconds = knobs.deadline;
   options.demand_change_threshold =
@@ -491,8 +478,7 @@ std::string PlanService::compute_whatif_text(const json::Value& params,
                                              const std::atomic<bool>& stop,
                                              bool& stopped) {
   whatif::WhatIfParams wparams = whatif_params_from(params);
-  wparams.threads = util::split_thread_budget(options_.plan_threads, 1).outer;
-  wparams.checker.router_threads = options_.router_threads;
+  wparams.threads = options_.threads;
 
   // Each sweep worker gets its own private case (trajectories mutate
   // topology state), rebuilt from the request params.

@@ -37,12 +37,12 @@ class PlanService {
  public:
   struct Options {
     PlanCache::Options cache;
-    /// Planner threading for plan requests. Output is invariant to both
-    /// (the tier-1 determinism contract), so neither participates in the
-    /// cache key; the daemon sets them from its share of the machine via
-    /// util::split_thread_budget.
-    int plan_threads = 1;
-    int router_threads = 1;
+    /// Threads per request: plan, audit and replan hand them to the ECMP
+    /// router (CheckerConfig::router_threads), whatif to its trajectory
+    /// pool. Output is invariant to the count (the tier-1 determinism
+    /// contract), so it never participates in a cache key; the daemon sets
+    /// it to its per-worker share of --threads.
+    int threads = 1;
   };
 
   explicit PlanService(const Options& options);

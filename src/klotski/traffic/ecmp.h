@@ -323,9 +323,10 @@ class EcmpRouter {
   std::vector<std::string> job_fail_;      // failed demand name per job
 
   // Global observability counters (metrics.h; no-ops while disabled). These
-  // aggregate *physical* work over every router instance, worker clones
-  // included — unlike the planner's logical counters they are not invariant
-  // under num_threads / num_workers.
+  // aggregate *physical* work over every router instance — unlike the
+  // logical group_recomputes_/group_reuses_ they are not invariant under
+  // num_workers (the pool recomputes past a failing group where the serial
+  // loop stops).
   obs::Counter& m_alive_journal_replays_;
   obs::Counter& m_alive_full_rebuilds_;
   obs::Counter& m_group_recomputes_;

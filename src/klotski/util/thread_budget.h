@@ -1,14 +1,12 @@
 // The oversubscription-avoidance rule shared by every layered worker pool.
 //
-// Klotski stacks up to three levels of parallelism: an outer pool (planner
-// frontier workers, chaos sweep workers, or the serve daemon's job workers)
-// whose members each own an inner budget (worker-private ECMP routers,
-// per-job planner threads). Before this helper, each tool computed the
-// split independently (`klotski_plan`, run_pipeline, `klotski_chaos`),
-// which is exactly how the rules drift apart. Everything now goes through
-// split_thread_budget(): N outer workers each get inner_budget / N inner
-// threads (never below 1), and the outer count is clamped to the available
-// work so idle threads are never spawned.
+// Klotski nests worker pools: an outer pool (chaos or what-if sweep
+// workers, or the serve daemon's job workers) whose members each own an
+// inner budget (their ECMP router threads, or a whatif job's sweep
+// workers). Every such split goes through split_thread_budget(): N outer
+// workers each get inner_budget / N inner threads (never below 1), and the
+// outer count is clamped to the available work so idle threads are never
+// spawned.
 #pragma once
 
 namespace klotski::util {

@@ -143,6 +143,40 @@ TEST(JsonParse, ErrorMessagesIncludeLineAndColumn) {
   }
 }
 
+// Regression: the recursive-descent parser had no depth limit, so 100,000
+// nested '[' overflowed the stack (SIGSEGV) — in every tool that reads a
+// file and in the daemon reading a socket request.
+TEST(JsonParse, DeepNestingIsAPositionedError) {
+  try {
+    parse(std::string(100'000, '['));
+    FAIL() << "expected JsonError";
+  } catch (const JsonError& e) {
+    // The 513th '[' is the first one past the limit.
+    EXPECT_NE(std::string(e.what()).find("line 1, column 513"),
+              std::string::npos)
+        << e.what();
+    EXPECT_NE(std::string(e.what()).find("nesting"), std::string::npos)
+        << e.what();
+  }
+  // Mixed objects and arrays count alike.
+  std::string mixed;
+  for (int i = 0; i < 300; ++i) mixed += "{\"k\":[";
+  EXPECT_THROW(parse(mixed), JsonError);
+}
+
+TEST(JsonParse, NestingUpToTheLimitParses) {
+  const std::string deepest =
+      std::string(512, '[') + "7" + std::string(512, ']');
+  const Value doc = parse(deepest);
+  const Value* v = &doc;
+  for (int i = 0; i < 512; ++i) {
+    ASSERT_TRUE(v->is_array());
+    v = &v->as_array()[0];
+  }
+  EXPECT_EQ(v->as_int(), 7);
+  EXPECT_THROW(parse("[" + deepest + "]"), JsonError);
+}
+
 TEST(JsonValue, TypeMismatchThrows) {
   EXPECT_THROW(parse("1").as_string(), JsonError);
   EXPECT_THROW(parse("\"x\"").as_int(), JsonError);

@@ -18,6 +18,10 @@
 namespace klotski {
 namespace {
 
+// The cases sit in a static table rather than in stack temporaries: gtest
+// prints a parameter without a PrintTo as its raw bytes, ctest folds that
+// dump into the test name, and static storage zeroes the padding after
+// `family` that the name would otherwise read as stack garbage.
 struct GoldenCase {
   topo::TopologyFamily family;
   topo::PresetId preset;
@@ -68,19 +72,18 @@ TEST_P(GoldenPlan, DefaultPipelineOutputIsByteExact) {
          "commit the updated corpus.";
 }
 
+constexpr GoldenCase kGoldenCases[] = {
+    {topo::TopologyFamily::kClos, topo::PresetId::kA, "ClosA", "plan-a.json"},
+    {topo::TopologyFamily::kClos, topo::PresetId::kB, "ClosB", "plan-b.json"},
+    {topo::TopologyFamily::kClos, topo::PresetId::kC, "ClosC", "plan-c.json"},
+    {topo::TopologyFamily::kFlat, topo::PresetId::kA, "FlatA",
+     "plan-flat.json"},
+    {topo::TopologyFamily::kReconf, topo::PresetId::kA, "ReconfA",
+     "plan-reconf.json"},
+};
+
 INSTANTIATE_TEST_SUITE_P(
-    FamilyPresets, GoldenPlan,
-    ::testing::Values(
-        GoldenCase{topo::TopologyFamily::kClos, topo::PresetId::kA, "ClosA",
-                   "plan-a.json"},
-        GoldenCase{topo::TopologyFamily::kClos, topo::PresetId::kB, "ClosB",
-                   "plan-b.json"},
-        GoldenCase{topo::TopologyFamily::kClos, topo::PresetId::kC, "ClosC",
-                   "plan-c.json"},
-        GoldenCase{topo::TopologyFamily::kFlat, topo::PresetId::kA, "FlatA",
-                   "plan-flat.json"},
-        GoldenCase{topo::TopologyFamily::kReconf, topo::PresetId::kA,
-                   "ReconfA", "plan-reconf.json"}),
+    FamilyPresets, GoldenPlan, ::testing::ValuesIn(kGoldenCases),
     [](const ::testing::TestParamInfo<GoldenCase>& info) {
       return info.param.label;
     });

@@ -1,7 +1,8 @@
 // Protocol-level tests for the TCP transport and the hardened read loop:
 // byte-identity across transports, single-flight coalescing across
 // transports, oversized request lines (answered and closed, never an
-// unbounded buffer), pipelined requests, half-close semantics, idle
+// unbounded buffer), deeply nested request lines (answered, connection
+// kept), pipelined requests, half-close semantics, idle
 // timeouts, periodic connection reaping, and cancellation of sync work
 // whose peer vanished.
 #include <gtest/gtest.h>
@@ -316,6 +317,31 @@ TEST_F(TransportTest, OversizedCompleteLineIsAnsweredAndClosed) {
   EXPECT_TRUE(read_eof(fd));
   ::close(fd);
   EXPECT_GE(counter("serve.oversized_requests"), 1);
+}
+
+// Regression: json::parse recursed once per nesting level with no limit, so
+// one ~100 KB request line of '[' (well under the request cap) crashed the
+// daemon with a stack overflow.
+TEST_F(TransportTest, DeeplyNestedRequestIsAnsweredAndServingContinues) {
+  start(base_options());
+  for (const int fd : {raw_tcp_fd(), raw_unix_fd()}) {
+    ASSERT_TRUE(send_all(fd, R"({"id":"x","method":"ping","params":)" +
+                                 std::string(100'000, '[') + "\n"));
+    std::string buffer, line;
+    ASSERT_TRUE(read_line(fd, buffer, line));
+    const Response resp = Response::parse(line);
+    EXPECT_EQ(resp.status, "error");
+    EXPECT_NE(resp.error.find("nesting"), std::string::npos) << resp.error;
+
+    // The same connection serves its next request.
+    ASSERT_TRUE(send_all(
+        fd, request_line("after", "ping", json::Value(json::Object{}))));
+    ASSERT_TRUE(read_line(fd, buffer, line));
+    const Response pong = Response::parse(line);
+    EXPECT_TRUE(pong.ok()) << pong.error;
+    EXPECT_EQ(pong.id, "after");
+    ::close(fd);
+  }
 }
 
 TEST_F(TransportTest, PipelinedRequestsAnswerInOrder) {

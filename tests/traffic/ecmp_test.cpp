@@ -157,6 +157,9 @@ TEST(Ecmp, EmptyLoadsHaveZeroUtilization) {
 // Property-based: flow conservation on synthesized regions under random
 // drain patterns.
 
+// A static table, not stack temporaries: gtest prints the case's raw bytes
+// into the ctest name, and static storage zeroes the padding after
+// `preset` that the name would otherwise read as stack garbage.
 struct ConservationCase {
   topo::PresetId preset;
   std::uint64_t seed;
@@ -210,13 +213,13 @@ TEST_P(EcmpConservation, InjectedVolumeIsAbsorbed) {
   }
 }
 
+constexpr ConservationCase kConservationCases[] = {
+    {topo::PresetId::kA, 1}, {topo::PresetId::kA, 2}, {topo::PresetId::kB, 3},
+    {topo::PresetId::kB, 4}, {topo::PresetId::kC, 5},
+};
+
 INSTANTIATE_TEST_SUITE_P(
-    Seeds, EcmpConservation,
-    ::testing::Values(ConservationCase{topo::PresetId::kA, 1},
-                      ConservationCase{topo::PresetId::kA, 2},
-                      ConservationCase{topo::PresetId::kB, 3},
-                      ConservationCase{topo::PresetId::kB, 4},
-                      ConservationCase{topo::PresetId::kC, 5}),
+    Seeds, EcmpConservation, ::testing::ValuesIn(kConservationCases),
     [](const auto& info) {
       return to_string(info.param.preset) + "_seed" +
              std::to_string(info.param.seed);

@@ -13,11 +13,19 @@
 //
 // Uncaught exceptions are reported as "<tool>: <what>" and map to the
 // usage/input-error exit code (2), matching the tools' documented contract.
+//
+// A tool that passes `known_flags` (every flag its run() reads) rejects any
+// other flag with exit 2 before running, so a typo or a retired flag fails
+// loudly instead of running on defaults. --metrics-out and --trace-out are
+// always accepted.
 #pragma once
 
+#include <algorithm>
 #include <exception>
+#include <initializer_list>
 #include <iostream>
 #include <string>
+#include <string_view>
 
 #include "obs_output.h"
 #include "klotski/util/flags.h"
@@ -26,8 +34,19 @@ namespace klotski::tools {
 
 inline int tool_main(int argc, const char* const* argv,
                      const std::string& name,
-                     int (*run)(const util::Flags&)) {
+                     int (*run)(const util::Flags&),
+                     std::initializer_list<std::string_view> known_flags = {}) {
   const util::Flags flags = util::Flags::parse(argc, argv);
+  if (known_flags.size() > 0) {
+    for (const std::string& flag : flags.names()) {
+      if (flag != "metrics-out" && flag != "trace-out" &&
+          std::find(known_flags.begin(), known_flags.end(), flag) ==
+              known_flags.end()) {
+        std::cerr << name << ": unknown flag --" << flag << "\n";
+        return 2;
+      }
+    }
+  }
   const ObsOutput obs_out = obs_from_flags(flags);
   int rc = 2;
   try {

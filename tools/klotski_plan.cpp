@@ -25,13 +25,10 @@
 //                  plan stays audited but may be suboptimal, and the
 //                  degradation is recorded under "provenance" in the plan
 //                  JSON. (default 0)
-//   --threads      worker threads for frontier evaluation (default 1;
-//                  plans are identical at any value)
-//   --router-threads  worker threads inside each satisfiability check:
-//                  the ECMP router recomputes independent dirty demand
-//                  groups in parallel (default 1; loads and plans are
-//                  bit-identical at any value). Composes with --threads:
-//                  the budget is split across the worker-private routers.
+//   --threads      worker threads inside each satisfiability check: the
+//                  ECMP router recomputes independent dirty demand groups
+//                  in parallel (default 1; plans and planner counters are
+//                  bit-identical at any value)
 //   --demands      demand-matrix JSON replacing the generated forecast
 //                  (the §7.1 refresh workflow)
 //   --dump-demands write the effective demand matrix to this path
@@ -43,6 +40,8 @@
 //   --metrics-out  write the metrics registry JSON here and print the
 //                  end-of-run metrics table to stderr
 //   --trace-out    write Chrome trace_event JSON here (chrome://tracing)
+//
+// Any other flag is a usage error.
 //
 // Exit status: 0 plan found and audited, 1 no plan, 2 usage/input error.
 #include <algorithm>
@@ -58,7 +57,6 @@
 #include "klotski/traffic/demand_io.h"
 #include "klotski/util/file.h"
 #include "klotski/util/flags.h"
-#include "klotski/util/thread_budget.h"
 #include "common/tool_runner.h"
 
 namespace {
@@ -142,9 +140,9 @@ int run(const klotski::util::Flags& flags) {
     }
 
     checker_config.router_threads =
-        static_cast<int>(flags.get_int("router-threads", 1));
+        static_cast<int>(flags.get_int("threads", 1));
     if (checker_config.router_threads < 1) {
-      std::cerr << "klotski_plan: --router-threads must be >= 1\n";
+      std::cerr << "klotski_plan: --threads must be >= 1\n";
       return 2;
     }
 
@@ -155,24 +153,6 @@ int run(const klotski::util::Flags& flags) {
     if (planner_options.mem_budget_mb < 0.0) {
       std::cerr << "klotski_plan: --mem-budget-mb must be >= 0\n";
       return 2;
-    }
-    planner_options.num_threads =
-        static_cast<int>(flags.get_int("threads", 1));
-    if (planner_options.num_threads < 1) {
-      std::cerr << "klotski_plan: --threads must be >= 1\n";
-      return 2;
-    }
-    if (planner_options.num_threads > 1) {
-      // Worker-private routers share the intra-check budget so --threads=T
-      // --router-threads=R keeps roughly T*max(1, R/T) threads busy, not
-      // T*R (the shared oversubscription rule, util/thread_budget.h).
-      pipeline::CheckerConfig worker_config = checker_config;
-      worker_config.router_threads =
-          util::split_thread_budget(planner_options.num_threads,
-                                    checker_config.router_threads)
-              .inner;
-      planner_options.checker_factory =
-          pipeline::make_standard_checker_factory(worker_config);
     }
 
     pipeline::CheckerBundle bundle =
@@ -232,5 +212,10 @@ int run(const klotski::util::Flags& flags) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  return klotski::tools::tool_main(argc, argv, "klotski_plan", run);
+  return klotski::tools::tool_main(
+      argc, argv, "klotski_plan", run,
+      {"npd", "family", "preset", "scale", "planner", "theta", "alpha",
+       "routing", "funneling", "deadline", "mem-budget-mb", "threads",
+       "demands", "dump-demands", "out", "summary", "schedule", "risk",
+       "crews"});
 }

@@ -35,16 +35,18 @@
 //                                                       (default 1 MiB)
 //   --idle-timeout-ms  close connections idle this long; 0 disables
 //                                                       (default 60000)
-//   --threads       total planner thread budget, split across the workers
-//                   by the shared oversubscription rule (default: one per
-//                   worker)
-//   --router-threads  intra-check budget per planner    (default 1)
+//   --threads       total thread budget, split across the workers by the
+//                   shared oversubscription rule; each job gets its share
+//                   (plan/audit/replan: ECMP router threads, whatif:
+//                   trajectory workers)     (default: one per worker)
 //   --max-connections  concurrent client connections    (default 64)
 //   --ready-fd      write one byte to this fd once the sockets are
 //                   listening (scripts: open a pipe, wait for the byte
 //                   instead of polling)
 //   --metrics-out   write the metrics registry JSON here on drain
 //   --trace-out     write Chrome trace_event JSON here on drain
+//
+// Any other flag is a usage error (exit 2).
 //
 // Shutdown: SIGTERM or SIGINT triggers the graceful drain — admission
 // stops, queued and running jobs finish (replan jobs checkpoint via their
@@ -112,18 +114,12 @@ int run(const util::Flags& flags) {
       static_cast<std::size_t>(max_request_bytes);
   options.idle_timeout_ms = flags.get_int("idle-timeout-ms", 60'000);
 
-  // The planner thread budget is split across the workers so a fully busy
-  // pool keeps ~--threads threads running, not workers * --threads.
+  // The thread budget is split across the workers so a fully busy pool
+  // keeps ~--threads threads running, not workers * --threads.
   const int budget = static_cast<int>(
       flags.get_int("threads", options.jobs.workers));
-  options.service.plan_threads =
+  options.service.threads =
       util::split_thread_budget(options.jobs.workers, budget).inner;
-  options.service.router_threads =
-      static_cast<int>(flags.get_int("router-threads", 1));
-  if (options.service.router_threads < 1) {
-    std::cerr << "klotski_served: --router-threads must be >= 1\n";
-    return 2;
-  }
 
   serve::Server server(options);
 
@@ -172,5 +168,9 @@ int run(const util::Flags& flags) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  return klotski::tools::tool_main(argc, argv, "klotski_served", run);
+  return klotski::tools::tool_main(
+      argc, argv, "klotski_served", run,
+      {"socket", "listen", "endpoint-out", "workers", "max-queue",
+       "cache-capacity", "cache-shards", "spill-dir", "max-request-bytes",
+       "idle-timeout-ms", "threads", "max-connections", "ready-fd"});
 }
