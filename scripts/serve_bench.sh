@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Serve throughput bench: boots klotski_served on both transports and runs
 # an uncapped (qps=0) mixed plan/ping/stats workload over the unix socket
-# and over TCP loopback with many connections, writing one consolidated
-# report ("klotski.serve-bench.v1") with a row per transport — p50/p90/p99
-# latency and achieved QPS per row.
+# and over TCP loopback, each with the same 32 connections (so the two rows
+# differ only in transport), writing one consolidated report
+# ("klotski.serve-bench.v1") with a row per transport — p50/p90/p99 latency
+# and achieved QPS per row.
 #
 # The TCP row is the fleet-front-door acceptance gate: it must sustain at
 # least ${KLOTSKI_BENCH_MIN_QPS:-2000} requests/s of mixed cache-hit/miss
@@ -67,7 +68,7 @@ TCP_EP="$(cat "${TMP}/tcp.endpoint")"
 
 "./${BUILD}/tools/klotski_loadgen" --connect="${SOCK}" \
   --npd="${TMP}/a.npd.json" --requests="${REQUESTS}" --qps=0 \
-  --connections=16 --report="${TMP}/unix.json" \
+  --connections=32 --report="${TMP}/unix.json" \
   2> "${TMP}/loadgen-unix.log"
 "./${BUILD}/tools/klotski_loadgen" --connect="${TCP_EP}" \
   --npd="${TMP}/a.npd.json" --requests="${REQUESTS}" --qps=0 \

@@ -2,9 +2,9 @@
 # Serve smoke gate: boots klotski_served on both transports (unix socket +
 # TCP loopback), proves the serving path is byte-equivalent to the CLI
 # pipeline on each transport and across them (content-hash check), runs a
-# mixed loadgen workload over both, drives servectl against the TCP
-# endpoint, and verifies the graceful SIGTERM drain (exit 0, metrics
-# flushed).
+# mixed loadgen workload over both, drives servectl (ping, stats, metrics)
+# against the TCP endpoint, and verifies the graceful SIGTERM drain (exit 0,
+# metrics flushed).
 #
 # Usage: scripts/serve_smoke.sh [build-dir] [report-out]
 #   build-dir   tree with the built tools       (default: build)
@@ -98,8 +98,8 @@ if [[ "${UNIX_HASH}" != "${TCP_HASH}" ]]; then
   exit 1
 fi
 
-# 3. servectl against the TCP endpoint: ping, and stats must report the
-#    configured shard count.
+# 3. servectl against the TCP endpoint: ping, stats must report the
+#    configured shard count, and metrics must return the live registry.
 "./${BUILD}/tools/klotski_servectl" --connect="${TCP_EP}" ping \
   > "${TMP}/ctl-ping.json"
 grep -q '"klotski.serve.v1"' "${TMP}/ctl-ping.json" || {
@@ -111,6 +111,13 @@ grep -q '"klotski.serve.v1"' "${TMP}/ctl-ping.json" || {
 grep -q '"shards": 4' "${TMP}/ctl-stats.json" || {
   echo "serve_smoke: FAIL — stats does not report 4 cache shards" >&2
   cat "${TMP}/ctl-stats.json" >&2
+  exit 1
+}
+"./${BUILD}/tools/klotski_servectl" --connect="${TCP_EP}" metrics \
+  > "${TMP}/ctl-metrics.json"
+grep -q '"klotski.metrics.v1"' "${TMP}/ctl-metrics.json" || {
+  echo "serve_smoke: FAIL — servectl metrics did not answer the registry" >&2
+  cat "${TMP}/ctl-metrics.json" >&2
   exit 1
 }
 

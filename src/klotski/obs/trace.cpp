@@ -1,5 +1,10 @@
 #include "klotski/obs/trace.h"
 
+#include <algorithm>
+#include <iterator>
+
+#include "klotski/obs/metrics.h"
+
 namespace klotski::obs {
 
 namespace {
@@ -42,13 +47,25 @@ Tracer& Tracer::global() {
 }
 
 void Tracer::record(Event event) {
-  std::lock_guard<std::mutex> lock(mu_);
-  events_.push_back(std::move(event));
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (events_.size() < kCapacity) {
+      events_.push_back(std::move(event));
+      return;
+    }
+    events_[oldest_] = std::move(event);
+    oldest_ = (oldest_ + 1) % kCapacity;
+    ++dropped_;
+  }
+  static Counter& dropped_counter = Registry::global().counter("trace.dropped");
+  dropped_counter.inc();
 }
 
 void Tracer::clear() {
   std::lock_guard<std::mutex> lock(mu_);
   events_.clear();
+  oldest_ = 0;
+  dropped_ = 0;
 }
 
 std::size_t Tracer::size() const {
@@ -56,17 +73,26 @@ std::size_t Tracer::size() const {
   return events_.size();
 }
 
+long long Tracer::dropped() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return dropped_;
+}
+
 std::vector<Tracer::Event> Tracer::events() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return events_;
+  std::vector<Event> out;
+  out.reserve(events_.size());
+  std::rotate_copy(events_.begin(),
+                   events_.begin() + static_cast<std::ptrdiff_t>(oldest_),
+                   events_.end(), std::back_inserter(out));
+  return out;
 }
 
 json::Value Tracer::to_json() const {
-  std::lock_guard<std::mutex> lock(mu_);
   json::Object root;
   root["displayTimeUnit"] = json::Value(std::string("ms"));
   json::Array events;
-  for (const Event& e : events_) {
+  for (const Event& e : this->events()) {
     json::Object entry;
     entry["name"] = json::Value(e.name);
     entry["ph"] = json::Value(std::string("X"));

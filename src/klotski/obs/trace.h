@@ -11,6 +11,12 @@
 // one relaxed atomic load. Recording takes a mutex once per span end — spans
 // belong on operational boundaries (a planner run, a pipeline stage, a
 // replan round), not in per-state inner loops.
+//
+// The tracer holds at most Tracer::kCapacity events, so a long-lived
+// process (the daemon under --trace-out) cannot grow it without bound: past
+// the cap each new span overwrites the oldest one, which is counted in
+// Tracer::dropped() and the trace.dropped counter. Exports list the kept
+// spans oldest first.
 #pragma once
 
 #include <atomic>
@@ -38,11 +44,18 @@ class Tracer {
     std::int32_t depth = 0;   // nesting depth on that thread (0 = outermost)
   };
 
+  /// Events held before the oldest are overwritten.
+  static constexpr std::size_t kCapacity = std::size_t{1} << 18;
+
   static Tracer& global();
 
   void record(Event event);
+  /// Drops every event and zeroes dropped().
   void clear();
   std::size_t size() const;
+  /// Events overwritten since the last clear().
+  long long dropped() const;
+  /// The kept events, oldest first.
   std::vector<Event> events() const;
 
   /// {"displayTimeUnit": "ms", "traceEvents": [{name, ph: "X", ts, dur,
@@ -51,7 +64,10 @@ class Tracer {
 
  private:
   mutable std::mutex mu_;
+  /// Grows to kCapacity, then is a ring whose oldest event is at oldest_.
   std::vector<Event> events_;
+  std::size_t oldest_ = 0;
+  long long dropped_ = 0;
 };
 
 /// RAII span; records into Tracer::global() when tracing is enabled at

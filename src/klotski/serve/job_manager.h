@@ -1,7 +1,9 @@
 // Bounded worker pool + async job table with priority-aware admission.
 //
-// Every work request — synchronous or submitted — becomes a job in one of
-// two admission classes drained by a fixed worker pool, so planner
+// Every work request that needs a worker — synchronous or submitted —
+// becomes a job in one of two admission classes drained by a fixed worker
+// pool (a sync plan request whose key is completed in the cache is
+// answered by the server before admission and never becomes one), so planner
 // concurrency is bounded by --workers no matter how many connections are
 // open. Interactive methods (plan, audit — an operator is waiting on the
 // answer) queue ahead of batch methods (whatif, chaos, replan — long

@@ -136,16 +136,29 @@ void PlanCache::write_spill(const std::string& key, const std::string& text) {
   obs::Registry::global().counter("serve.cache_spill_writes").inc();
 }
 
+std::optional<std::string> PlanCache::hit_locked(Shard& shard,
+                                                 const std::string& key) {
+  const auto it = shard.completed.find(key);
+  if (it == shard.completed.end()) return std::nullopt;
+  shard.lru.splice(shard.lru.begin(), shard.lru, it->second.lru_pos);
+  hits_.fetch_add(1, std::memory_order_relaxed);
+  obs::Registry::global().counter("serve.cache_hits").inc();
+  return it->second.text;
+}
+
+std::optional<std::string> PlanCache::find_completed(const std::string& key) {
+  Shard& shard = shard_for(key);
+  std::lock_guard<std::mutex> lock(shard.mu);
+  return hit_locked(shard, key);
+}
+
 PlanCache::Lookup PlanCache::acquire(const std::string& key) {
   Shard& shard = shard_for(key);
   {
     std::unique_lock<std::mutex> lock(shard.mu);
 
-    if (auto it = shard.completed.find(key); it != shard.completed.end()) {
-      shard.lru.splice(shard.lru.begin(), shard.lru, it->second.lru_pos);
-      hits_.fetch_add(1, std::memory_order_relaxed);
-      obs::Registry::global().counter("serve.cache_hits").inc();
-      return Lookup{Outcome::kHit, it->second.text, nullptr};
+    if (std::optional<std::string> text = hit_locked(shard, key)) {
+      return Lookup{Outcome::kHit, std::move(*text), nullptr};
     }
 
     if (auto it = shard.in_flight.find(key); it != shard.in_flight.end()) {
@@ -183,11 +196,8 @@ PlanCache::Lookup PlanCache::acquire(const std::string& key) {
   std::unique_lock<std::mutex> lock(shard.mu);
   // Re-check under the lock: another thread may have become owner (or
   // fulfilled) while this one probed the disk.
-  if (auto it = shard.completed.find(key); it != shard.completed.end()) {
-    shard.lru.splice(shard.lru.begin(), shard.lru, it->second.lru_pos);
-    hits_.fetch_add(1, std::memory_order_relaxed);
-    obs::Registry::global().counter("serve.cache_hits").inc();
-    return Lookup{Outcome::kHit, it->second.text, nullptr};
+  if (std::optional<std::string> text = hit_locked(shard, key)) {
+    return Lookup{Outcome::kHit, std::move(*text), nullptr};
   }
   if (auto it = shard.in_flight.find(key); it != shard.in_flight.end()) {
     coalesced_.fetch_add(1, std::memory_order_relaxed);

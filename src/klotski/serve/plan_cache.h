@@ -24,6 +24,11 @@
 // and the planner runs once — the serve test asserts this with the
 // serve.plan_runs counter.
 //
+// find_completed() is the memory-only half of acquire(): it answers a key
+// whose entry is already completed in memory and does nothing else. The
+// daemon's connection threads use it to serve such hits without a worker;
+// everything else (misses, waits, spill reads) goes through acquire().
+//
 // Disk spill ("<dir>/<key>.json", format klotski-spill-v2): fulfilled
 // entries are written through to disk and LRU-evicted keys remain servable
 // from it (a spill hit re-enters the memory LRU). Writes are crash-safe:
@@ -42,6 +47,7 @@
 #include <list>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -91,7 +97,7 @@ class PlanCache {
   /// Always-on counters (independent of the obs enable flag) backing the
   /// daemon's `stats` endpoint. Aggregated across shards.
   struct Stats {
-    long long hits = 0;        // memory LRU hits
+    long long hits = 0;        // memory LRU hits (acquire + find_completed)
     long long misses = 0;      // owner flights started
     long long coalesced = 0;   // waiters attached to an in-flight entry
     long long evictions = 0;   // completed entries dropped from memory
@@ -107,6 +113,12 @@ class PlanCache {
 
   /// Single-flight lookup; see Outcome.
   Lookup acquire(const std::string& key);
+
+  /// Memory-only probe: the bytes of a completed in-memory entry (touching
+  /// its LRU position and counting one hit), or nullopt. Never starts a
+  /// flight, never counts a miss and never reads the spill dir, so a caller
+  /// that finds nothing can still acquire() the key.
+  std::optional<std::string> find_completed(const std::string& key);
 
   /// Owner side: publishes `text` for the entry's key, wakes the waiters,
   /// inserts into the LRU (evicting beyond the shard's capacity share) and
@@ -145,6 +157,9 @@ class PlanCache {
   };
 
   Shard& shard_for(const std::string& key);
+  /// A completed entry's bytes, touched and counted as a hit; nullopt when
+  /// the key is not completed in the shard.
+  std::optional<std::string> hit_locked(Shard& shard, const std::string& key);
   void evict_shard_locked(Shard& shard);
   bool read_spill(const std::string& key, std::string& text_out);
   void write_spill(const std::string& key, const std::string& text);

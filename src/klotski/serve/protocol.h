@@ -8,16 +8,20 @@
 //
 // Request:  {"id": "...", "method": "...", "params": {...}}
 //   id      optional client-chosen tag, echoed verbatim in the response
-//   method  ping | stats | plan | audit | chaos | replan
+//   method  ping | stats | metrics | plan | audit | chaos | replan | whatif
 //           | submit | poll | wait | cancel
 //   params  method-specific object (see README "Plan service")
 //
 // Response: {"id": "...", "status": "...", "cached": bool,
 //            "error": "...", "result": {...}}
 //   status  "ok"         — result holds the method's payload
-//           "error"      — error holds a diagnostic; result absent
+//           "error"      — error holds a diagnostic; result absent. Carries
+//                          the request's id whenever the line parsed as a
+//                          request
 //           "overloaded" — admission control rejected the request (queue
-//                          full); retry with backoff. Never silently queued.
+//                          full); retry with backoff. Never silently queued,
+//                          and never the answer to a plan cache hit, which
+//                          needs no worker.
 //           "draining"   — the daemon is shutting down and no longer
 //                          admits work requests
 //   cached  true when the result was served from the content-addressed

@@ -11,6 +11,7 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -329,11 +330,14 @@ void Server::handle_connection(const std::shared_ptr<Connection>& conn) {
       if (line.empty()) continue;
 
       Response resp;
+      // Set once the line parses as a request: every later error echoes it.
+      std::string id;
       try {
         const Request req = parse_request(line);
+        id = req.id;
         resp = dispatch(conn, req);
       } catch (const std::exception& e) {
-        resp = Response::make_error("", e.what());
+        resp = Response::make_error(id, e.what());
       }
       if (!write_all(conn->fd, resp.to_line())) break;
       last_activity = Clock::now();
@@ -390,24 +394,51 @@ Response Server::dispatch(const std::shared_ptr<Connection>& conn,
                           const Request& request) {
   if (request.method == "ping") return handle_ping(request);
   if (request.method == "stats") return handle_stats(request);
+  if (request.method == "metrics") return handle_metrics(request);
   if (request.method == "submit") return handle_submit(request);
   if (request.method == "poll") return handle_poll(request);
   if (request.method == "wait") return handle_wait(request);
   if (request.method == "cancel") return handle_cancel(request);
-  if (is_work_method(request.method)) return run_sync_work(conn, request);
+  if (request.method == "plan") return handle_plan(conn, request);
+  if (is_work_method(request.method)) {
+    return run_sync_work(conn, request,
+                         [this, request](const std::atomic<bool>& stop) {
+                           return service_.execute(request, stop);
+                         });
+  }
   return Response::make_error(request.id,
                               "unknown method '" + request.method + "'");
 }
 
+bool Server::draining() const {
+  return draining_.load(std::memory_order_relaxed) || jobs_.draining();
+}
+
+Response Server::handle_plan(const std::shared_ptr<Connection>& conn,
+                             const Request& request) {
+  // A draining daemon refuses every work request, cache hits included.
+  if (draining()) return Response::make_status(request.id, "draining");
+  // Params that fail normalization throw here; handle_connection answers
+  // with the request's id and the message a worker would have given.
+  const std::string key = plan_cache_key(request.params);
+  // A key completed in memory needs no worker: answer it now, so it never
+  // queues behind cold plans and a full queue never refuses it.
+  if (std::optional<Response> hit = service_.cached_plan(request, key)) {
+    return std::move(*hit);
+  }
+  return run_sync_work(
+      conn, request, [this, request, key](const std::atomic<bool>&) {
+        return service_.run_plan(request, key);
+      });
+}
+
 Response Server::run_sync_work(const std::shared_ptr<Connection>& conn,
-                               const Request& request) {
+                               const Request& request, JobManager::Work work) {
   // Sync = submit + wait + forget: the planner only ever runs on worker
   // threads, so concurrency is bounded by --workers and a full queue is an
   // immediate, explicit rejection.
-  JobManager::Submitted submitted = jobs_.submit(
-      request.method, [this, request](const std::atomic<bool>& stop) {
-        return service_.execute(request, stop);
-      });
+  JobManager::Submitted submitted =
+      jobs_.submit(request.method, std::move(work));
   if (!submitted.ok()) {
     return Response::make_status(request.id, submitted.rejected);
   }
@@ -535,9 +566,12 @@ Response Server::handle_cancel(const Request& request) {
 Response Server::handle_ping(const Request& request) const {
   json::Object result;
   result["schema"] = std::string(kProtocolSchema);
-  result["draining"] = draining_.load(std::memory_order_relaxed) ||
-                       jobs_.draining();
+  result["draining"] = draining();
   return Response::make_ok(request.id, json::Value(std::move(result)));
+}
+
+Response Server::handle_metrics(const Request& request) const {
+  return Response::make_ok(request.id, obs::Registry::global().to_json());
 }
 
 Response Server::handle_stats(const Request& request) {

@@ -11,8 +11,8 @@
 // be pipelined (the server answers buffered lines in order), and
 // concurrency across connections is bounded by max_connections while
 // planner concurrency is bounded by the JobManager's worker pool — every
-// work request, sync or async, goes through the same admission-controlled
-// queue.
+// work request that needs a worker, sync or async, goes through the same
+// admission-controlled queue.
 //
 // The read loop is hardened for untrusted remote peers:
 //   - a request line longer than max_request_bytes is answered with one
@@ -28,18 +28,25 @@
 //     cannot pin worker slots. A half-close (shutdown(SHUT_WR)) still
 //     receives its responses.
 //
-// Control methods (ping / stats / poll / wait / cancel / submit) are
-// answered inline by the connection thread; work methods (plan / audit /
-// chaos / replan) are submitted as jobs. A sync work request is
+// Control methods (ping / stats / metrics / poll / wait / cancel / submit)
+// are answered inline by the connection thread; work methods (plan / audit /
+// chaos / replan / whatif) are submitted as jobs. A sync work request is
 // submit + wait + forget, so it occupies only its connection thread while
 // queued; when the queue is full the client sees {"status":"overloaded"}
-// immediately.
+// immediately. The one exception is a sync plan request whose cache key is
+// completed in the in-memory PlanCache: the connection thread answers it
+// before admission (PlanService::cached_plan), so a hit never waits for a
+// worker and is never refused as overloaded. Its key goes into the job on a
+// miss, so the worker does not hash the request again.
+//
+// Any error raised after a line parses as a request carries that request's
+// id.
 //
 // Graceful drain: request_drain() (async-signal-safe: one write to a
-// self-pipe) makes run() stop accepting, rejects new work with
-// {"status":"draining"}, sets every job's stop flag (replan jobs
-// checkpoint, chaos jobs stop between seeds), waits for admitted work to
-// finish, unblocks and joins the connection threads, then returns — the
+// self-pipe) makes run() stop accepting, rejects new work (cache hits
+// included) with {"status":"draining"}, sets every job's stop flag (replan
+// jobs checkpoint, chaos jobs stop between seeds), waits for admitted work
+// to finish, unblocks and joins the connection threads, then returns — the
 // daemon flushes metrics and exits 0.
 #pragma once
 
@@ -126,14 +133,18 @@ class Server {
   void handle_connection(const std::shared_ptr<Connection>& conn);
   Response dispatch(const std::shared_ptr<Connection>& conn,
                     const Request& request);
+  bool draining() const;
+  Response handle_plan(const std::shared_ptr<Connection>& conn,
+                       const Request& request);
   Response run_sync_work(const std::shared_ptr<Connection>& conn,
-                         const Request& request);
+                         const Request& request, JobManager::Work work);
   Response handle_submit(const Request& request);
   Response handle_poll(const Request& request);
   Response handle_wait(const Request& request);
   Response handle_cancel(const Request& request);
   Response handle_ping(const Request& request) const;
   Response handle_stats(const Request& request);
+  Response handle_metrics(const Request& request) const;
   void reap_finished_locked();
 
   Options options_;

@@ -115,6 +115,20 @@ topo::PresetId preset_from(const json::Value& params) {
   throw std::invalid_argument("unknown preset '" + text + "' (want a..e)");
 }
 
+/// A plan response carrying the cached (or just computed) plan `text`.
+/// Hits on the connection thread and in run_plan go through here, so both
+/// paths answer the same bytes.
+Response plan_response(const std::string& id, const std::string& key,
+                       const std::string& text, bool cached) {
+  json::Object result;
+  result["cache_key"] = key;
+  // The exact bytes klotski_plan would write, as a parsed document: a
+  // client re-dumping result.plan at indent 2 plus a trailing newline
+  // recovers them byte-for-byte (dump∘parse∘dump is stable).
+  result["plan"] = json::parse(text);
+  return Response::make_ok(id, json::Value(std::move(result)), cached);
+}
+
 }  // namespace
 
 json::Value plan_cache_key_doc(const json::Value& params) {
@@ -134,6 +148,10 @@ json::Value plan_cache_key_doc(const json::Value& params) {
     key["demands"] = *demands;
   }
   return json::Value(std::move(key));
+}
+
+std::string plan_cache_key(const json::Value& params) {
+  return json::content_hash(plan_cache_key_doc(params));
 }
 
 json::Value whatif_cache_key_doc(const json::Value& params) {
@@ -172,7 +190,9 @@ PlanService::PlanService(const Options& options)
 Response PlanService::execute(const Request& request,
                               const std::atomic<bool>& stop) {
   try {
-    if (request.method == "plan") return run_plan(request);
+    if (request.method == "plan") {
+      return run_plan(request, plan_cache_key(request.params));
+    }
     if (request.method == "audit") return run_audit(request);
     if (request.method == "chaos") return run_chaos(request, stop);
     if (request.method == "replan") return run_replan(request, stop);
@@ -182,6 +202,13 @@ Response PlanService::execute(const Request& request,
   } catch (const std::exception& e) {
     return Response::make_error(request.id, e.what());
   }
+}
+
+std::optional<Response> PlanService::cached_plan(const Request& request,
+                                                 const std::string& key) {
+  std::optional<std::string> text = cache_.find_completed(key);
+  if (!text) return std::nullopt;
+  return plan_response(request.id, key, *text, true);
 }
 
 std::string PlanService::compute_plan_text(const json::Value& params) {
@@ -227,10 +254,8 @@ std::string PlanService::compute_plan_text(const json::Value& params) {
   return json::dump(pipeline::plan_to_json(task, plan), 2) + "\n";
 }
 
-Response PlanService::run_plan(const Request& request) {
-  const std::string key =
-      json::content_hash(plan_cache_key_doc(request.params));
-
+Response PlanService::run_plan(const Request& request,
+                               const std::string& key) {
   PlanCache::Lookup lookup = cache_.acquire(key);
   std::string text;
   bool cached = true;
@@ -256,15 +281,7 @@ Response PlanService::run_plan(const Request& request) {
       cached = false;
       break;
   }
-
-  json::Object result;
-  result["cache_key"] = key;
-  // The exact bytes klotski_plan would write, as a parsed document: a
-  // client re-dumping result.plan at indent 2 plus a trailing newline
-  // recovers them byte-for-byte (dump∘parse∘dump is stable).
-  result["plan"] = json::parse(text);
-  return Response::make_ok(request.id, json::Value(std::move(result)),
-                           cached);
+  return plan_response(request.id, key, text, cached);
 }
 
 Response PlanService::run_audit(const Request& request) {

@@ -10,7 +10,10 @@
 // a cache hit — or a waiter coalesced onto another request's flight — is
 // byte-identical to a cold run. The serve.plan_runs counter increments only
 // when the planner actually executes, which is what the single-flight test
-// asserts.
+// asserts. The daemon splits a sync plan request in two: cached_plan()
+// answers a key completed in memory on the connection thread, and
+// run_plan() runs everything else on a worker with the key already
+// computed; execute() does both in-process.
 //
 // whatif rides the same machinery in a distinct key namespace (the key
 // document's schema field participates in the content hash, so a whatif key
@@ -27,6 +30,8 @@
 #pragma once
 
 #include <atomic>
+#include <optional>
+#include <string>
 
 #include "klotski/serve/plan_cache.h"
 #include "klotski/serve/protocol.h"
@@ -53,11 +58,21 @@ class PlanService {
   /// flag.
   Response execute(const Request& request, const std::atomic<bool>& stop);
 
+  /// The response to a plan request whose `key` (plan_cache_key of its
+  /// params) is completed in the in-memory cache, counted as one hit;
+  /// nullopt otherwise. Never blocks on a flight or reads the spill dir.
+  std::optional<Response> cached_plan(const Request& request,
+                                      const std::string& key);
+
+  /// The plan method for a request whose cache key is already computed:
+  /// hit, coalesced wait or owned planner run. Throws on failure (execute()
+  /// and the daemon's job workers turn that into an error response).
+  Response run_plan(const Request& request, const std::string& key);
+
   PlanCache& cache() { return cache_; }
   const Options& options() const { return options_; }
 
  private:
-  Response run_plan(const Request& request);
   Response run_audit(const Request& request);
   Response run_chaos(const Request& request, const std::atomic<bool>& stop);
   Response run_replan(const Request& request, const std::atomic<bool>& stop);
@@ -84,6 +99,10 @@ class PlanService {
 /// on-disk format: spill files from one daemon generation must stay valid
 /// for the next).
 json::Value plan_cache_key_doc(const json::Value& params);
+
+/// json::content_hash of plan_cache_key_doc: the PlanCache key of a plan
+/// request. Throws on params that fail normalization.
+std::string plan_cache_key(const json::Value& params);
 
 /// The whatif request's cache identity ("klotski.serve.whatif-key.v1"):
 /// normalized NPD + plan + every sampling knob, thread counts excluded

@@ -178,6 +178,36 @@ TEST_F(ObsTest, TraceJsonReparsesWithInTreeParser) {
   }
 }
 
+// Regression: the tracer appended every span to an unbounded vector until
+// exit, so a long-lived traced daemon grew without limit.
+TEST_F(ObsTest, FullTraceRingKeepsTheNewestSpansOldestFirst) {
+  constexpr std::size_t kRecorded = Tracer::kCapacity + 10;
+  for (std::size_t i = 0; i < kRecorded; ++i) {
+    Tracer::Event event;
+    event.name = "span";
+    event.ts_us = static_cast<std::int64_t>(i);
+    Tracer::global().record(std::move(event));
+  }
+  EXPECT_EQ(Tracer::global().size(), Tracer::kCapacity);
+  EXPECT_EQ(Tracer::global().dropped(), 10);
+  EXPECT_EQ(Registry::global().counter("trace.dropped").value(), 10);
+
+  const std::vector<Tracer::Event> events = Tracer::global().events();
+  ASSERT_EQ(events.size(), Tracer::kCapacity);
+  EXPECT_EQ(events.front().ts_us, 10);  // the 11th recorded
+  EXPECT_EQ(events.back().ts_us, static_cast<std::int64_t>(kRecorded - 1));
+  for (std::size_t i = 1; i < events.size(); ++i) {
+    ASSERT_EQ(events[i].ts_us, events[i - 1].ts_us + 1) << "at " << i;
+  }
+  const json::Value exported = Tracer::global().to_json();
+  EXPECT_EQ(exported.at("traceEvents").as_array().front().at("ts").as_int(),
+            10);
+
+  Tracer::global().clear();
+  EXPECT_EQ(Tracer::global().size(), 0u);
+  EXPECT_EQ(Tracer::global().dropped(), 0);
+}
+
 TEST_F(ObsTest, SpansFromMultipleThreadsGetDistinctTids) {
   std::thread a([] { Span span("thread-a"); });
   std::thread b([] { Span span("thread-b"); });

@@ -598,7 +598,49 @@ TEST_F(ServerRoundTrip, PingStatsAndSyncPlan) {
   ASSERT_TRUE(stats.ok());
   EXPECT_EQ(stats.result.at("cache").get_int("hits", -1), 1);
   EXPECT_EQ(stats.result.at("cache").get_int("misses", -1), 1);
-  EXPECT_EQ(stats.result.at("jobs").get_int("completed", -1), 2);
+  // Only the cold plan was a job: the connection thread answered the hit.
+  EXPECT_EQ(stats.result.at("jobs").get_int("completed", -1), 1);
+}
+
+TEST_F(ServerRoundTrip, MetricsMethodReportsTheLiveRegistry) {
+  MetricsOn metrics;
+  Client client(socket_path_);
+  ASSERT_TRUE(client.call(plan_request(0.75, "cold")).ok());
+  const Response hit = client.call(plan_request(0.75, "hit"));
+  ASSERT_TRUE(hit.ok()) << hit.error;
+  ASSERT_TRUE(hit.cached);
+
+  const Response live =
+      client.call("metrics", json::Value(json::Object{}), "m");
+  ASSERT_TRUE(live.ok()) << live.error;
+  EXPECT_EQ(live.id, "m");
+  EXPECT_EQ(live.result.get_string("schema", ""), "klotski.metrics.v1");
+  const json::Value& counters = live.result.at("counters");
+  EXPECT_EQ(counters.get_int("serve.cache_hits", -1), 1);
+  EXPECT_EQ(counters.get_int("serve.plan_runs", -1), 1);
+}
+
+TEST_F(ServerRoundTrip, DrainingRefusesCacheHitsToo) {
+  Client client(socket_path_);
+  ASSERT_TRUE(client.call(plan_request()).ok());  // warms the key
+
+  // An admitted job holds the drain open while the connection still serves.
+  Blocker blocker;
+  ASSERT_TRUE(server_->jobs().submit("plan", blocker.work()).ok());
+  server_->request_drain();
+  for (;;) {
+    const Response pong = client.call("ping", json::Value(json::Object{}));
+    ASSERT_TRUE(pong.ok()) << pong.error;
+    if (pong.result.get_bool("draining", false)) break;
+    std::this_thread::yield();
+  }
+  const Response refused = client.call(plan_request(0.75, "late"));
+  EXPECT_EQ(refused.status, "draining");
+  EXPECT_EQ(refused.id, "late");
+  EXPECT_EQ(server_->service().cache().stats().hits, 0);
+
+  blocker.release();
+  thread_.join();
 }
 
 TEST_F(ServerRoundTrip, ConcurrentClientsGetIdenticalBytes) {

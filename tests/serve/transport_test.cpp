@@ -2,9 +2,10 @@
 // byte-identity across transports, single-flight coalescing across
 // transports, oversized request lines (answered and closed, never an
 // unbounded buffer), deeply nested request lines (answered, connection
-// kept), pipelined requests, half-close semantics, idle
-// timeouts, periodic connection reaping, and cancellation of sync work
-// whose peer vanished.
+// kept), errors that keep their request id, pipelined requests, half-close
+// semantics, idle timeouts, periodic connection reaping, cancellation of
+// sync work whose peer vanished, and the cache-hit fast path (hits
+// answered on the connection thread while every worker is busy).
 #include <gtest/gtest.h>
 
 #include <poll.h>
@@ -30,6 +31,7 @@
 #include "klotski/serve/client.h"
 #include "klotski/serve/endpoint.h"
 #include "klotski/serve/server.h"
+#include "klotski/serve/service.h"
 #include "klotski/topo/presets.h"
 
 namespace klotski::serve {
@@ -53,6 +55,14 @@ json::Value plan_params() {
   params["npd"] = preset_npd_json();
   params["theta"] = 0.75;
   return json::Value(std::move(params));
+}
+
+/// plan_params with another theta: a different cache key, and still a
+/// region the planner solves.
+json::Value cold_plan_params() {
+  json::Value params = plan_params();
+  params.as_object()["theta"] = 0.7;
+  return params;
 }
 
 json::Value chaos_params(int seeds) {
@@ -344,6 +354,33 @@ TEST_F(TransportTest, DeeplyNestedRequestIsAnsweredAndServingContinues) {
   }
 }
 
+// Regression: an exception escaping dispatch (a JsonError from a typed
+// param accessor) was answered with an empty id.
+TEST_F(TransportTest, DispatchErrorsKeepTheRequestId) {
+  start(base_options());
+  const int fd = raw_tcp_fd();
+  ASSERT_TRUE(send_all(
+      fd, std::string(R"({"id":"q1","method":"poll","params":{"job_id":7}})") +
+              "\n" +
+              R"({"id":"q2","method":"wait","params":{"job_id":"j-1",)" +
+              R"("timeout_ms":"soon"}})" + "\n" +
+              request_line("q3", "ping", json::Value(json::Object{}))));
+  std::string buffer, line;
+  for (const char* id : {"q1", "q2"}) {
+    ASSERT_TRUE(read_line(fd, buffer, line));
+    const Response resp = Response::parse(line);
+    EXPECT_EQ(resp.status, "error") << line;
+    EXPECT_EQ(resp.id, id) << line;
+    EXPECT_FALSE(resp.error.empty());
+  }
+  // The connection keeps serving.
+  ASSERT_TRUE(read_line(fd, buffer, line));
+  const Response pong = Response::parse(line);
+  EXPECT_TRUE(pong.ok()) << pong.error;
+  EXPECT_EQ(pong.id, "q3");
+  ::close(fd);
+}
+
 TEST_F(TransportTest, PipelinedRequestsAnswerInOrder) {
   start(base_options());
   const int fd = raw_tcp_fd();
@@ -456,6 +493,128 @@ TEST_F(TransportTest, VanishedPeerCancelsItsSyncJob) {
   // The daemon is healthy afterwards: the freed worker serves new clients.
   Client client(server_->tcp_endpoint());
   EXPECT_TRUE(client.call("ping", json::Value(json::Object{})).ok());
+}
+
+// --- cache-hit fast path -------------------------------------------------
+
+/// Submits a chaos sweep long enough to hold a worker until cancelled.
+std::string submit_long_chaos(Client& client) {
+  json::Object submit;
+  submit["method"] = "chaos";
+  submit["params"] = chaos_params(100'000);
+  const Response submitted =
+      client.call("submit", json::Value(std::move(submit)));
+  EXPECT_TRUE(submitted.ok()) << submitted.error;
+  return submitted.result.get_string("job_id", "");
+}
+
+void cancel_job(Client& client, const std::string& job_id) {
+  json::Object params;
+  params["job_id"] = job_id;
+  EXPECT_TRUE(client.call("cancel", json::Value(std::move(params))).ok());
+}
+
+TEST_F(TransportTest, CacheHitIsAnsweredWhileTheOnlyWorkerIsBusy) {
+  Server::Options options = base_options();
+  options.jobs.workers = 1;
+  start(options);
+  Client client(server_->tcp_endpoint());
+  ASSERT_TRUE(client.call("plan", plan_params(), "warm").ok());
+
+  const std::string chaos = submit_long_chaos(client);
+  ASSERT_TRUE(eventually([&] { return server_->jobs().stats().running == 1; }))
+      << "chaos job never started";
+  // A raw read with a deadline: a hit stuck behind the chaos job fails the
+  // test instead of hanging it.
+  const int fd = raw_tcp_fd();
+  ASSERT_TRUE(send_all(fd, request_line("hit", "plan", plan_params())));
+  std::string buffer, line;
+  const bool answered = read_line(fd, buffer, line, 5'000);
+  ::close(fd);
+  // The chaos job still holds the one worker: the hit never needed it.
+  EXPECT_EQ(server_->jobs().stats().running, 1u);
+  cancel_job(client, chaos);
+  ASSERT_TRUE(answered) << "the hit waited for the busy worker";
+  const Response hit = Response::parse(line);
+  ASSERT_TRUE(hit.ok()) << hit.error;
+  EXPECT_EQ(hit.id, "hit");
+  EXPECT_TRUE(hit.cached);
+}
+
+TEST_F(TransportTest, FullQueueRefusesMissesButNotHits) {
+  Server::Options options = base_options();
+  options.jobs.workers = 1;
+  options.jobs.max_queue = 1;
+  start(options);
+  Client client(server_->tcp_endpoint());
+  ASSERT_TRUE(client.call("plan", plan_params(), "warm").ok());
+
+  const std::string running = submit_long_chaos(client);
+  ASSERT_TRUE(eventually([&] { return server_->jobs().stats().running == 1; }))
+      << "chaos job never started";
+  const std::string queued = submit_long_chaos(client);
+  ASSERT_EQ(server_->jobs().stats().queued, 1u);
+
+  const Response hit = client.call("plan", plan_params(), "hit");
+  ASSERT_TRUE(hit.ok()) << hit.status << " " << hit.error;
+  EXPECT_TRUE(hit.cached);
+  const Response miss = client.call("plan", cold_plan_params(), "miss");
+  EXPECT_EQ(miss.status, "overloaded");
+  EXPECT_EQ(miss.id, "miss");
+
+  cancel_job(client, queued);
+  cancel_job(client, running);
+}
+
+TEST_F(TransportTest, FastPathHitLineEqualsTheInProcessHit) {
+  start(base_options());
+  Client client(server_->tcp_endpoint());
+  ASSERT_TRUE(client.call("plan", plan_params(), "warm").ok());
+
+  const std::string line = request_line("same", "plan", plan_params());
+  const int fd = raw_tcp_fd();
+  ASSERT_TRUE(send_all(fd, line));
+  std::string buffer, served;
+  ASSERT_TRUE(read_line(fd, buffer, served));
+  ::close(fd);
+
+  const std::atomic<bool> stop{false};
+  const Response in_process =
+      server_->service().execute(parse_request(line), stop);
+  ASSERT_TRUE(in_process.cached);
+  EXPECT_EQ(served + "\n", in_process.to_line());
+  EXPECT_EQ(server_->service().cache().stats().hits, 2);
+}
+
+TEST_F(TransportTest, MalformedPlanParamsAreAnsweredWithoutAJob) {
+  start(base_options());
+  Client client(server_->tcp_endpoint());
+  json::Object params;
+  params["npd"] = 5;  // not an object
+  Request bad;
+  bad.id = "bad";
+  bad.method = "plan";
+  bad.params = json::Value(std::move(params));
+
+  const Response resp = client.call(bad);
+  EXPECT_EQ(resp.status, "error");
+  EXPECT_EQ(resp.id, "bad");
+  // Same message the worker path gives for these params.
+  const std::atomic<bool> stop{false};
+  EXPECT_EQ(resp.error, server_->service().execute(bad, stop).error);
+  EXPECT_EQ(server_->jobs().stats().submitted, 0);
+
+  // Params that normalize but cannot be planned still take a job, and its
+  // error line is the in-process one.
+  Request unplannable;
+  unplannable.id = "unplannable";
+  unplannable.method = "plan";
+  unplannable.params = plan_params();
+  unplannable.params.as_object()["planner"] = "no-such-planner";
+  const Response failed = client.call(unplannable);
+  EXPECT_EQ(server_->jobs().stats().submitted, 1);
+  EXPECT_EQ(failed.to_line(),
+            server_->service().execute(unplannable, stop).to_line());
 }
 
 }  // namespace

@@ -8,7 +8,8 @@
 // Flags:
 //   --metrics      metrics JSON written by --metrics-out (required)
 //   --trace        trace JSON written by --trace-out; checked to be a
-//                  well-formed Chrome trace_event document
+//                  well-formed Chrome trace_event document, and complete:
+//                  the run's trace.dropped counter must be 0
 //   --expect-same  second metrics JSON; the counters named by --counters
 //                  must match exactly between the two files (the
 //                  thread-invariance contract)
@@ -118,8 +119,16 @@ int run(const klotski::util::Flags& flags) {
         event.at("dur").as_int();
         ++spans;
       }
+      // A full trace ring overwrites its oldest spans; such a trace is
+      // missing its start.
+      const long long dropped = counter_value(metrics, "trace.dropped");
+      if (dropped != 0) {
+        std::cerr << "FAIL: the tracer dropped " << dropped << " spans; "
+                  << trace_path << " is incomplete\n";
+        return 1;
+      }
       std::cout << "ok: " << trace_path << " holds " << spans
-                << " well-formed trace events\n";
+                << " well-formed trace events, none dropped\n";
     }
 
     const std::string other_path = flags.get_string("expect-same", "");

@@ -5,6 +5,7 @@
 //
 //   klotski_servectl --connect=/tmp/k.sock ping
 //   klotski_servectl --connect=tcp:10.0.0.7:7077 stats
+//   klotski_servectl --connect=/tmp/k.sock metrics   # live registry JSON
 //   klotski_servectl --connect=tcp:plan-svc:7077 call \
 //       --method=plan --params-file=plan-params.json
 //   klotski_servectl --connect=/tmp/k.sock submit --method=replan \
@@ -14,7 +15,9 @@
 //   klotski_servectl --connect=/tmp/k.sock cancel --job=j-7
 //
 // Commands (one positional argument):
-//   ping | stats           control methods, result printed as JSON
+//   ping | stats | metrics control methods, result printed as JSON;
+//                          metrics is the live klotski.metrics.v1 document
+//                          --metrics-out writes at drain
 //   call                   run --method sync (plan | audit | chaos |
 //                          replan | whatif); the connection blocks until done
 //   submit                 enqueue --method async; prints {"job_id": ...}
@@ -76,8 +79,8 @@ int run(const util::Flags& flags) {
     return 2;
   }
   if (flags.positional().size() != 1) {
-    std::cerr << "klotski_servectl: exactly one command (ping|stats|call|"
-                 "submit|whatif|poll|wait|cancel)\n";
+    std::cerr << "klotski_servectl: exactly one command (ping|stats|metrics|"
+                 "call|submit|whatif|poll|wait|cancel)\n";
     return 2;
   }
   const std::string command = flags.positional().front();
@@ -86,7 +89,7 @@ int run(const util::Flags& flags) {
       serve::Endpoint::parse(connect),
       static_cast<int>(flags.get_int("retries", 3)));
 
-  if (command == "ping" || command == "stats") {
+  if (command == "ping" || command == "stats" || command == "metrics") {
     return print_response(
         client.call(command, json::Value(json::Object{})));
   }

@@ -10,10 +10,12 @@
 //
 // Serves the klotski.serve.v1 protocol (newline-delimited JSON over a unix
 // socket and/or TCP; see src/klotski/serve/protocol.h and README "Plan
-// service"): plan / audit / chaos / replan work methods, sync or submitted
-// as async jobs, behind a bounded worker pool with explicit admission
-// control and a content-addressed single-flight plan cache, sharded so
-// concurrent cache hits on different keys never contend on one lock.
+// service"): plan / audit / chaos / replan / whatif work methods, sync or
+// submitted as async jobs, behind a bounded worker pool with explicit
+// admission control and a content-addressed single-flight plan cache,
+// sharded so concurrent cache hits on different keys never contend on one
+// lock. A sync plan whose key is already cached in memory is answered on
+// its connection thread without taking a worker.
 //
 // Flags:
 //   --socket        unix socket path (kept short — sun_path caps at ~100
@@ -44,7 +46,8 @@
 //                   listening (scripts: open a pipe, wait for the byte
 //                   instead of polling)
 //   --metrics-out   write the metrics registry JSON here on drain
-//   --trace-out     write Chrome trace_event JSON here on drain
+//   --trace-out     write Chrome trace_event JSON here on drain (the
+//                   newest 2^18 spans; older ones count in trace.dropped)
 //
 // Any other flag is a usage error (exit 2).
 //
