@@ -44,8 +44,8 @@ void BM_FullSatisfiabilityCheck(benchmark::State& state) {
       pipeline::make_standard_checker(mig.task, {});
   mig.task.reset_to_original();
   for (auto _ : state) {
-    // Invalidate the version-keyed checker memos: this measures a full
-    // constraint evaluation, not the memo fast path.
+    // The version bump forces the router's full liveness rebuild: this
+    // measures a constraint evaluation from scratch.
     mig.task.topo->bump_state_version();
     benchmark::DoNotOptimize(bundle.checker->check(*mig.task.topo));
   }
@@ -60,7 +60,8 @@ void BM_EvaluatorFeasibleCacheMiss(benchmark::State& state) {
                                  /*use_cache=*/false);
   // This measures the cost of one cold evaluation (Theta(|S| + |C|)), so
   // defeat the incremental fast path honestly: no delta materialization and
-  // a version bump per iteration to invalidate router and checker memos.
+  // a version bump per iteration to force the router's full liveness
+  // rebuild.
   evaluator.set_incremental(false);
   core::CountVector counts(mig.task.blocks.size(), 0);
   for (auto _ : state) {
@@ -71,8 +72,8 @@ void BM_EvaluatorFeasibleCacheMiss(benchmark::State& state) {
 BENCHMARK(BM_EvaluatorFeasibleCacheMiss);
 
 // The incremental fast path on the planner's most common pattern: asking
-// about a state the topology already holds. Delta materialization is a
-// no-op and the version-keyed checker memos answer directly.
+// about a state the topology already holds. Delta materialization and the
+// liveness refresh are no-ops; the checkers still run in full.
 void BM_EvaluatorFeasibleIncrementalRepeat(benchmark::State& state) {
   migration::MigrationCase& mig = shared_case();
   pipeline::CheckerBundle bundle =
@@ -89,7 +90,7 @@ BENCHMARK(BM_EvaluatorFeasibleIncrementalRepeat);
 
 // A four-state ring of neighboring count vectors (each step flips one
 // block), the second most common planner pattern. Exercises delta
-// materialization plus journal-driven router cache invalidation.
+// materialization plus the router's journal-driven liveness refresh.
 void ring_walk_bench(benchmark::State& state, bool incremental) {
   migration::MigrationCase& mig = shared_case();
   pipeline::CheckerBundle bundle =
@@ -222,8 +223,8 @@ void BM_AssignAllDemands(benchmark::State& state) {
   traffic::EcmpRouter router(*mig.task.topo);
   traffic::LoadVector loads;
   for (auto _ : state) {
-    // Defeat the liveness-refresh version gate so every iteration pays the
-    // full unbound assignment cost (the pre-caching behavior).
+    // Defeat the liveness-refresh version gate so every iteration also pays
+    // the full liveness rebuild.
     mig.task.topo->bump_state_version();
     loads.assign(mig.task.topo->num_circuits() * 2, 0.0);
     benchmark::DoNotOptimize(router.assign_all(mig.task.demands, loads));
@@ -234,27 +235,10 @@ void BM_AssignAllDemands(benchmark::State& state) {
 }
 BENCHMARK(BM_AssignAllDemands);
 
-void BM_AssignAllDemandsBound(benchmark::State& state) {
-  // Bound demand set on an unchanged topology: per-group caches hit and the
-  // call reduces to one vector accumulation.
-  migration::MigrationCase& mig = shared_case();
-  traffic::EcmpRouter router(*mig.task.topo);
-  router.bind_demands(mig.task.demands);
-  traffic::LoadVector loads;
-  for (auto _ : state) {
-    loads.assign(mig.task.topo->num_circuits() * 2, 0.0);
-    benchmark::DoNotOptimize(router.assign_all(mig.task.demands, loads));
-  }
-  state.SetItemsProcessed(
-      state.iterations() *
-      static_cast<long long>(mig.task.demands.size()));
-}
-BENCHMARK(BM_AssignAllDemandsBound);
-
-// Finds a traffic-carrying circuit whose drain keeps every bound demand
-// routable, so a drain/undrain walk stays on the incremental group path (an
-// unroutable set would invalidate the caches and turn the walk into full
-// recomputes). Returns kInvalidCircuit when no such circuit exists.
+// Finds a traffic-carrying circuit whose drain keeps every demand routable,
+// so every step of a drain/undrain walk is a full check (an unroutable set
+// would stop at its first failing group). Returns kInvalidCircuit when no
+// such circuit exists.
 topo::CircuitId find_flippable_circuit(topo::Topology& topo,
                                        traffic::EcmpRouter& router,
                                        const traffic::DemandSet& demands) {
@@ -272,14 +256,13 @@ topo::CircuitId find_flippable_circuit(topo::Topology& topo,
   return topo::kInvalidCircuit;
 }
 
-// The planner's sparse dirty-group walk: every iteration flips one circuit
-// and runs one bound assign_all, so only the demand groups whose cached DAG
-// the circuit could touch recompute and the rest are reused from cache.
+// The planner's walk: every iteration flips one circuit and runs one
+// assign_all, so it times a full check after one flip — a one-bit liveness
+// journal replay, then every demand group routed.
 void BM_AssignAllDirtyGroups(benchmark::State& state) {
   migration::MigrationCase& mig = shared_case();
   topo::Topology topo = *mig.task.topo;  // private copy: benches share the case
   traffic::EcmpRouter router(topo);
-  router.bind_demands(mig.task.demands);
   traffic::LoadVector loads;
   loads.assign(topo.num_circuits() * 2, 0.0);
   router.assign_all(mig.task.demands, loads);
@@ -303,19 +286,17 @@ void BM_AssignAllDirtyGroups(benchmark::State& state) {
 }
 BENCHMARK(BM_AssignAllDirtyGroups);
 
-// Same walk keyed on a switch flip: draining a switch dirties every group
-// that sources or sinks at it (the per-group relevant-set screening) plus
-// the groups its incident circuits could affect.
+// Same walk keyed on a switch flip: a full check after one switch drain or
+// undrain, whose liveness replay touches the switch's incident circuits.
 void BM_AssignAllSwitchDirtyWalk(benchmark::State& state) {
   migration::MigrationCase& mig = shared_case();
   topo::Topology topo = *mig.task.topo;
   traffic::EcmpRouter router(topo);
-  router.bind_demands(mig.task.demands);
   traffic::LoadVector loads;
   loads.assign(topo.num_circuits() * 2, 0.0);
   router.assign_all(mig.task.demands, loads);
 
-  // A switch whose drain keeps every demand routable (same screening as the
+  // A switch whose drain keeps every demand routable (same search as the
   // circuit walk above).
   topo::SwitchId flip = topo::kInvalidSwitch;
   for (const topo::Switch& s : topo.switches()) {

@@ -6,13 +6,13 @@
 // satisfiability cache of §4.2 sound.
 //
 // Purity contract: a verdict is a function of the topology's element states
-// and the checker's own parameters only. Because every element-state change
-// bumps Topology::state_version(), checkers may memoize their last verdict
-// keyed on (topology identity, state version) and must invalidate that memo
-// whenever one of their own parameters changes. Out-of-band edits that a
-// verdict depends on but that do not flow through the versioned mutators
-// (e.g. rewriting a circuit's capacity or a switch's max_ports in place)
-// must be followed by Topology::bump_state_version().
+// and the checker's own parameters only — never of earlier checks — which
+// is what lets the satisfiability cache answer a count vector it has seen
+// before. Out-of-band edits that a verdict depends on but that do not flow
+// through the versioned mutators (e.g. rewriting a circuit's capacity or a
+// switch's max_ports in place) must be followed by
+// Topology::bump_state_version(), so version-keyed state below the checkers
+// (the ECMP router's liveness words and inlined capacities) re-reads them.
 #pragma once
 
 #include <memory>

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "klotski/obs/metrics.h"
 #include "klotski/util/string_util.h"
 
 namespace klotski::constraints {
@@ -10,29 +9,9 @@ namespace klotski::constraints {
 DemandChecker::DemandChecker(traffic::EcmpRouter& router,
                              traffic::DemandSet demands,
                              DemandCheckerParams params)
-    : router_(router), demands_(std::move(demands)), params_(params) {
-  router_.bind_demands(demands_);
-}
+    : router_(router), demands_(std::move(demands)), params_(params) {}
 
 Verdict DemandChecker::check(const topo::Topology& topo) {
-  if (memo_valid_ && memo_topo_ == &topo &&
-      memo_version_ == topo.state_version()) {
-    static obs::Counter& memo_hits =
-        obs::Registry::global().counter("checker.demand.memo_hits");
-    memo_hits.inc();
-    last_max_utilization_ = memo_util_;
-    return memo_verdict_;
-  }
-  Verdict verdict = evaluate(topo);
-  memo_valid_ = true;
-  memo_topo_ = &topo;
-  memo_version_ = topo.state_version();
-  memo_verdict_ = verdict;
-  memo_util_ = last_max_utilization_;
-  return verdict;
-}
-
-Verdict DemandChecker::evaluate(const topo::Topology& topo) {
   loads_.assign(topo.num_circuits() * 2, 0.0);
   last_max_utilization_ = 0.0;
 
@@ -59,23 +38,12 @@ Verdict DemandChecker::evaluate(const topo::Topology& topo) {
     }
   }
 
-  // Utilization scan. loads_ was zeroed above, so after a bound assign_all
-  // the router's touched-circuit list (ascending ids) covers every circuit
-  // with non-zero load — visiting only those is verdict-identical to the
-  // full scan, including which over-theta circuit is reported first. Manual
-  // or unbound load vectors fall back to scanning every circuit.
-  static obs::Counter& touched_scans =
-      obs::Registry::global().counter("checker.demand.touched_scans");
-  static obs::Counter& full_scans =
-      obs::Registry::global().counter("checker.demand.full_scans");
-  const bool use_touched = router_.touched_valid();
-  (use_touched ? touched_scans : full_scans).inc();
-  const std::size_t scan_count =
-      use_touched ? router_.touched_circuits().size() : topo.num_circuits();
-  for (std::size_t i = 0; i < scan_count; ++i) {
-    const topo::Circuit& c = topo.circuit(
-        use_touched ? router_.touched_circuits()[i]
-                    : static_cast<topo::CircuitId>(i));
+  // Utilization scan over the router's touched-circuit list (ascending
+  // ids). loads_ was zeroed above, so the list covers every circuit with
+  // non-zero load: the verdict is the full scan's, including which
+  // over-theta circuit is reported first.
+  for (const topo::CircuitId id : router_.touched_circuits()) {
+    const topo::Circuit& c = topo.circuit(id);
     const double load = std::max(loads_[static_cast<std::size_t>(c.id) * 2],
                                  loads_[static_cast<std::size_t>(c.id) * 2 + 1]);
     if (load <= 0.0) continue;

@@ -8,14 +8,12 @@
 // their load inflated by (1 + margin), approximating the window in which
 // sibling circuits have drained but this one has not yet.
 //
-// The checker binds its demand set to the router (EcmpRouter::bind_demands)
-// so repeated checks reuse per-target-set routing caches, and memoizes its
-// last verdict keyed on the topology's state version: re-checking an
-// unchanged topology is O(1). The memo is dropped whenever theta or the
-// demand set changes. The utilization scan walks the router's ascending
-// touched-circuit list when it is valid (only circuits actually carrying
-// bound load), falling back to every circuit otherwise — verdicts are
-// identical either way, including which violation is reported first.
+// Every check routes the whole demand set (EcmpRouter::assign_all) and
+// then scans utilization over the router's ascending touched-circuit list,
+// the only circuits that carry load — the same verdict as a full-circuit
+// scan, including which violation is reported first. Nothing is cached
+// between checks: set_demands and set_max_utilization take effect on the
+// next one.
 #pragma once
 
 #include <cstdint>
@@ -36,49 +34,30 @@ struct DemandCheckerParams {
 
 class DemandChecker : public Checker {
  public:
-  /// The router must outlive the checker and be bound to the same topology
-  /// object that check() will be called with. Construction (re)binds the
-  /// demand set to the router; constructing another checker on the same
-  /// router rebinds it, which stays correct but forfeits the routing cache
-  /// for this checker's set.
+  /// The router must outlive the checker and be built on the same topology
+  /// object that check() will be called with. Several checkers may share
+  /// one router.
   DemandChecker(traffic::EcmpRouter& router, traffic::DemandSet demands,
                 DemandCheckerParams params = {});
 
   Verdict check(const topo::Topology& topo) override;
   std::string name() const override { return "demands"; }
 
-  void set_demands(traffic::DemandSet demands) {
-    demands_ = std::move(demands);
-    router_.bind_demands(demands_);
-    memo_valid_ = false;
-  }
+  void set_demands(traffic::DemandSet demands) { demands_ = std::move(demands); }
   const traffic::DemandSet& demands() const { return demands_; }
   const DemandCheckerParams& params() const { return params_; }
-  void set_max_utilization(double theta) {
-    params_.max_utilization = theta;
-    memo_valid_ = false;
-  }
+  void set_max_utilization(double theta) { params_.max_utilization = theta; }
 
   /// Peak utilization seen by the most recent check (diagnostics).
   double last_max_utilization() const { return last_max_utilization_; }
 
  private:
-  Verdict evaluate(const topo::Topology& topo);
-
   traffic::EcmpRouter& router_;
   traffic::DemandSet demands_;
   DemandCheckerParams params_;
   traffic::LoadVector loads_;           // scratch
   std::vector<std::uint8_t> funneled_;  // scratch (per-switch)
   double last_max_utilization_ = 0.0;
-
-  // Last verdict, keyed on (topology identity, state version). Sound by the
-  // purity contract in checker.h.
-  bool memo_valid_ = false;
-  const topo::Topology* memo_topo_ = nullptr;
-  std::uint64_t memo_version_ = 0;
-  Verdict memo_verdict_;
-  double memo_util_ = 0.0;
 };
 
 }  // namespace klotski::constraints

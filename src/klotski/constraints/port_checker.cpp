@@ -1,26 +1,8 @@
 #include "klotski/constraints/port_checker.h"
 
-#include "klotski/obs/metrics.h"
-
 namespace klotski::constraints {
 
 Verdict PortChecker::check(const topo::Topology& topo) {
-  if (memo_valid_ && memo_topo_ == &topo &&
-      memo_version_ == topo.state_version()) {
-    static obs::Counter& memo_hits =
-        obs::Registry::global().counter("checker.port.memo_hits");
-    memo_hits.inc();
-    return memo_verdict_;
-  }
-  Verdict verdict = evaluate(topo);
-  memo_valid_ = true;
-  memo_topo_ = &topo;
-  memo_version_ = topo.state_version();
-  memo_verdict_ = verdict;
-  return verdict;
-}
-
-Verdict PortChecker::evaluate(const topo::Topology& topo) const {
   for (const topo::Switch& s : topo.switches()) {
     if (!s.present()) continue;
     const int occupied = topo.occupied_ports(s.id);

@@ -3,12 +3,8 @@
 // port budgets are what force "decommission first to free up the ports"
 // orderings (§2.3).
 //
-// The verdict is memoized per (topology identity, state version); editing a
-// switch's max_ports in place must be followed by
-// Topology::bump_state_version() (see the purity contract in checker.h).
+// Every check scans every present switch; nothing is cached between checks.
 #pragma once
-
-#include <cstdint>
 
 #include "klotski/constraints/checker.h"
 
@@ -20,14 +16,6 @@ class PortChecker : public Checker {
 
   Verdict check(const topo::Topology& topo) override;
   std::string name() const override { return "ports"; }
-
- private:
-  Verdict evaluate(const topo::Topology& topo) const;
-
-  bool memo_valid_ = false;
-  const topo::Topology* memo_topo_ = nullptr;
-  std::uint64_t memo_version_ = 0;
-  Verdict memo_verdict_;
 };
 
 }  // namespace klotski::constraints

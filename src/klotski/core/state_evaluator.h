@@ -12,11 +12,10 @@
 // per-element op lists so the result is bit-identical to a full replay in
 // canonical order, whatever the overlap pattern.
 //
-// Delta materialization is what feeds the ECMP router's incremental path:
-// the few element flips land in the topology's change journal, and the
-// router's dirty-group screening turns them into a handful of demand-group
-// recomputes per check (optionally spread over EcmpRouter::set_num_workers
-// threads) instead of a full reroute.
+// Delta materialization is what keeps the ECMP router's liveness refresh
+// cheap: the few element flips land in the topology's change journal, and
+// the router replays only those bits before routing every demand group
+// (optionally spread over EcmpRouter::set_num_workers threads).
 #pragma once
 
 #include <cstdint>

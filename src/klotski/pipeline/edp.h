@@ -45,8 +45,8 @@ struct CheckerConfig {
   /// routing configurations that balance traffic by circuit capacity.
   traffic::SplitMode routing = traffic::SplitMode::kEqualSplit;
   /// Worker threads for the ECMP router, the planner's only thread axis:
-  /// > 1 recomputes the independent dirty demand groups of one
-  /// satisfiability check in parallel. Loads, verdicts, plans and the
+  /// > 1 routes the demand groups of one satisfiability check in
+  /// parallel. Loads, verdicts, plans and the
   /// planner's counters stay bit-identical to serial.
   int router_threads = 1;
 };

@@ -27,14 +27,10 @@ EcmpRouter::EcmpRouter(const topo::Topology& topo, SplitMode mode)
           obs::Registry::global().counter("router.alive_full_rebuilds")),
       m_group_recomputes_(
           obs::Registry::global().counter("router.group_recomputes")),
-      m_group_reuses_(obs::Registry::global().counter("router.group_reuses")),
-      m_group_invalidations_(
-          obs::Registry::global().counter("router.group_invalidations")),
       m_parallel_batches_(
           obs::Registry::global().counter("router.parallel_batches")),
-      m_parallel_jobs_(obs::Registry::global().counter("router.parallel_jobs")),
-      m_dirty_screen_circuits_(
-          obs::Registry::global().counter("router.dirty_screen_circuits")) {
+      m_parallel_jobs_(
+          obs::Registry::global().counter("router.parallel_jobs")) {
   offsets_.assign(num_switches_ + 1, 0);
   for (const topo::Circuit& c : topo.circuits()) {
     ++offsets_[static_cast<std::size_t>(c.a) + 1];
@@ -60,6 +56,7 @@ EcmpRouter::EcmpRouter(const topo::Topology& topo, SplitMode mode)
 
   scratch_.init(num_switches_);
   alive_words_.assign(word_count(topo.num_circuits()), 0);
+  touched_words_.assign(alive_words_.size(), 0);
 }
 
 EcmpRouter::~EcmpRouter() { stop_workers(); }
@@ -81,15 +78,6 @@ void EcmpRouter::Scratch::begin_bfs() {
     std::fill(stamp.begin(), stamp.end(), 0);
     epoch = 1;
   }
-}
-
-void EcmpRouter::set_split_mode(SplitMode mode) {
-  if (mode == mode_) return;
-  mode_ = mode;
-  // Cached group loads were computed under the old split weights.
-  groups_ready_ = false;
-  touched_valid_ = false;
-  for (DemandGroup& g : groups_) g.valid = false;
 }
 
 void EcmpRouter::refresh_alive() {
@@ -168,15 +156,6 @@ std::size_t EcmpRouter::bfs_from_targets(Scratch& s,
   return s.visit_order.size();
 }
 
-bool EcmpRouter::reachable(const Demand& demand) {
-  refresh_alive();
-  if (bfs_from_targets(scratch_, demand) == 0) return false;
-  for (const SwitchId s : demand.sources) {
-    if (topo_.sw(s).active() && !scratch_.reached(s)) return false;
-  }
-  return true;
-}
-
 bool EcmpRouter::inject_sources(Scratch& s,
                                 const std::vector<const Demand*>& demands,
                                 const Demand** failed) const {
@@ -250,7 +229,7 @@ void EcmpRouter::propagate(Scratch& s, std::vector<LoadEntry>& out) const {
 
 bool EcmpRouter::assign(const Demand& demand, LoadVector& loads) {
   loads.resize(topo_.num_circuits() * 2, 0.0);
-  touched_valid_ = false;
+  touched_circuits_.clear();
 
   refresh_alive();
   if (bfs_from_targets(scratch_, demand) == 0) return false;
@@ -285,9 +264,9 @@ struct TargetsEq {
 
 }  // namespace
 
-std::vector<std::vector<std::uint32_t>> EcmpRouter::group_by_targets(
+std::vector<EcmpRouter::Group> EcmpRouter::group_by_targets(
     const DemandSet& demands) {
-  std::vector<std::vector<std::uint32_t>> groups;
+  std::vector<Group> groups;
   std::unordered_map<const std::vector<SwitchId>*, std::size_t, TargetsHash,
                      TargetsEq>
       index;
@@ -302,19 +281,20 @@ std::vector<std::vector<std::uint32_t>> EcmpRouter::group_by_targets(
 }
 
 bool EcmpRouter::run_group(Scratch& s, const DemandSet& demands,
-                           const std::vector<std::uint32_t>& indices,
-                           std::vector<LoadEntry>& out,
+                           const Group& group, std::vector<LoadEntry>& out,
                            std::string* failed_demand) const {
+  m_group_recomputes_.inc();  // physical count (includes parallel overshoot)
+  out.clear();
   // All demands of a group share one target set, hence one BFS. ECMP load
   // is linear in injected volume over a fixed shortest-path DAG, so one
   // merged propagation equals the sum of per-demand assignments.
-  const Demand& representative = demands[indices.front()];
+  const Demand& representative = demands[group.front()];
   if (bfs_from_targets(s, representative) == 0) {
     if (failed_demand != nullptr) *failed_demand = representative.name;
     return false;
   }
   s.group_ptrs.clear();
-  for (const std::uint32_t i : indices) s.group_ptrs.push_back(&demands[i]);
+  for (const std::uint32_t i : group) s.group_ptrs.push_back(&demands[i]);
   const Demand* failed = nullptr;
   if (!inject_sources(s, s.group_ptrs, &failed)) {
     if (failed_demand != nullptr) *failed_demand = failed->name;
@@ -324,202 +304,23 @@ bool EcmpRouter::run_group(Scratch& s, const DemandSet& demands,
   return true;
 }
 
-bool EcmpRouter::recompute_group(Scratch& s, DemandGroup& g,
-                                 std::string* failed_demand) const {
-  m_group_recomputes_.inc();  // physical count (includes parallel overshoot)
-  g.valid = false;
-  g.entries.clear();
-  if (!run_group(s, *bound_, g.demand_indices, g.entries, failed_demand)) {
-    return false;
-  }
-  // Materialize a dense distance snapshot for the dirty screening (it reads
-  // arbitrary endpoints, so sparse stamped storage would not help there).
-  if (g.dist.size() == num_switches_) {
-    std::fill(g.dist.begin(), g.dist.end(), kUnreached);
-  } else {
-    g.dist.assign(num_switches_, kUnreached);
-  }
-  for (const SwitchId u : s.visit_order) {
-    g.dist[static_cast<std::size_t>(u)] = s.dist[static_cast<std::size_t>(u)];
-  }
-  g.valid = true;
-  return true;
-}
-
-void EcmpRouter::bind_demands(const DemandSet& demands) {
-  bound_ = &demands;
-  bound_size_ = demands.size();
-  groups_.clear();
-  groups_ready_ = false;
-  touched_valid_ = false;
-  const std::size_t words = word_count(num_switches_);
-  auto grouping = group_by_targets(demands);
-  groups_.resize(grouping.size());
-  for (std::size_t gi = 0; gi < grouping.size(); ++gi) {
-    DemandGroup& g = groups_[gi];
-    g.demand_indices = std::move(grouping[gi]);
-    g.relevant_words.assign(words, 0);
-    const auto mark = [&](SwitchId s) {
-      g.relevant_words[static_cast<std::size_t>(s) >> 6] |=
-          std::uint64_t{1} << (static_cast<std::size_t>(s) & 63);
-    };
-    for (const std::uint32_t i : g.demand_indices) {
-      for (const SwitchId s : demands[i].sources) mark(s);
-      for (const SwitchId t : demands[i].targets) mark(t);
-    }
+void EcmpRouter::add_group(const std::vector<LoadEntry>& entries,
+                           LoadVector& loads) {
+  for (const LoadEntry& e : entries) {
+    loads[e.slot] += e.value;
+    const std::uint32_t c = e.slot >> 1;
+    touched_words_[c >> 6] |= std::uint64_t{1} << (c & 63);
   }
 }
 
-void EcmpRouter::mark_dirty_groups(
-    const std::vector<topo::Topology::StateChange>& changes,
-    std::vector<std::uint8_t>& dirty) {
-  const std::size_t switch_words = word_count(num_switches_);
-  const std::size_t circuit_words = word_count(topo_.num_circuits());
-  if (changed_switch_words_.size() < switch_words) {
-    changed_switch_words_.resize(switch_words, 0);
-  }
-  if (changed_circuit_words_.size() < circuit_words) {
-    changed_circuit_words_.resize(circuit_words, 0);
-  }
-  changed_switch_word_idx_.clear();
-  changed_circuit_word_idx_.clear();
-  const auto touch_circuit = [&](CircuitId c) {
-    const auto w = static_cast<std::size_t>(c) >> 6;
-    if (changed_circuit_words_[w] == 0) {
-      changed_circuit_word_idx_.push_back(static_cast<std::uint32_t>(w));
-    }
-    changed_circuit_words_[w] |= std::uint64_t{1}
-                                 << (static_cast<std::size_t>(c) & 63);
-  };
-  for (const Topology::StateChange e : changes) {
-    if (Topology::change_is_switch(e)) {
-      const SwitchId s = Topology::change_switch(e);
-      const auto w = static_cast<std::size_t>(s) >> 6;
-      if (changed_switch_words_[w] == 0) {
-        changed_switch_word_idx_.push_back(static_cast<std::uint32_t>(w));
-      }
-      changed_switch_words_[w] |= std::uint64_t{1}
-                                  << (static_cast<std::size_t>(s) & 63);
-      // The switch's incident circuits' liveness may have flipped.
-      for (const CircuitId c : topo_.incident(s)) touch_circuit(c);
-    } else {
-      touch_circuit(Topology::change_circuit(e));
-    }
-  }
-
-  // A flipped switch dirties every group it sources or sinks (injection and
-  // target activation depend on its state): word-AND the changed-switch set
-  // against each group's packed relevant set — 64 switches per compare.
-  for (const std::uint32_t w : changed_switch_word_idx_) {
-    const std::uint64_t mask = changed_switch_words_[w];
-    for (std::size_t gi = 0; gi < groups_.size(); ++gi) {
-      if (!dirty[gi] && (groups_[gi].relevant_words[w] & mask) != 0) {
-        dirty[gi] = 1;
-      }
-    }
-  }
-
-  // A liveness flip of circuit (a, b) can change a group's DAG or distances
-  // only when, under the group's cached distances:
-  //  * circuit now alive: it could shorten paths or add a DAG edge unless
-  //    both endpoints were reached at equal distance (a same-level chord is
-  //    never on a shortest path) or both were unreached (an edge between two
-  //    unreached switches cannot connect either to a target);
-  //  * circuit now dead: it could only have mattered when it was a DAG edge
-  //    candidate, i.e. both endpoints reached at distances differing by 1.
-  // Conservative: a circuit journaled without a net liveness change may
-  // still mark a group dirty; never the other way around.
-  long long screened = 0;
-  for (const std::uint32_t w : changed_circuit_word_idx_) {
-    std::uint64_t bits = changed_circuit_words_[w];
-    screened += std::popcount(bits);
-    while (bits != 0) {
-      const int bit = std::countr_zero(bits);
-      bits &= bits - 1;
-      const auto c = static_cast<CircuitId>((static_cast<std::size_t>(w) << 6) +
-                                            static_cast<std::size_t>(bit));
-      const topo::Circuit& cc = topo_.circuit(c);
-      const bool alive_now = circuit_alive(c);
-      for (std::size_t gi = 0; gi < groups_.size(); ++gi) {
-        if (dirty[gi]) continue;
-        const DemandGroup& g = groups_[gi];
-        if (g.dist.size() != num_switches_) {
-          dirty[gi] = 1;  // no usable snapshot: recompute
-          continue;
-        }
-        const std::int32_t da = g.dist[static_cast<std::size_t>(cc.a)];
-        const std::int32_t db = g.dist[static_cast<std::size_t>(cc.b)];
-        if (alive_now) {
-          const bool equal_reached = da != kUnreached && da == db;
-          const bool both_unreached = da == kUnreached && db == kUnreached;
-          if (!equal_reached && !both_unreached) dirty[gi] = 1;
-        } else {
-          if (da != kUnreached && db != kUnreached &&
-              (da - db == 1 || db - da == 1)) {
-            dirty[gi] = 1;
-          }
-        }
-      }
-    }
-  }
-  m_dirty_screen_circuits_.inc(screened);
-
-  // Zero only the touched words so the bitmaps are clean for the next call.
-  for (const std::uint32_t w : changed_switch_word_idx_) {
-    changed_switch_words_[w] = 0;
-  }
-  for (const std::uint32_t w : changed_circuit_word_idx_) {
-    changed_circuit_words_[w] = 0;
-  }
-}
-
-void EcmpRouter::rebuild_total(std::size_t load_size) {
-  if (total_loads_.size() != load_size) {
-    total_loads_.assign(load_size, 0.0);
-    total_touched_slots_.clear();
-  } else {
-    // Zero only the slots the previous total touched.
-    for (const std::uint32_t slot : total_touched_slots_) {
-      total_loads_[slot] = 0.0;
-    }
-  }
-  if (slot_stamp_.size() < load_size) slot_stamp_.resize(load_size, 0);
-  if (++slot_epoch_ == 0) {
-    std::fill(slot_stamp_.begin(), slot_stamp_.end(), 0);
-    slot_epoch_ = 1;
-  }
-  total_touched_slots_.clear();
-
-  // Accumulate the sparse group contributions in group order: within one
-  // group each slot appears at most once, so the per-slot addition sequence
-  // is exactly the dense per-group sum's — bit-identical result.
-  for (const DemandGroup& g : groups_) {
-    for (const LoadEntry& e : g.entries) {
-      total_loads_[e.slot] += e.value;
-      if (slot_stamp_[e.slot] != slot_epoch_) {
-        slot_stamp_[e.slot] = slot_epoch_;
-        total_touched_slots_.push_back(e.slot);
-      }
-    }
-  }
-
-  // Touched circuits, ascending, for the utilization fast path. Shares are
-  // strictly positive, so every touched slot's total is non-zero. Marking
-  // bits and then scanning the word array gives ascending order for a
-  // popcount pass over C/64 words — no comparison sort.
-  const std::size_t circuit_words = word_count(topo_.num_circuits());
-  if (touched_circuit_words_.size() < circuit_words) {
-    touched_circuit_words_.resize(circuit_words, 0);
-  }
-  for (const std::uint32_t slot : total_touched_slots_) {
-    const std::uint32_t c = slot >> 1;
-    touched_circuit_words_[c >> 6] |= std::uint64_t{1} << (c & 63);
-  }
-  touched_circuits_.clear();
-  for (std::size_t w = 0; w < circuit_words; ++w) {
-    std::uint64_t bits = touched_circuit_words_[w];
+void EcmpRouter::collect_touched() {
+  // Shares are strictly positive, so every marked circuit carries load.
+  // Scanning the word array gives ascending order for a popcount pass over
+  // C/64 words — no comparison sort.
+  for (std::size_t w = 0; w < touched_words_.size(); ++w) {
+    std::uint64_t bits = touched_words_[w];
     if (bits == 0) continue;
-    touched_circuit_words_[w] = 0;
+    touched_words_[w] = 0;
     while (bits != 0) {
       const int bit = std::countr_zero(bits);
       bits &= bits - 1;
@@ -529,131 +330,44 @@ void EcmpRouter::rebuild_total(std::size_t load_size) {
   }
 }
 
-bool EcmpRouter::assign_bound(LoadVector& loads, std::string* failed_demand) {
-  refresh_alive();
-  const std::uint64_t v = topo_.state_version();
-
-  dirty_scratch_.assign(groups_.size(), 0);
-  bool any_dirty = false;
-  if (!groups_ready_) {
-    std::fill(dirty_scratch_.begin(), dirty_scratch_.end(), 1);
-    any_dirty = !groups_.empty();
-  } else if (v != groups_version_) {
-    changes_scratch_.clear();
-    if (topo_.changes_since(groups_version_, changes_scratch_)) {
-      mark_dirty_groups(changes_scratch_, dirty_scratch_);
-    } else {
-      // Journal no longer covers the gap (or structural change): rebuild.
-      std::fill(dirty_scratch_.begin(), dirty_scratch_.end(), 1);
-    }
-    long long invalidated = 0;
-    for (const std::uint8_t d : dirty_scratch_) {
-      any_dirty |= d != 0;
-      invalidated += d != 0 ? 1 : 0;
-    }
-    m_group_invalidations_.inc(invalidated);
-  }
-  // groups_ready_ && v == groups_version_: every cache is current.
-
-  if (any_dirty) {
-    job_groups_.clear();
-    for (std::size_t gi = 0; gi < groups_.size(); ++gi) {
-      if (dirty_scratch_[gi]) {
-        job_groups_.push_back(static_cast<std::uint32_t>(gi));
-      }
-    }
-    if (threads_.empty() || job_groups_.size() < 2) {
-      // Serial path: recompute in group order, stopping at the first
-      // failure. These loops define the logical counter semantics the
-      // parallel path reproduces.
-      for (std::size_t gi = 0; gi < groups_.size(); ++gi) {
-        if (!dirty_scratch_[gi]) {
-          ++group_reuses_;
-          m_group_reuses_.inc();
-          continue;
-        }
-        ++group_recomputes_;
-        if (!recompute_group(scratch_, groups_[gi], failed_demand)) {
-          groups_ready_ = false;
-          touched_valid_ = false;
-          return false;
-        }
-      }
-    } else {
-      // Parallel path: physically recompute every dirty group on the pool,
-      // then replay the serial loop's accounting in group order on this
-      // thread — loads, failure identity, and the logical counters come out
-      // bit-identical to the serial path.
-      njobs_ = job_groups_.size();
-      job_ok_.assign(njobs_, 0);
-      job_fail_.assign(njobs_, std::string());
-      m_parallel_batches_.inc();
-      m_parallel_jobs_.inc(static_cast<long long>(njobs_));
-      run_jobs_parallel();
-      std::size_t job = 0;
-      for (std::size_t gi = 0; gi < groups_.size(); ++gi) {
-        if (!dirty_scratch_[gi]) {
-          ++group_reuses_;
-          m_group_reuses_.inc();
-          continue;
-        }
-        ++group_recomputes_;
-        const std::size_t j = job++;
-        if (!job_ok_[j]) {
-          if (failed_demand != nullptr) *failed_demand = job_fail_[j];
-          groups_ready_ = false;
-          touched_valid_ = false;
-          return false;
-        }
-      }
-    }
-    rebuild_total(loads.size());
-    groups_ready_ = true;
-    groups_version_ = v;
-  } else if (!groups_ready_) {
-    // Empty bound set: nothing to compute, caches are trivially current.
-    total_loads_.assign(loads.size(), 0.0);
-    total_touched_slots_.clear();
-    touched_circuits_.clear();
-    groups_ready_ = true;
-    groups_version_ = v;
-  } else {
-    group_reuses_ += static_cast<long long>(groups_.size());
-    m_group_reuses_.inc(static_cast<long long>(groups_.size()));
-    // The screening proved the caches valid at v; advance so the next call
-    // does not replay the same journal suffix again.
-    groups_version_ = v;
-  }
-
-  // Sparse scatter over the touched slots only. Untouched slots hold +0.0 in
-  // the dense total, and x += +0.0 is an exact no-op for the non-negative
-  // loads we produce, so this equals the dense add.
-  for (const std::uint32_t slot : total_touched_slots_) {
-    loads[slot] += total_loads_[slot];
-  }
-  touched_valid_ = true;
-  return true;
-}
-
 bool EcmpRouter::assign_all(const DemandSet& demands, LoadVector& loads,
                             std::string* failed_demand) {
   loads.resize(topo_.num_circuits() * 2, 0.0);
-  if (bound_ == &demands && demands.size() == bound_size_) {
-    return assign_bound(loads, failed_demand);
-  }
-
-  // Unbound one-shot path: group by target set (hash map, first-occurrence
-  // order) and evaluate each group once, without caching.
-  touched_valid_ = false;
+  touched_circuits_.clear();
   refresh_alive();
-  for (const auto& indices : group_by_targets(demands)) {
-    entries_scratch_.clear();
-    if (!run_group(scratch_, demands, indices, entries_scratch_,
-                   failed_demand)) {
-      return false;
+  const std::vector<Group> groups = group_by_targets(demands);
+
+  // Group i's loads are added in group order whichever thread routed it:
+  // within one group each slot appears at most once, so the per-slot
+  // addition sequence is the same serial or pooled — bit-identical loads.
+  const auto fail = [&] {
+    std::fill(touched_words_.begin(), touched_words_.end(), 0);
+    return false;
+  };
+  if (threads_.empty() || groups.size() < 2) {
+    for (const Group& group : groups) {
+      ++group_recomputes_;
+      if (!run_group(scratch_, demands, group, entries_scratch_,
+                     failed_demand)) {
+        return fail();
+      }
+      add_group(entries_scratch_, loads);
     }
-    for (const LoadEntry& e : entries_scratch_) loads[e.slot] += e.value;
+  } else {
+    // Route every group on the pool, then replay the serial loop in group
+    // order on this thread: the reported failure and the logical counter
+    // stop at the first failing group, as the serial loop does.
+    run_jobs_parallel(demands, groups);
+    for (std::size_t g = 0; g < groups.size(); ++g) {
+      ++group_recomputes_;
+      if (!job_ok_[g]) {
+        if (failed_demand != nullptr) *failed_demand = job_fail_[g];
+        return fail();
+      }
+      add_group(job_entries_[g].entries, loads);
+    }
   }
+  collect_touched();
   return true;
 }
 
@@ -692,6 +406,14 @@ void EcmpRouter::stop_workers() {
   active_ = 0;
 }
 
+void EcmpRouter::run_job(Scratch& s, std::size_t j) {
+  std::string fail;
+  const bool ok = run_group(s, *job_demands_, (*job_groups_)[j],
+                            job_entries_[j].entries, &fail);
+  job_ok_[j] = ok ? 1 : 0;
+  if (!ok) job_fail_[j] = std::move(fail);
+}
+
 void EcmpRouter::worker_loop(std::size_t widx) {
   std::uint64_t seen = 0;
   Scratch& scratch = *worker_scratch_[widx];
@@ -705,11 +427,7 @@ void EcmpRouter::worker_loop(std::size_t widx) {
     for (;;) {
       const std::size_t j = next_.fetch_add(1, std::memory_order_relaxed);
       if (j >= njobs_) break;
-      std::string fail;
-      const bool ok =
-          recompute_group(scratch, groups_[job_groups_[j]], &fail);
-      job_ok_[j] = ok ? 1 : 0;
-      if (!ok) job_fail_[j] = std::move(fail);
+      run_job(scratch, j);
     }
     {
       std::lock_guard<std::mutex> lk(mu_);
@@ -718,9 +436,18 @@ void EcmpRouter::worker_loop(std::size_t widx) {
   }
 }
 
-void EcmpRouter::run_jobs_parallel() {
+void EcmpRouter::run_jobs_parallel(const DemandSet& demands,
+                                   const std::vector<Group>& groups) {
+  njobs_ = groups.size();
+  if (job_entries_.size() < njobs_) job_entries_.resize(njobs_);
+  job_ok_.assign(njobs_, 0);
+  job_fail_.assign(njobs_, std::string());
+  m_parallel_batches_.inc();
+  m_parallel_jobs_.inc(static_cast<long long>(njobs_));
   {
     std::lock_guard<std::mutex> lk(mu_);
+    job_demands_ = &demands;
+    job_groups_ = &groups;
     next_.store(0, std::memory_order_relaxed);
     active_ = static_cast<int>(threads_.size());
     ++generation_;
@@ -731,10 +458,7 @@ void EcmpRouter::run_jobs_parallel() {
   for (;;) {
     const std::size_t j = next_.fetch_add(1, std::memory_order_relaxed);
     if (j >= njobs_) break;
-    std::string fail;
-    const bool ok = recompute_group(scratch_, groups_[job_groups_[j]], &fail);
-    job_ok_[j] = ok ? 1 : 0;
-    if (!ok) job_fail_[j] = std::move(fail);
+    run_job(scratch_, j);
   }
   std::unique_lock<std::mutex> lk(mu_);
   done_cv_.wait(lk, [&] { return active_ == 0; });

@@ -11,30 +11,31 @@
 // property behind the HGRID V1/V2 outage described in §7.1.
 //
 // One assignment is Theta(|S| + |C|), matching the satisfiability-check
-// cost in Theorems 1 and 2. The planner hot path amortizes that cost across
-// nearby topology states, and the engine is laid out so an assignment only
-// pays for what it actually touches:
+// cost in Theorems 1 and 2. The router keeps nothing between calls except
+// what pays on every check: the CSR arcs, the liveness words, its scratch
+// and its worker pool. Every assign_all groups the demands by target set
+// and routes every group. The engine is laid out so an assignment only pays
+// for what it actually touches:
 //
 //  * Epoch-stamped scratch — dist/volume validity is a per-switch stamp
 //    compared against a per-BFS epoch, so starting a BFS never clears the
 //    O(|S|) arrays; only visited switches are written.
 //  * Word-packed liveness — "circuit carries traffic" lives in uint64 words
-//    (bit per circuit), refreshed by journal replay; per-group relevant
-//    switch sets are packed the same way so the dirty screening in
-//    mark_dirty_groups is word-AND + popcount work, not byte scans.
+//    (bit per circuit), refreshed by replaying the topology's change
+//    journal, so a check after a few element flips touches only their bits.
 //  * Flat arc records — the CSR arc inlines the neighbor, the directional
 //    load slot, the liveness word/mask, and the circuit capacity, so BFS and
 //    propagation read one contiguous stream instead of chasing Circuit
 //    records through the topology.
-//  * Sparse group loads — a bound demand group caches its load contribution
-//    as (slot, value) pairs in propagation order (each slot is written at
-//    most once per group), so re-summing after a sparse invalidation costs
-//    the touched slots, not groups × circuits.
-//  * Intra-check parallelism — with set_num_workers(n > 1), the dirty
-//    groups of one bound assign_all recompute concurrently on a private
-//    worker pool (per-worker scratch, per-group output buffers) and reduce
-//    into the total in group order on the calling thread, which keeps the
-//    result bit-identical to the serial engine, logical counters included.
+//  * Sparse group loads — a group's load contribution is a list of
+//    (slot, value) pairs in propagation order (each slot is written at most
+//    once per group), summed into the caller's vector in group order, which
+//    also yields the ascending touched-circuit list for utilization scans.
+//  * Intra-check parallelism — with set_num_workers(n > 1), the groups of
+//    one assign_all route concurrently on a private worker pool (per-worker
+//    scratch, per-group output buffers) and are summed in group order on the
+//    calling thread, which keeps the result bit-identical to the serial
+//    engine, logical counters included.
 #pragma once
 
 #include <atomic>
@@ -85,14 +86,14 @@ class EcmpRouter {
   EcmpRouter& operator=(const EcmpRouter&) = delete;
 
   SplitMode split_mode() const { return mode_; }
-  void set_split_mode(SplitMode mode);
+  void set_split_mode(SplitMode mode) { mode_ = mode; }
 
-  /// Intra-check worker pool size for bound assign_all: n > 1 spawns n
-  /// worker threads that recompute independent dirty demand groups
-  /// concurrently. Results are bit-identical to the serial engine (same
-  /// loads, same failure, same logical counters); only wall-clock and the
-  /// physical obs counters change. n <= 1 joins the pool and restores the
-  /// fully serial path. Not thread-safe against concurrent assign calls.
+  /// Intra-check worker pool size for assign_all: n > 1 spawns n worker
+  /// threads that route the demand groups of one call concurrently.
+  /// Results are bit-identical to the serial engine (same loads, same
+  /// failure, same logical counters); only wall-clock and the physical obs
+  /// counters change. n <= 1 joins the pool and restores the fully serial
+  /// path. Not thread-safe against concurrent assign calls.
   void set_num_workers(int n);
   int num_workers() const { return static_cast<int>(threads_.size()); }
 
@@ -102,47 +103,33 @@ class EcmpRouter {
   /// cannot reach any target.
   bool assign(const Demand& demand, LoadVector& loads);
 
-  /// Assigns a whole demand set, sharing work across demands: the liveness
-  /// words are refreshed only when the topology changed, and demands with
-  /// identical target sets share one BFS and one load propagation (ECMP is
-  /// linear in the injected volume for a fixed DAG, so merged propagation
-  /// is exact). When `demands` is the currently bound set (bind_demands),
-  /// per-group results are cached across calls and only the groups affected
-  /// by the topology changes since the last call are recomputed. Returns
-  /// false on the first unroutable demand, reporting its name via
-  /// `failed_demand` when non-null. This is the satisfiability-check hot
-  /// path at O(10,000)-switch scale.
+  /// Assigns a whole demand set: groups the demands by target set
+  /// (first-occurrence order), routes every group — demands with identical
+  /// target sets share one BFS and one load propagation, which is exact
+  /// because ECMP is linear in the injected volume for a fixed DAG — and
+  /// adds the groups' loads into `loads` (resized if needed) in group order.
+  /// Nothing about `demands` is remembered, so the caller may edit the set
+  /// freely between calls. Returns false on the first unroutable demand in
+  /// group order, reporting its name via `failed_demand` when non-null;
+  /// `loads` then holds an unspecified partial sum. This is the
+  /// satisfiability-check hot path at O(10,000)-switch scale.
   bool assign_all(const DemandSet& demands, LoadVector& loads,
                   std::string* failed_demand = nullptr);
 
-  /// Declares `demands` the router's resident demand set: target-set groups
-  /// are built once here (not O(n^2) per check) and assign_all on the same
-  /// object gets the incremental per-group cache. The caller owns the set
-  /// and must rebind after mutating it (DemandChecker does this on
-  /// set_demands). Binding another set drops the previous binding.
-  void bind_demands(const DemandSet& demands);
-
-  /// True iff every active source can reach an active target (connectivity
-  /// part of Eq. 4, without computing loads).
-  bool reachable(const Demand& demand);
-
   std::size_t num_switches() const { return num_switches_; }
 
-  /// After a successful *bound* assign_all: the ascending-id list of
-  /// circuits that carry any of the bound set's load. Lets utilization
-  /// scans (max_utilization / worst_circuit / DemandChecker) visit only
-  /// loaded circuits instead of all of them. touched_valid() goes false on
-  /// unbound or failed assignments, rebinding, and single-demand assign();
-  /// callers must then fall back to the full-circuit scan.
-  bool touched_valid() const { return touched_valid_; }
+  /// After a successful assign_all: the ascending-id list of circuits that
+  /// call added load to. Lets utilization scans (max_utilization /
+  /// worst_circuit / DemandChecker) visit only loaded circuits instead of
+  /// all of them. Empty after a failed assign_all or any assign().
   const std::vector<topo::CircuitId>& touched_circuits() const {
     return touched_circuits_;
   }
 
-  /// Group recomputations saved by the incremental cache (diagnostics).
-  /// Logical counters: invariant under num_workers.
+  /// Demand groups routed by assign_all, summed over calls: every group of
+  /// every successful call, and the groups up to and including the first
+  /// failing one otherwise. A logical counter: invariant under num_workers.
   long long group_recomputes() const { return group_recomputes_; }
-  long long group_reuses() const { return group_reuses_; }
 
  private:
   /// One (slot, value) pair of a group's load contribution. Propagation
@@ -154,14 +141,14 @@ class EcmpRouter {
     double value;
   };
 
-  /// One target-set group of the bound demand set, with its cached BFS
-  /// distances and sparse load contribution (valid while `valid`).
-  struct DemandGroup {
-    std::vector<std::uint32_t> demand_indices;  // into the bound set
-    std::vector<std::uint64_t> relevant_words;  // switch-id bitset
-    bool valid = false;
-    std::vector<std::int32_t> dist;  // dense; kUnreached where not visited
-    std::vector<LoadEntry> entries;  // propagation order
+  /// Demand indices of one target-set group.
+  using Group = std::vector<std::uint32_t>;
+
+  /// One group's pooled output on its own cache line: workers append to
+  /// different groups' buffers at once, and adjacent vector headers would
+  /// otherwise share a line and bounce between cores on every append.
+  struct alignas(64) JobEntries {
+    std::vector<LoadEntry> entries;
   };
 
   /// Flat CSR arc record: everything BFS + propagation need, contiguous.
@@ -212,32 +199,21 @@ class EcmpRouter {
   void propagate(Scratch& s, std::vector<LoadEntry>& out) const;
 
   /// Groups demand indices by identical target sets, first-occurrence order.
-  static std::vector<std::vector<std::uint32_t>> group_by_targets(
-      const DemandSet& demands);
+  static std::vector<Group> group_by_targets(const DemandSet& demands);
 
-  /// BFS + inject + propagate for one group of the given demand set.
-  bool run_group(Scratch& s, const DemandSet& demands,
-                 const std::vector<std::uint32_t>& indices,
+  /// BFS + inject + propagate for one group of `demands` into `out`
+  /// (cleared first). Thread-safe for distinct scratch and outputs.
+  bool run_group(Scratch& s, const DemandSet& demands, const Group& group,
                  std::vector<LoadEntry>& out,
                  std::string* failed_demand) const;
 
-  /// Recomputes one bound group into its cache (entries + dist snapshot).
-  /// Thread-safe for distinct groups with distinct scratch.
-  bool recompute_group(Scratch& s, DemandGroup& g,
-                       std::string* failed_demand) const;
+  /// Adds one group's entries into `loads` and marks their circuits in
+  /// touched_words_.
+  void add_group(const std::vector<LoadEntry>& entries, LoadVector& loads);
 
-  /// The incremental path for the bound set.
-  bool assign_bound(LoadVector& loads, std::string* failed_demand);
-
-  /// Marks groups whose cached DAG or injection a journaled change could
-  /// affect. `changes` are topology journal entries since groups_version_.
-  void mark_dirty_groups(const std::vector<topo::Topology::StateChange>& changes,
-                         std::vector<std::uint8_t>& dirty);
-
-  /// Re-sums total_loads_ from the per-group entry lists in group order
-  /// (bit-identical to a dense sum), zeroing only previously-touched slots,
-  /// and rebuilds the ascending touched-circuit list.
-  void rebuild_total(std::size_t load_size);
+  /// Turns touched_words_ into the ascending touched_circuits_ list and
+  /// clears the words for the next call.
+  void collect_touched();
 
   /// Brings the liveness words (and, on full rebuilds, the inlined arc
   /// capacities) up to the topology's current state version: a no-op when
@@ -245,11 +221,6 @@ class EcmpRouter {
   /// pass otherwise.
   void refresh_alive();
 
-  bool circuit_alive(topo::CircuitId c) const {
-    return (alive_words_[static_cast<std::size_t>(c) >> 6] >>
-            (static_cast<std::size_t>(c) & 63)) &
-           1;
-  }
   void set_circuit_alive(topo::CircuitId c, bool alive) {
     const std::uint64_t mask = std::uint64_t{1}
                                << (static_cast<std::size_t>(c) & 63);
@@ -260,11 +231,14 @@ class EcmpRouter {
     }
   }
 
-  // Worker pool (intra-check parallel dirty-group recompute).
+  // Worker pool (intra-check parallel group routing).
   void worker_loop(std::size_t widx);
   void stop_workers();
-  /// Runs job_groups_ on the pool and waits for completion.
-  void run_jobs_parallel();
+  /// Routes job j (group j of the published batch) with scratch `s`.
+  void run_job(Scratch& s, std::size_t j);
+  /// Routes every group of (demands, groups) on the pool and waits.
+  void run_jobs_parallel(const DemandSet& demands,
+                         const std::vector<Group>& groups);
 
   const topo::Topology& topo_;
   SplitMode mode_ = SplitMode::kEqualSplit;
@@ -273,7 +247,6 @@ class EcmpRouter {
   std::vector<std::uint32_t> offsets_;
   std::vector<Arc> arcs_;
 
-  static constexpr std::int32_t kUnreached = -1;
   Scratch scratch_;  // the calling thread's scratch
   std::vector<LoadEntry> entries_scratch_;
   std::vector<std::uint64_t> alive_words_;  // bit c = circuit c carries traffic
@@ -281,33 +254,14 @@ class EcmpRouter {
   std::uint64_t alive_version_ = 0;
   std::vector<topo::Topology::StateChange> changes_scratch_;
 
-  // mark_dirty_groups scratch: word-packed changed-element sets, cleared
-  // word-by-word after use (only touched words are written).
-  std::vector<std::uint64_t> changed_switch_words_;
-  std::vector<std::uint64_t> changed_circuit_words_;
-  std::vector<std::uint32_t> changed_switch_word_idx_;
-  std::vector<std::uint32_t> changed_circuit_word_idx_;
-  std::vector<std::uint8_t> dirty_scratch_;  // per-group dirty flags
-
-  // Bound demand set and its incremental per-group caches.
-  const DemandSet* bound_ = nullptr;
-  std::size_t bound_size_ = 0;
-  std::vector<DemandGroup> groups_;
-  bool groups_ready_ = false;
-  std::uint64_t groups_version_ = 0;
-  LoadVector total_loads_;  // sum over group entries at groups_version_
-  std::vector<std::uint32_t> total_touched_slots_;  // nonzero slots of total
-  std::vector<std::uint32_t> slot_stamp_;           // slot dedup scratch
-  std::uint32_t slot_epoch_ = 0;
+  std::vector<std::uint64_t> touched_words_;  // bit c = circuit c loaded
   std::vector<topo::CircuitId> touched_circuits_;  // ascending ids
-  bool touched_valid_ = false;
-  std::vector<std::uint64_t> touched_circuit_words_;  // dedup/order scratch
   long long group_recomputes_ = 0;
-  long long group_reuses_ = 0;
 
   // Worker pool state. Workers claim job indices via next_; the caller
   // waits until every claimed job finished and every worker left the drain
-  // loop (active_ == 0) before touching the buffers.
+  // loop (active_ == 0) before touching the buffers. The per-job buffers
+  // only grow, so their capacity carries over between calls.
   std::vector<std::unique_ptr<Scratch>> worker_scratch_;
   std::vector<std::thread> threads_;
   std::mutex mu_;
@@ -318,23 +272,21 @@ class EcmpRouter {
   int active_ = 0;
   std::size_t njobs_ = 0;
   std::atomic<std::size_t> next_{0};
-  std::vector<std::uint32_t> job_groups_;  // dirty group indices, ascending
-  std::vector<std::uint8_t> job_ok_;       // aligned with job_groups_
-  std::vector<std::string> job_fail_;      // failed demand name per job
+  const DemandSet* job_demands_ = nullptr;
+  const std::vector<Group>* job_groups_ = nullptr;
+  std::vector<JobEntries> job_entries_;  // per group
+  std::vector<std::uint8_t> job_ok_;
+  std::vector<std::string> job_fail_;  // failed demand name per group
 
   // Global observability counters (metrics.h; no-ops while disabled). These
   // aggregate *physical* work over every router instance — unlike the
-  // logical group_recomputes_/group_reuses_ they are not invariant under
-  // num_workers (the pool recomputes past a failing group where the serial
-  // loop stops).
+  // logical group_recomputes_ they are not invariant under num_workers (the
+  // pool routes groups past a failing group where the serial loop stops).
   obs::Counter& m_alive_journal_replays_;
   obs::Counter& m_alive_full_rebuilds_;
   obs::Counter& m_group_recomputes_;
-  obs::Counter& m_group_reuses_;
-  obs::Counter& m_group_invalidations_;
   obs::Counter& m_parallel_batches_;
   obs::Counter& m_parallel_jobs_;
-  obs::Counter& m_dirty_screen_circuits_;
 };
 
 /// Maximum utilization over circuits given directional loads; utilization of

@@ -1,7 +1,7 @@
 // Delta materialization must be indistinguishable from a full replay: same
 // element states after arbitrary count-vector moves (including reverts and
 // multi-type jumps) and same feasibility verdicts through the full
-// incremental stack (versioned topology, incremental ECMP, checker memos).
+// incremental stack (versioned topology, journal-refreshed ECMP liveness).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -119,9 +119,10 @@ TEST(DeltaMaterialization, OverlappingBlocksResolveInCanonicalOrder) {
   EXPECT_EQ(circuit_state(), topo::ElementState::kDrained);
 }
 
-// The full incremental stack (delta materialization + version-gated router
-// caches + checker memos) must produce the same verdicts as a reference
-// whose every cache is defeated via bump_state_version().
+// The full incremental stack (delta materialization + the router's
+// journal-refreshed liveness words) must produce the same verdicts as a
+// reference whose every incremental path is defeated via
+// bump_state_version().
 TEST(DeltaMaterialization, VerdictsMatchMemoDefeatingReference) {
   migration::MigrationCase inc_case = small_hgrid_case();
   migration::MigrationCase ref_case = small_hgrid_case();

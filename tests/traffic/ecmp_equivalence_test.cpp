@@ -1,17 +1,21 @@
 // Randomized equivalence suite for the flat-path ECMP engine.
 //
-// The incremental router (epoch-stamped scratch, word-packed liveness,
-// journal-driven dirty screening, sparse group caches) and the intra-check
-// parallel mode both promise *bit-identical* results to a from-scratch
-// evaluation. These tests drive a Table-3 preset through hundreds of random
-// drain / undrain / add / remove mutations and hold them to that promise:
-//  * after every mutation, the bound incremental router must produce exactly
-//    the load vector of a freshly constructed router with no caches;
+// A long-lived router (epoch-stamped scratch, word-packed liveness
+// refreshed by journal replay) and the intra-check parallel mode both
+// promise *bit-identical* results to a from-scratch evaluation. These tests
+// drive a Table-3 preset through hundreds of random drain / undrain / add /
+// remove mutations and hold them to that promise:
+//  * after every mutation, the long-lived router must produce exactly the
+//    load vector of a freshly constructed router;
 //  * routers with 2 and 4 workers must match the serial router exactly —
-//    loads, failure identity, and the logical group_recomputes/group_reuses
-//    counters (which are defined to be invariant under num_workers).
+//    loads, failure identity, and the logical group_recomputes counter
+//    (defined to be invariant under num_workers);
+//  * a demand set edited in place between calls routes like a fresh set,
+//    because the router remembers nothing about the demands it routed.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <string>
 #include <vector>
 
@@ -58,9 +62,27 @@ AssignResult run_assign(traffic::EcmpRouter& router,
   return r;
 }
 
+/// Each demand's target-set group: groups are numbered in first-occurrence
+/// order, the order assign_all routes and sums them in.
+std::vector<std::size_t> group_of(const traffic::DemandSet& demands) {
+  std::vector<const std::vector<topo::SwitchId>*> sets;
+  std::vector<std::size_t> group;
+  for (const traffic::Demand& d : demands) {
+    std::size_t g = 0;
+    while (g < sets.size() && *sets[g] != d.targets) ++g;
+    if (g == sets.size()) sets.push_back(&d.targets);
+    group.push_back(g);
+  }
+  return group;
+}
+
+std::size_t num_groups(const std::vector<std::size_t>& group) {
+  return group.empty() ? 0 : *std::max_element(group.begin(), group.end()) + 1;
+}
+
 /// Drives a migration case through kSteps random mutations, holding the
-/// bound incremental router to bit-identical loads against a from-scratch
-/// router after every step. Shared by the per-family tests below.
+/// long-lived router to bit-identical loads against a from-scratch router
+/// after every step. Shared by the per-family tests below.
 void run_fresh_router_equivalence(migration::MigrationCase mig,
                                   std::uint64_t seed) {
   topo::Topology& topo = *mig.task.topo;
@@ -68,7 +90,6 @@ void run_fresh_router_equivalence(migration::MigrationCase mig,
   ASSERT_FALSE(demands.empty());
 
   traffic::EcmpRouter incremental(topo);
-  incremental.bind_demands(demands);
 
   util::Rng rng(seed);
   for (int step = 0; step < kSteps; ++step) {
@@ -86,16 +107,15 @@ void run_fresh_router_equivalence(migration::MigrationCase mig,
     }
     ASSERT_EQ(want.loads.size(), got.loads.size());
     for (std::size_t i = 0; i < want.loads.size(); ++i) {
-      // EXPECT_EQ, not NEAR: the incremental engine re-sums cached sparse
-      // contributions in the exact order a dense recompute would use.
+      // EXPECT_EQ, not NEAR: only the liveness words carry over between
+      // calls, and the groups are summed in the same order.
       ASSERT_EQ(want.loads[i], got.loads[i])
           << "step " << step << " slot " << i;
     }
 
-    // Touched-circuit fast path: after a successful bound assign_all the
-    // touched list must cover every loaded circuit, so the restricted
-    // utilization scan is exact.
-    ASSERT_TRUE(incremental.touched_valid());
+    // Touched-circuit fast path: after a successful assign_all the touched
+    // list must cover every loaded circuit, so the restricted utilization
+    // scan is exact.
     const traffic::WorstCircuit full = traffic::worst_circuit(topo, got.loads);
     const traffic::WorstCircuit fast =
         traffic::worst_circuit(topo, got.loads, incremental.touched_circuits());
@@ -131,6 +151,45 @@ TEST(EcmpEquivalence, RandomizedMutationsMatchFreshRouterReconf) {
       20260811);
 }
 
+// Editing the routed demand set in place — same object, same size — must
+// route exactly like a fresh router: nothing about the demands may outlive
+// the call that routed them, or a theta check would pass on stale loads.
+TEST(EcmpEquivalence, InPlaceDemandEditsMatchAFreshRouter) {
+  migration::MigrationCase mig = pipeline::build_experiment(
+      pipeline::ExperimentId::kB, topo::PresetScale::kReduced);
+  topo::Topology& topo = *mig.task.topo;
+  traffic::DemandSet demands = mig.task.demands;
+  const std::vector<std::size_t> group = group_of(demands);
+  ASSERT_GE(num_groups(group), 2u);
+
+  traffic::EcmpRouter router(topo);
+  const auto route_like_fresh = [&](const char* what) {
+    AssignResult got = run_assign(router, demands);
+    traffic::EcmpRouter fresh(topo);
+    const AssignResult want = run_assign(fresh, demands);
+    EXPECT_EQ(want.ok, got.ok) << what;
+    EXPECT_EQ(want.failed, got.failed) << what;
+    EXPECT_TRUE(want.loads == got.loads) << what;
+    return got;
+  };
+
+  const AssignResult before = route_like_fresh("as built");
+  ASSERT_TRUE(before.ok);
+
+  for (traffic::Demand& d : demands) d.volume_tbps *= 2.0;
+  const AssignResult doubled = route_like_fresh("volumes doubled in place");
+  ASSERT_TRUE(doubled.ok);
+  EXPECT_DOUBLE_EQ(2.0 * traffic::max_utilization(topo, before.loads),
+                   traffic::max_utilization(topo, doubled.loads));
+
+  // Move the first demand into the next group's target set: the grouping
+  // itself changes under the same object.
+  const auto other = std::find(group.begin(), group.end(), group[0] + 1);
+  demands[0].targets =
+      demands[static_cast<std::size_t>(other - group.begin())].targets;
+  route_like_fresh("targets moved in place");
+}
+
 /// Serial-vs-workers bit-identity over kSteps random mutations; shared by
 /// the per-family EcmpParallel* tests (tier1.sh runs exactly those under
 /// TSan via gtest_filter=EcmpParallel*).
@@ -140,13 +199,10 @@ void run_workers_match_serial(migration::MigrationCase mig,
   const traffic::DemandSet& demands = mig.task.demands;
 
   traffic::EcmpRouter serial(topo);
-  serial.bind_demands(demands);
   traffic::EcmpRouter two(topo);
   two.set_num_workers(2);
-  two.bind_demands(demands);
   traffic::EcmpRouter four(topo);
   four.set_num_workers(4);
-  four.bind_demands(demands);
   EXPECT_EQ(0, serial.num_workers());
   EXPECT_EQ(2, two.num_workers());
   EXPECT_EQ(4, four.num_workers());
@@ -168,8 +224,6 @@ void run_workers_match_serial(migration::MigrationCase mig,
       // Logical counters replay the serial accounting even when the pool
       // physically recomputed groups past the first failure.
       EXPECT_EQ(serial.group_recomputes(), parallel->group_recomputes())
-          << "step " << step;
-      EXPECT_EQ(serial.group_reuses(), parallel->group_reuses())
           << "step " << step;
     }
   }
@@ -205,13 +259,11 @@ TEST(EcmpParallelEquivalence, WorkerPoolResizeAndReuse) {
   const traffic::DemandSet& demands = mig.task.demands;
 
   traffic::EcmpRouter serial(topo);
-  serial.bind_demands(demands);
   traffic::EcmpRouter resized(topo);
-  resized.bind_demands(demands);
 
   util::Rng rng(42);
   for (int step = 0; step < 60; ++step) {
-    // Shrinking back to serial mid-stream must not disturb the caches.
+    // Shrinking back to serial mid-stream must not disturb the results.
     resized.set_num_workers(step % 3 == 0 ? 1 : (step % 3 == 1 ? 2 : 3));
     mutate(topo, rng, step);
     const AssignResult want = run_assign(serial, demands);
@@ -223,7 +275,105 @@ TEST(EcmpParallelEquivalence, WorkerPoolResizeAndReuse) {
           << "step " << step << " slot " << i;
     }
     EXPECT_EQ(serial.group_recomputes(), resized.group_recomputes());
-    EXPECT_EQ(serial.group_reuses(), resized.group_reuses());
+  }
+}
+
+// group_recomputes() counts every group of every call: perfbench reads it
+// as the group count after one origin check, and as routing work per plan.
+// A failing call counts the groups up to and including the first failing
+// one, at any worker count.
+TEST(EcmpParallelEquivalence, GroupRecomputesCountEveryGroupOfEveryCall) {
+  migration::MigrationCase mig = pipeline::build_experiment(
+      pipeline::ExperimentId::kB, topo::PresetScale::kReduced);
+  topo::Topology& topo = *mig.task.topo;
+  const traffic::DemandSet& demands = mig.task.demands;
+  const std::vector<std::size_t> group = group_of(demands);
+  const auto groups = static_cast<long long>(num_groups(group));
+  ASSERT_GE(groups, 2);
+
+  // An inactive switch as a group's only target makes exactly that group
+  // unroutable, without touching the topology the other groups route over.
+  topo::SwitchId inactive = topo::kInvalidSwitch;
+  for (const topo::Switch& s : topo.switches()) {
+    if (!s.active()) {
+      inactive = s.id;
+      break;
+    }
+  }
+  ASSERT_NE(topo::kInvalidSwitch, inactive);
+
+  std::vector<std::vector<long long>> counts;
+  for (const int workers : {0, 2, 4}) {
+    traffic::EcmpRouter router(topo);
+    router.set_num_workers(workers);
+    std::vector<long long>& seen = counts.emplace_back();
+    for (long long k = 1; k <= 3; ++k) {
+      ASSERT_TRUE(run_assign(router, demands).ok);
+      EXPECT_EQ(k * groups, router.group_recomputes())
+          << workers << " workers, call " << k;
+      seen.push_back(router.group_recomputes());
+    }
+    for (long long g = 0; g < groups; ++g) {
+      traffic::DemandSet broken = demands;
+      std::string first;
+      for (std::size_t i = 0; i < broken.size(); ++i) {
+        if (group[i] != static_cast<std::size_t>(g)) continue;
+        if (first.empty()) first = broken[i].name;
+        broken[i].targets = {inactive};
+      }
+      const long long before = router.group_recomputes();
+      const AssignResult r = run_assign(router, broken);
+      EXPECT_FALSE(r.ok) << workers << " workers, group " << g;
+      EXPECT_EQ(first, r.failed) << workers << " workers, group " << g;
+      EXPECT_EQ(before + g + 1, router.group_recomputes())
+          << workers << " workers, group " << g;
+      seen.push_back(router.group_recomputes());
+    }
+  }
+  EXPECT_EQ(counts[0], counts[1]);
+  EXPECT_EQ(counts[0], counts[2]);
+}
+
+// The pool's per-group buffers follow each call's group count: one pooled
+// router cycles through a subset with fewer target sets, the full set (so
+// the count grows after a smaller call) and an empty set under random
+// mutations, and must match a serial router bit for bit.
+TEST(EcmpParallelEquivalence, WorkersMatchSerialWhenTheGroupCountChanges) {
+  migration::MigrationCase mig = pipeline::build_experiment(
+      pipeline::ExperimentId::kB, topo::PresetScale::kReduced);
+  topo::Topology& topo = *mig.task.topo;
+  const traffic::DemandSet& demands = mig.task.demands;
+  const std::vector<std::size_t> group = group_of(demands);
+  const std::size_t keep = std::max<std::size_t>(2, num_groups(group) / 2);
+  ASSERT_LT(keep, num_groups(group));
+  traffic::DemandSet fewer;
+  for (std::size_t i = 0; i < demands.size(); ++i) {
+    if (group[i] < keep) fewer.push_back(demands[i]);
+  }
+  const traffic::DemandSet empty;
+  const std::array<const traffic::DemandSet*, 3> sets = {&fewer, &demands,
+                                                         &empty};
+
+  traffic::EcmpRouter serial(topo);
+  traffic::EcmpRouter pooled(topo);
+  pooled.set_num_workers(4);
+  util::Rng rng(780);
+  for (int step = 0; step < kSteps; ++step) {
+    mutate(topo, rng, step);
+    const traffic::DemandSet& set = *sets[static_cast<std::size_t>(step) % 3];
+    const AssignResult want = run_assign(serial, set);
+    const AssignResult got = run_assign(pooled, set);
+    ASSERT_EQ(want.ok, got.ok) << "step " << step;
+    EXPECT_EQ(want.failed, got.failed) << "step " << step;
+    ASSERT_EQ(want.loads.size(), got.loads.size());
+    for (std::size_t i = 0; i < want.loads.size(); ++i) {
+      ASSERT_EQ(want.loads[i], got.loads[i])
+          << "step " << step << " slot " << i;
+    }
+    EXPECT_EQ(serial.touched_circuits(), pooled.touched_circuits())
+        << "step " << step;
+    EXPECT_EQ(serial.group_recomputes(), pooled.group_recomputes())
+        << "step " << step;
   }
 }
 

@@ -48,7 +48,6 @@ TEST(Ecmp, UnreachableSourceFailsAssignment) {
   EcmpRouter router(d.topo);
   LoadVector loads;
   EXPECT_FALSE(router.assign(d.demand(1.0), loads));
-  EXPECT_FALSE(router.reachable(d.demand(1.0)));
 }
 
 TEST(Ecmp, NoActiveTargetFailsAssignment) {

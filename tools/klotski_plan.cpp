@@ -26,8 +26,8 @@
 //                  degradation is recorded under "provenance" in the plan
 //                  JSON. (default 0)
 //   --threads      worker threads inside each satisfiability check: the
-//                  ECMP router recomputes independent dirty demand groups
-//                  in parallel (default 1; plans and planner counters are
+//                  ECMP router routes the check's demand groups in
+//                  parallel (default 1; plans and planner counters are
 //                  bit-identical at any value)
 //   --demands      demand-matrix JSON replacing the generated forecast
 //                  (the §7.1 refresh workflow)
