@@ -73,7 +73,9 @@ BENCHMARK(BM_EvaluatorFeasibleCacheMiss);
 
 // The incremental fast path on the planner's most common pattern: asking
 // about a state the topology already holds. Delta materialization and the
-// liveness refresh are no-ops; the checkers still run in full.
+// liveness refresh are no-ops, and every demand group routes over its kept
+// DAG (no BFS; the what-if walk's per-trajectory check); the checkers
+// still run.
 void BM_EvaluatorFeasibleIncrementalRepeat(benchmark::State& state) {
   migration::MigrationCase& mig = shared_case();
   pipeline::CheckerBundle bundle =

@@ -17,10 +17,12 @@
 #
 # A fourth row ("whatif_batch") measures the what-if engine as a batch
 # workload (DESIGN.md §13): one cold Monte Carlo robustness sweep submitted
-# over the unix socket — trajectories/s of end-to-end job latency — plus
-# the latency of the identical repeated request, which must be answered
-# from the content-addressed cache. Sweep size via KLOTSKI_BENCH_WHATIF_TRAJ
-# (default 200).
+# over the unix socket — trajectories/s of the request's round trip — plus
+# the round trip of the identical repeated request, which must be answered
+# from the content-addressed cache. Both times are klotski_whatif's own
+# "request_s=" reading (submit to response), so neither includes the
+# client's process start or NPD load. Sweep size via
+# KLOTSKI_BENCH_WHATIF_TRAJ (default 200).
 #
 # Usage: scripts/serve_bench.sh [build-dir] [out-json]
 #   build-dir  tree with the built tools   (default: build)
@@ -104,21 +106,21 @@ printf '  "median_replan_ms": %s\n}\n' "${REPLAN_MS}" >> "${TMP}/replan.json"
 # is the serve/cache overhead floor for batch results.
 "./${BUILD}/tools/klotski_plan" --npd="${TMP}/a.npd.json" \
   --out="${TMP}/a.plan.json" > /dev/null 2> /dev/null
-wall_s() {  # wall seconds of "$@", via the shell's epoch-nanosecond clock
-  local t0 t1
-  t0="$(date +%s%N)"
-  "$@"
-  t1="$(date +%s%N)"
-  awk -v a="${t0}" -v b="${t1}" 'BEGIN { printf "%.6f", (b - a) / 1e9 }'
+request_s() {  # the request round trip klotski_whatif --connect reports
+  local out="$1"; shift
+  "./${BUILD}/tools/klotski_whatif" "$@" --out="${out}" 2> "${out}.log"
+  sed -n 's/^request_s=\([0-9.eE+-]*\)$/\1/p' "${out}.log"
 }
-WHATIF_COLD_S="$(wall_s "./${BUILD}/tools/klotski_whatif" \
+WHATIF_COLD_S="$(request_s "${TMP}/whatif-cold.json" \
   --npd="${TMP}/a.npd.json" --plan="${TMP}/a.plan.json" \
-  --trajectories="${WHATIF_TRAJ}" --seed=17 --connect="${SOCK}" \
-  --out="${TMP}/whatif-cold.json" 2> /dev/null)"
-WHATIF_HIT_S="$(wall_s "./${BUILD}/tools/klotski_whatif" \
+  --trajectories="${WHATIF_TRAJ}" --seed=17 --connect="${SOCK}")"
+WHATIF_HIT_S="$(request_s "${TMP}/whatif-hit.json" \
   --npd="${TMP}/a.npd.json" --plan="${TMP}/a.plan.json" \
-  --trajectories="${WHATIF_TRAJ}" --seed=17 --connect="${SOCK}" \
-  --out="${TMP}/whatif-hit.json" 2> /dev/null)"
+  --trajectories="${WHATIF_TRAJ}" --seed=17 --connect="${SOCK}")"
+[[ -n "${WHATIF_COLD_S}" && -n "${WHATIF_HIT_S}" ]] || {
+  echo "serve_bench: FAIL — klotski_whatif printed no request_s" >&2
+  exit 1
+}
 cmp "${TMP}/whatif-cold.json" "${TMP}/whatif-hit.json" || {
   echo "serve_bench: FAIL — repeated whatif request returned different" \
        "bytes" >&2

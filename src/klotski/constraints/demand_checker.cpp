@@ -44,15 +44,8 @@ Verdict DemandChecker::check(const topo::Topology& topo) {
   // over-theta circuit is reported first.
   for (const topo::CircuitId id : router_.touched_circuits()) {
     const topo::Circuit& c = topo.circuit(id);
-    const double load = std::max(loads_[static_cast<std::size_t>(c.id) * 2],
-                                 loads_[static_cast<std::size_t>(c.id) * 2 + 1]);
-    if (load <= 0.0) continue;
-    double util = load / c.capacity_tbps;
-    if (params_.funneling_margin > 0.0 &&
-        (funneled_[static_cast<std::size_t>(c.a)] ||
-         funneled_[static_cast<std::size_t>(c.b)])) {
-      util *= 1.0 + params_.funneling_margin;
-    }
+    const double util = utilization(c);
+    if (util <= 0.0) continue;
     last_max_utilization_ = std::max(last_max_utilization_, util);
     if (util > params_.max_utilization) {
       return Verdict::fail(
@@ -63,6 +56,29 @@ Verdict DemandChecker::check(const topo::Topology& topo) {
     }
   }
   return Verdict::ok();
+}
+
+double DemandChecker::utilization(const topo::Circuit& c) const {
+  const double load = std::max(loads_[static_cast<std::size_t>(c.id) * 2],
+                               loads_[static_cast<std::size_t>(c.id) * 2 + 1]);
+  if (load <= 0.0) return 0.0;
+  double util = load / c.capacity_tbps;
+  if (params_.funneling_margin > 0.0 &&
+      (funneled_[static_cast<std::size_t>(c.a)] ||
+       funneled_[static_cast<std::size_t>(c.b)])) {
+    util *= 1.0 + params_.funneling_margin;
+  }
+  return util;
+}
+
+double DemandChecker::peak_utilization(const topo::Topology& topo) const {
+  // touched_circuits() is empty after a failed assign_all, so an
+  // unroutable check reads 0.
+  double peak = 0.0;
+  for (const topo::CircuitId id : router_.touched_circuits()) {
+    peak = std::max(peak, utilization(topo.circuit(id)));
+  }
+  return peak;
 }
 
 }  // namespace klotski::constraints

@@ -48,10 +48,23 @@ class DemandChecker : public Checker {
   const DemandCheckerParams& params() const { return params_; }
   void set_max_utilization(double theta) { params_.max_utilization = theta; }
 
-  /// Peak utilization seen by the most recent check (diagnostics).
+  /// Peak utilization seen by the most recent check (diagnostics). The
+  /// scan stops at the first circuit over theta, so after a theta failure
+  /// this is that circuit's utilization or a higher one seen before it.
   double last_max_utilization() const { return last_max_utilization_; }
 
+  /// The true peak utilization of the most recent check's loads, funneling
+  /// inflation included: every loaded circuit is scanned, whatever the
+  /// verdict. 0 when that check had an unroutable demand. `topo` must be
+  /// the topology that check ran on, and neither it nor the router may
+  /// have been used or changed since.
+  double peak_utilization(const topo::Topology& topo) const;
+
  private:
+  /// Utilization of circuit `c` under loads_, inflated by the funneling
+  /// margin when an endpoint is funneled.
+  double utilization(const topo::Circuit& c) const;
+
   traffic::EcmpRouter& router_;
   traffic::DemandSet demands_;
   DemandCheckerParams params_;

@@ -97,8 +97,6 @@ whatif::WhatIfParams whatif_params_from(const json::Value& params) {
   out.surge_factor_max = params.get_double("surge_factor_max", 1.5);
   out.bias_factor_min = params.get_double("bias_factor_min", 0.85);
   out.bias_factor_max = params.get_double("bias_factor_max", 1.2);
-  out.margin_iterations =
-      static_cast<int>(params.get_int("margin_iterations", 16));
   out.margin_max = params.get_double("margin_max", 4.0);
   const PlanKnobs knobs = parse_knobs(params);
   out.checker = checker_config_for(knobs, 1);
@@ -159,8 +157,10 @@ json::Value whatif_cache_key_doc(const json::Value& params) {
   const PlanKnobs knobs = parse_knobs(params);
   json::Object key;
   // The schema string participates in the content hash, so whatif keys can
-  // never collide with plan keys inside the shared PlanCache.
-  key["schema"] = "klotski.serve.whatif-key.v1";
+  // never collide with plan keys inside the shared PlanCache. v2: the safe
+  // growth margin became closed-form, so v1 reports (bisected margins,
+  // possibly spilled to disk) are never served for a v2 request.
+  key["schema"] = "klotski.serve.whatif-key.v2";
   key["npd"] = npd::to_json(npd::from_json(require_object(params, "npd")));
   key["plan"] = require_object(params, "plan");
   key["theta"] = knobs.theta;
@@ -176,7 +176,6 @@ json::Value whatif_cache_key_doc(const json::Value& params) {
   key["surge_factor_max"] = wp.surge_factor_max;
   key["bias_factor_min"] = wp.bias_factor_min;
   key["bias_factor_max"] = wp.bias_factor_max;
-  key["margin_iterations"] = wp.margin_iterations;
   key["margin_max"] = wp.margin_max;
   if (const json::Value* demands = params.as_object().find("demands")) {
     key["demands"] = *demands;

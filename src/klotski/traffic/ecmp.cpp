@@ -27,6 +27,7 @@ EcmpRouter::EcmpRouter(const topo::Topology& topo, SplitMode mode)
           obs::Registry::global().counter("router.alive_full_rebuilds")),
       m_group_recomputes_(
           obs::Registry::global().counter("router.group_recomputes")),
+      m_dag_reuses_(obs::Registry::global().counter("router.dag_reuses")),
       m_parallel_batches_(
           obs::Registry::global().counter("router.parallel_batches")),
       m_parallel_jobs_(
@@ -54,7 +55,6 @@ EcmpRouter::EcmpRouter(const topo::Topology& topo, SplitMode mode)
             c.capacity_tbps};
   }
 
-  scratch_.init(num_switches_);
   alive_words_.assign(word_count(topo.num_circuits()), 0);
   touched_words_.assign(alive_words_.size(), 0);
 }
@@ -232,6 +232,7 @@ bool EcmpRouter::assign(const Demand& demand, LoadVector& loads) {
   touched_circuits_.clear();
 
   refresh_alive();
+  if (scratch_.dist.size() != num_switches_) scratch_.init(num_switches_);
   if (bfs_from_targets(scratch_, demand) == 0) return false;
 
   const std::vector<const Demand*> group = {&demand};
@@ -280,16 +281,32 @@ std::vector<EcmpRouter::Group> EcmpRouter::group_by_targets(
   return groups;
 }
 
-bool EcmpRouter::run_group(Scratch& s, const DemandSet& demands,
+bool EcmpRouter::run_group(GroupSlot& slot, const DemandSet& demands,
                            const Group& group, std::vector<LoadEntry>& out,
                            std::string* failed_demand) const {
   m_group_recomputes_.inc();  // physical count (includes parallel overshoot)
   out.clear();
+  Scratch& s = slot.scratch;
   // All demands of a group share one target set, hence one BFS. ECMP load
   // is linear in injected volume over a fixed shortest-path DAG, so one
-  // merged propagation equals the sum of per-demand assignments.
+  // merged propagation equals the sum of per-demand assignments — and the
+  // DAG this slot computed last is exact again while neither the liveness
+  // nor the target set moved.
   const Demand& representative = demands[group.front()];
-  if (bfs_from_targets(s, representative) == 0) {
+  if (slot.has_dag && slot.version == alive_version_ &&
+      slot.targets == representative.targets) {
+    m_dag_reuses_.inc();
+    for (const SwitchId u : s.visit_order) {
+      s.volume[static_cast<std::size_t>(u)] = 0.0;
+    }
+  } else {
+    if (s.dist.size() != num_switches_) s.init(num_switches_);
+    bfs_from_targets(s, representative);
+    slot.has_dag = true;
+    slot.version = alive_version_;
+    slot.targets = representative.targets;
+  }
+  if (s.visit_order.empty()) {  // no active target
     if (failed_demand != nullptr) *failed_demand = representative.name;
     return false;
   }
@@ -336,6 +353,7 @@ bool EcmpRouter::assign_all(const DemandSet& demands, LoadVector& loads,
   touched_circuits_.clear();
   refresh_alive();
   const std::vector<Group> groups = group_by_targets(demands);
+  if (slots_.size() < groups.size()) slots_.resize(groups.size());
 
   // Group i's loads are added in group order whichever thread routed it:
   // within one group each slot appears at most once, so the per-slot
@@ -345,9 +363,9 @@ bool EcmpRouter::assign_all(const DemandSet& demands, LoadVector& loads,
     return false;
   };
   if (threads_.empty() || groups.size() < 2) {
-    for (const Group& group : groups) {
+    for (std::size_t g = 0; g < groups.size(); ++g) {
       ++group_recomputes_;
-      if (!run_group(scratch_, demands, group, entries_scratch_,
+      if (!run_group(slots_[g], demands, groups[g], entries_scratch_,
                      failed_demand)) {
         return fail();
       }
@@ -360,11 +378,11 @@ bool EcmpRouter::assign_all(const DemandSet& demands, LoadVector& loads,
     run_jobs_parallel(demands, groups);
     for (std::size_t g = 0; g < groups.size(); ++g) {
       ++group_recomputes_;
-      if (!job_ok_[g]) {
-        if (failed_demand != nullptr) *failed_demand = job_fail_[g];
+      if (!slots_[g].ok) {
+        if (failed_demand != nullptr) *failed_demand = slots_[g].failed;
         return fail();
       }
-      add_group(job_entries_[g].entries, loads);
+      add_group(slots_[g].entries, loads);
     }
   }
   collect_touched();
@@ -376,15 +394,9 @@ void EcmpRouter::set_num_workers(int n) {
   if (want == threads_.size()) return;
   stop_workers();
   if (want == 0) return;
-  worker_scratch_.clear();
-  worker_scratch_.reserve(want);
   threads_.reserve(want);
   for (std::size_t i = 0; i < want; ++i) {
-    worker_scratch_.push_back(std::make_unique<Scratch>());
-    worker_scratch_.back()->init(num_switches_);
-  }
-  for (std::size_t i = 0; i < want; ++i) {
-    threads_.emplace_back([this, i] { worker_loop(i); });
+    threads_.emplace_back([this] { worker_loop(); });
   }
 }
 
@@ -397,7 +409,6 @@ void EcmpRouter::stop_workers() {
   work_cv_.notify_all();
   for (std::thread& t : threads_) t.join();
   threads_.clear();
-  worker_scratch_.clear();
   stop_ = false;
   // Restart the generation clock: freshly spawned workers begin at seen = 0,
   // so a stale non-zero generation would wake them into the previous pool's
@@ -406,17 +417,14 @@ void EcmpRouter::stop_workers() {
   active_ = 0;
 }
 
-void EcmpRouter::run_job(Scratch& s, std::size_t j) {
-  std::string fail;
-  const bool ok = run_group(s, *job_demands_, (*job_groups_)[j],
-                            job_entries_[j].entries, &fail);
-  job_ok_[j] = ok ? 1 : 0;
-  if (!ok) job_fail_[j] = std::move(fail);
+void EcmpRouter::run_job(std::size_t j) {
+  GroupSlot& slot = slots_[j];
+  slot.ok = run_group(slot, *job_demands_, (*job_groups_)[j], slot.entries,
+                      &slot.failed);
 }
 
-void EcmpRouter::worker_loop(std::size_t widx) {
+void EcmpRouter::worker_loop() {
   std::uint64_t seen = 0;
-  Scratch& scratch = *worker_scratch_[widx];
   for (;;) {
     {
       std::unique_lock<std::mutex> lk(mu_);
@@ -427,7 +435,7 @@ void EcmpRouter::worker_loop(std::size_t widx) {
     for (;;) {
       const std::size_t j = next_.fetch_add(1, std::memory_order_relaxed);
       if (j >= njobs_) break;
-      run_job(scratch, j);
+      run_job(j);
     }
     {
       std::lock_guard<std::mutex> lk(mu_);
@@ -439,9 +447,6 @@ void EcmpRouter::worker_loop(std::size_t widx) {
 void EcmpRouter::run_jobs_parallel(const DemandSet& demands,
                                    const std::vector<Group>& groups) {
   njobs_ = groups.size();
-  if (job_entries_.size() < njobs_) job_entries_.resize(njobs_);
-  job_ok_.assign(njobs_, 0);
-  job_fail_.assign(njobs_, std::string());
   m_parallel_batches_.inc();
   m_parallel_jobs_.inc(static_cast<long long>(njobs_));
   {
@@ -458,7 +463,7 @@ void EcmpRouter::run_jobs_parallel(const DemandSet& demands,
   for (;;) {
     const std::size_t j = next_.fetch_add(1, std::memory_order_relaxed);
     if (j >= njobs_) break;
-    run_job(scratch_, j);
+    run_job(j);
   }
   std::unique_lock<std::mutex> lk(mu_);
   done_cv_.wait(lk, [&] { return active_ == 0; });

@@ -11,11 +11,11 @@
 // property behind the HGRID V1/V2 outage described in §7.1.
 //
 // One assignment is Theta(|S| + |C|), matching the satisfiability-check
-// cost in Theorems 1 and 2. The router keeps nothing between calls except
-// what pays on every check: the CSR arcs, the liveness words, its scratch
-// and its worker pool. Every assign_all groups the demands by target set
-// and routes every group. The engine is laid out so an assignment only pays
-// for what it actually touches:
+// cost in Theorems 1 and 2. Every assign_all groups the demands by target
+// set and routes every group. Between calls the router keeps the CSR arcs,
+// the liveness words, its worker pool and, per group, the last BFS result.
+// The engine is laid out so an assignment only pays for what it actually
+// touches:
 //
 //  * Epoch-stamped scratch — dist/volume validity is a per-switch stamp
 //    compared against a per-BFS epoch, so starting a BFS never clears the
@@ -23,6 +23,13 @@
 //  * Word-packed liveness — "circuit carries traffic" lives in uint64 words
 //    (bit per circuit), refreshed by replaying the topology's change
 //    journal, so a check after a few element flips touches only their bits.
+//  * Per-group DAG reuse — group g always routes in its own scratch, so the
+//    scratch still holds g's distances and visit order at the next call.
+//    While the liveness version and g's target set are unchanged, the next
+//    call skips the BFS and only re-injects and re-propagates (ECMP loads
+//    are linear in the injected volume over a fixed DAG). The what-if walk
+//    checks one phase topology under many demand sets and hits every time;
+//    a planner changes the topology before every check and never does.
 //  * Flat arc records — the CSR arc inlines the neighbor, the directional
 //    load slot, the liveness word/mask, and the circuit capacity, so BFS and
 //    propagation read one contiguous stream instead of chasing Circuit
@@ -32,16 +39,15 @@
 //    once per group), summed into the caller's vector in group order, which
 //    also yields the ascending touched-circuit list for utilization scans.
 //  * Intra-check parallelism — with set_num_workers(n > 1), the groups of
-//    one assign_all route concurrently on a private worker pool (per-worker
-//    scratch, per-group output buffers) and are summed in group order on the
-//    calling thread, which keeps the result bit-identical to the serial
-//    engine, logical counters included.
+//    one assign_all route concurrently on a private worker pool (each in
+//    its own group slot) and are summed in group order on the calling
+//    thread, which keeps the result bit-identical to the serial engine,
+//    logical counters included.
 #pragma once
 
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -108,8 +114,9 @@ class EcmpRouter {
   /// target sets share one BFS and one load propagation, which is exact
   /// because ECMP is linear in the injected volume for a fixed DAG — and
   /// adds the groups' loads into `loads` (resized if needed) in group order.
-  /// Nothing about `demands` is remembered, so the caller may edit the set
-  /// freely between calls. Returns false on the first unroutable demand in
+  /// Of `demands` only each group's target set is kept (by value, as the
+  /// key of its DAG), so the caller may edit the set freely between calls.
+  /// Returns false on the first unroutable demand in
   /// group order, reporting its name via `failed_demand` when non-null;
   /// `loads` then holds an unspecified partial sum. This is the
   /// satisfiability-check hot path at O(10,000)-switch scale.
@@ -128,7 +135,8 @@ class EcmpRouter {
 
   /// Demand groups routed by assign_all, summed over calls: every group of
   /// every successful call, and the groups up to and including the first
-  /// failing one otherwise. A logical counter: invariant under num_workers.
+  /// failing one otherwise, whether or not a group reused its DAG. A
+  /// logical counter: invariant under num_workers.
   long long group_recomputes() const { return group_recomputes_; }
 
  private:
@@ -144,13 +152,6 @@ class EcmpRouter {
   /// Demand indices of one target-set group.
   using Group = std::vector<std::uint32_t>;
 
-  /// One group's pooled output on its own cache line: workers append to
-  /// different groups' buffers at once, and adjacent vector headers would
-  /// otherwise share a line and bounce between cores on every append.
-  struct alignas(64) JobEntries {
-    std::vector<LoadEntry> entries;
-  };
-
   /// Flat CSR arc record: everything BFS + propagation need, contiguous.
   /// For switch s, its arcs are arcs_[offsets_[s]..offsets_[s+1]).
   struct Arc {
@@ -163,9 +164,10 @@ class EcmpRouter {
   };
   static_assert(sizeof(topo::SwitchId) == 4, "Arc layout assumes 32-bit ids");
 
-  /// Per-thread BFS/propagation scratch. The epoch stamp makes dist/volume
-  /// reads self-invalidating: an entry is live iff stamp[s] == epoch, so a
-  /// new BFS only bumps the epoch instead of clearing O(|S|) arrays.
+  /// BFS/propagation scratch (one per group slot, plus assign()'s). The
+  /// epoch stamp makes dist/volume reads self-invalidating: an entry is
+  /// live iff stamp[s] == epoch, so a new BFS only bumps the epoch instead
+  /// of clearing O(|S|) arrays.
   struct Scratch {
     std::vector<std::int32_t> dist;
     std::vector<std::uint32_t> stamp;
@@ -181,6 +183,24 @@ class EcmpRouter {
     bool reached(topo::SwitchId s) const {
       return stamp[static_cast<std::size_t>(s)] == epoch;
     }
+  };
+
+  /// Group g's routing state, kept across calls: group g routes in slot g
+  /// whichever thread runs it, so the scratch still holds g's BFS result
+  /// (dist stamps and visit order) at the next call, and a hit copies
+  /// nothing. The result is valid while the liveness version and the
+  /// group's target set both equal the ones it was computed under. On its
+  /// own cache line: workers write different groups' slots at once.
+  struct alignas(64) GroupSlot {
+    Scratch scratch;  // sized on the slot's first BFS
+    bool has_dag = false;
+    std::uint64_t version = 0;            // liveness version of the DAG
+    std::vector<topo::SwitchId> targets;  // target set of the DAG
+    // Pool results of the current call (the serial loop adds each group's
+    // entries before routing the next, so it shares one buffer instead).
+    std::vector<LoadEntry> entries;  // load contribution
+    bool ok = false;                 // verdict
+    std::string failed;              // failing demand when !ok
   };
 
   /// Runs the BFS from the demand's targets into `s`; visited switches get
@@ -201,9 +221,10 @@ class EcmpRouter {
   /// Groups demand indices by identical target sets, first-occurrence order.
   static std::vector<Group> group_by_targets(const DemandSet& demands);
 
-  /// BFS + inject + propagate for one group of `demands` into `out`
-  /// (cleared first). Thread-safe for distinct scratch and outputs.
-  bool run_group(Scratch& s, const DemandSet& demands, const Group& group,
+  /// BFS (or the slot's kept DAG) + inject + propagate for one group of
+  /// `demands` into `out` (cleared first). Thread-safe for distinct slots
+  /// and outputs.
+  bool run_group(GroupSlot& slot, const DemandSet& demands, const Group& group,
                  std::vector<LoadEntry>& out,
                  std::string* failed_demand) const;
 
@@ -232,10 +253,10 @@ class EcmpRouter {
   }
 
   // Worker pool (intra-check parallel group routing).
-  void worker_loop(std::size_t widx);
+  void worker_loop();
   void stop_workers();
-  /// Routes job j (group j of the published batch) with scratch `s`.
-  void run_job(Scratch& s, std::size_t j);
+  /// Routes job j (group j of the published batch) in slot j.
+  void run_job(std::size_t j);
   /// Routes every group of (demands, groups) on the pool and waits.
   void run_jobs_parallel(const DemandSet& demands,
                          const std::vector<Group>& groups);
@@ -247,8 +268,9 @@ class EcmpRouter {
   std::vector<std::uint32_t> offsets_;
   std::vector<Arc> arcs_;
 
-  Scratch scratch_;  // the calling thread's scratch
-  std::vector<LoadEntry> entries_scratch_;
+  Scratch scratch_;  // assign()'s scratch, sized on first use
+  std::vector<LoadEntry> entries_scratch_;  // assign()'s and the serial loop's
+  std::vector<GroupSlot> slots_;  // slot g: routing state of group g
   std::vector<std::uint64_t> alive_words_;  // bit c = circuit c carries traffic
   bool alive_valid_ = false;
   std::uint64_t alive_version_ = 0;
@@ -260,9 +282,7 @@ class EcmpRouter {
 
   // Worker pool state. Workers claim job indices via next_; the caller
   // waits until every claimed job finished and every worker left the drain
-  // loop (active_ == 0) before touching the buffers. The per-job buffers
-  // only grow, so their capacity carries over between calls.
-  std::vector<std::unique_ptr<Scratch>> worker_scratch_;
+  // loop (active_ == 0) before touching the slots.
   std::vector<std::thread> threads_;
   std::mutex mu_;
   std::condition_variable work_cv_;
@@ -274,9 +294,6 @@ class EcmpRouter {
   std::atomic<std::size_t> next_{0};
   const DemandSet* job_demands_ = nullptr;
   const std::vector<Group>* job_groups_ = nullptr;
-  std::vector<JobEntries> job_entries_;  // per group
-  std::vector<std::uint8_t> job_ok_;
-  std::vector<std::string> job_fail_;  // failed demand name per group
 
   // Global observability counters (metrics.h; no-ops while disabled). These
   // aggregate *physical* work over every router instance — unlike the
@@ -285,6 +302,7 @@ class EcmpRouter {
   obs::Counter& m_alive_journal_replays_;
   obs::Counter& m_alive_full_rebuilds_;
   obs::Counter& m_group_recomputes_;
+  obs::Counter& m_dag_reuses_;  // groups routed over their kept DAG
   obs::Counter& m_parallel_batches_;
   obs::Counter& m_parallel_jobs_;
 };

@@ -25,7 +25,11 @@ namespace {
 constexpr std::uint64_t kTrajectorySalt = 0x57A7'1F00'D001ULL;
 constexpr std::uint64_t kGrowthSalt = 0x6807'7801ULL;
 
-/// One worker's validation context: its own case (trajectories materialize
+/// Trajectories a worker claims at most at once: each chunk walks the
+/// phases once, so larger chunks share more structural checks and DAGs.
+constexpr int kMaxChunk = 32;
+
+/// One worker's validation context: its own case (the walk materializes
 /// phases onto the topology), checker stack and evaluator. The verdict
 /// cache stays off — it is keyed on count vectors only, which is unsound
 /// when the demand set changes under the same counts, exactly what every
@@ -47,6 +51,30 @@ struct Validator {
     }
     evaluator = std::make_unique<core::StateEvaluator>(
         mig.task, *bundle.checker, /*use_cache=*/false);
+  }
+
+  /// Materializes `done` and runs every checker of the stack before the
+  /// demand checker (ports, space/power): the verdicts that do not depend
+  /// on the demands, shared by every trajectory at a phase.
+  bool materialize_structure(const core::CountVector& done) {
+    evaluator->materialize(done);
+    for (std::size_t i = 0; i + 1 < bundle.checker->size(); ++i) {
+      if (!bundle.checker->checker(i).check(*mig.task.topo).satisfied) {
+        return false;
+      }
+    }
+    return true;
+  }
+
+  /// The demand check of the materialized state under `demands`; one
+  /// logical check of the standard stack, counted as CompositeChecker
+  /// counts its own.
+  bool demands_safe(traffic::DemandSet demands) {
+    static obs::Counter& checks =
+        obs::Registry::global().counter("checker.composite.checks");
+    checks.inc();
+    demand_checker->set_demands(std::move(demands));
+    return demand_checker->check(*mig.task.topo).satisfied;
   }
 };
 
@@ -92,107 +120,115 @@ traffic::Forecaster sample_future(const WhatIfParams& params, int index,
   return forecaster;
 }
 
-/// Validates every plan phase against one sampled future. Phase p is
-/// checked under the demand set of step p + 1 (step 0 is the original
-/// network under the base demands, already validated by the plan's audit).
-/// Stops at the first violation — that is where execution would halt and
-/// hand off to the replanning loop.
-TrajectoryOutcome run_trajectory(const WhatIfParams& params, int index,
-                                 Validator& v,
-                                 const std::vector<core::Phase>& phases) {
-  obs::Span span("whatif/trajectory");
-  migration::MigrationTask& task = v.mig.task;
+/// Validates trajectories [begin, end) phase-major. Phase p is checked
+/// under the demand set of step p + 1 (step 0 is the original network
+/// under the base demands, already validated by the plan's audit): the
+/// phase is materialized and structurally checked once, then demand-checked
+/// under every trajectory still safe. A trajectory stops at its first
+/// violation — that is where execution would halt and hand off to the
+/// replanning loop. Outcomes equal a trajectory-at-a-time walk bit for bit.
+void walk_chunk(const WhatIfParams& params, int begin, int end, Validator& v,
+                const std::vector<core::Phase>& phases,
+                std::vector<TrajectoryOutcome>& outcomes) {
+  obs::Span span("whatif/chunk");
+  const migration::MigrationTask& task = v.mig.task;
   const double theta = params.checker.demand.max_utilization;
   const double base_volume = traffic::total_volume(task.demands);
-  const traffic::Forecaster future =
-      sample_future(params, index, task, static_cast<int>(phases.size()));
 
-  TrajectoryOutcome out;
-  out.completed = true;
-  out.safe = true;
-  out.min_headroom = theta;
-  out.phase_utilization.reserve(phases.size());
+  std::vector<traffic::Forecaster> futures;
+  std::vector<int> live;  // trajectories still safe, ascending
+  for (int i = begin; i < end; ++i) {
+    futures.push_back(
+        sample_future(params, i, task, static_cast<int>(phases.size())));
+    TrajectoryOutcome& out = outcomes[static_cast<std::size_t>(i)];
+    out.completed = true;
+    out.safe = true;
+    out.min_headroom = theta;
+    out.phase_utilization.reserve(phases.size());
+    live.push_back(i);
+  }
 
   core::CountVector done(
       static_cast<std::size_t>(task.num_action_types()), 0);
-  for (std::size_t p = 0; p < phases.size(); ++p) {
+  for (std::size_t p = 0; p < phases.size() && !live.empty(); ++p) {
     const int step = static_cast<int>(p) + 1;
-    traffic::DemandSet demands = future.forecast_at_step(step);
-    const double volume = traffic::total_volume(demands);
-    v.demand_checker->set_demands(std::move(demands));
-
     done[static_cast<std::size_t>(phases[p].type)] +=
         static_cast<std::int32_t>(phases[p].block_indices.size());
-    const bool ok = v.evaluator->feasible(done);
-    const double util = v.demand_checker->last_max_utilization();
-    out.phase_utilization.push_back(util);
-    if (!ok) {
+    const bool structure_ok = v.materialize_structure(done);
+
+    std::size_t kept = 0;
+    for (const int i : live) {
+      TrajectoryOutcome& out = outcomes[static_cast<std::size_t>(i)];
+      traffic::DemandSet demands =
+          futures[static_cast<std::size_t>(i - begin)].forecast_at_step(step);
+      const double volume = traffic::total_volume(demands);
+      const bool ok = structure_ok && v.demands_safe(std::move(demands));
+      // A structural break never ran the demand checker: its utilization
+      // is 0, not whatever another trajectory's check left behind.
+      const double util =
+          structure_ok ? v.demand_checker->last_max_utilization() : 0.0;
+      out.phase_utilization.push_back(util);
+      if (ok) {
+        out.min_headroom = std::min(out.min_headroom, theta - util);
+        live[kept++] = i;
+        continue;
+      }
       out.safe = false;
       out.first_break_phase = static_cast<int>(p);
       out.break_utilization = util;
-      out.break_multiplier =
-          base_volume > 0.0 ? volume / base_volume : 0.0;
+      out.break_multiplier = base_volume > 0.0 ? volume / base_volume : 0.0;
       // The demand checker scans utilization only after every demand
-      // routed; a failure that never exceeded theta is a no-path demand.
+      // routed; a failure that never exceeded theta is a no-path demand
+      // (or a structural violation).
       out.unroutable = util <= theta;
       if (!out.unroutable) {
         out.min_headroom = std::min(out.min_headroom, theta - util);
       }
-      break;
     }
-    out.min_headroom = std::min(out.min_headroom, theta - util);
+    live.resize(kept);
   }
-  return out;
 }
 
-/// True when every phase (and the starting network) stays safe under the
-/// base demands scaled by `multiplier`.
-bool plan_safe_at(Validator& v, const std::vector<core::Phase>& phases,
-                  const traffic::DemandSet& base, double multiplier) {
-  v.demand_checker->set_demands(traffic::scaled(base, multiplier));
+/// The safe growth margin in closed form. Checks the origin and every
+/// phase once under the base demands. ECMP loads are linear in the injected
+/// volume over a fixed DAG, so scaling every demand by m scales every
+/// utilization (funneling included) by m, and the plan stays safe up to
+/// m = theta / U, U the largest true peak utilization over those states —
+/// below 1 when the plan is already unsafe under its own forecast (it was
+/// planned under different knobs than this sweep validates with). A
+/// structural violation or an unroutable demand does not scale away: the
+/// margin is 0.
+void margin_pass(Validator& v, const WhatIfParams& params,
+                 const std::vector<core::Phase>& phases,
+                 WhatIfReport& report) {
+  obs::Span span("whatif/margin");
+  const double theta = params.checker.demand.max_utilization;
+  report.safe_growth_margin = 0.0;
+  report.margin_saturated = false;
+
+  double peak = 0.0;
   core::CountVector done(
       static_cast<std::size_t>(v.mig.task.num_action_types()), 0);
-  if (!v.evaluator->feasible(done)) return false;
-  for (const core::Phase& phase : phases) {
-    done[static_cast<std::size_t>(phase.type)] +=
-        static_cast<std::int32_t>(phase.block_indices.size());
-    if (!v.evaluator->feasible(done)) return false;
+  for (std::size_t p = 0; p <= phases.size(); ++p) {
+    if (p > 0) {
+      done[static_cast<std::size_t>(phases[p - 1].type)] +=
+          static_cast<std::int32_t>(phases[p - 1].block_indices.size());
+    }
+    if (!v.materialize_structure(done)) return;
+    const bool safe = v.demands_safe(v.mig.task.demands);
+    // The true peak: a theta failure stops the checker's own scan at the
+    // first circuit over theta. A failure with no circuit over theta had
+    // an unroutable demand.
+    const double util = v.demand_checker->peak_utilization(*v.mig.task.topo);
+    if (!safe && util <= theta) return;
+    peak = std::max(peak, util);
   }
-  return true;
-}
-
-/// Bisects the largest uniform demand multiplier the whole plan tolerates.
-/// Fixed iteration count, serial: the result is bit-stable.
-void margin_search(const CaseFactory& factory, const WhatIfParams& params,
-                   const std::vector<core::Phase>& phases,
-                   WhatIfReport& report) {
-  obs::Span span("whatif/margin_search");
-  Validator v(factory, params.checker);
-  const traffic::DemandSet base = v.mig.task.demands;
-
-  if (plan_safe_at(v, phases, base, params.margin_max)) {
+  if (params.margin_max * peak <= theta) {
     report.safe_growth_margin = params.margin_max;
     report.margin_saturated = true;
-    return;
+  } else {
+    report.safe_growth_margin = theta / peak;
   }
-  double lo = 1.0;
-  double hi = params.margin_max;
-  if (!plan_safe_at(v, phases, base, 1.0)) {
-    // The plan is already unsafe under its own forecast (it was planned
-    // under different knobs than this sweep validates with); bracket below.
-    lo = 0.0;
-    hi = 1.0;
-  }
-  for (int i = 0; i < params.margin_iterations; ++i) {
-    const double mid = (lo + hi) / 2.0;
-    if (plan_safe_at(v, phases, base, mid)) {
-      lo = mid;
-    } else {
-      hi = mid;
-    }
-  }
-  report.safe_growth_margin = lo;
-  report.margin_saturated = false;
 }
 
 void validate_params(const WhatIfParams& params) {
@@ -213,8 +249,8 @@ void validate_params(const WhatIfParams& params) {
       params.bias_factor_max < params.bias_factor_min) {
     throw std::invalid_argument("whatif: bad bias factor range");
   }
-  if (params.margin_iterations < 1 || params.margin_max < 1.0) {
-    throw std::invalid_argument("whatif: bad margin search knobs");
+  if (params.margin_max < 1.0) {
+    throw std::invalid_argument("whatif: margin_max must be >= 1");
   }
 }
 
@@ -232,36 +268,45 @@ WhatIfReport run_whatif(const CaseFactory& factory, const core::Plan& plan,
   std::vector<TrajectoryOutcome> outcomes(
       static_cast<std::size_t>(num_trajectories));
 
-  // Workers claim trajectory indices from the shared counter and store
-  // results by index; per-worker state (case, checker stack, evaluator) is
-  // fully private, so the outcome vector is a pure function of the seed.
+  // Workers claim chunks of consecutive trajectory indices from the shared
+  // counter and store results by index; per-worker state (case, checker
+  // stack, evaluator) is fully private, so the outcome vector is a pure
+  // function of the seed. The chunk size only changes which trajectories
+  // share a phase walk, never an outcome.
   const util::ThreadBudget budget = util::split_thread_budget(
       params.threads, params.checker.router_threads, num_trajectories);
   pipeline::CheckerConfig worker_config = params.checker;
   worker_config.router_threads = budget.inner;
+  const int chunk = std::min(
+      kMaxChunk, (num_trajectories + budget.outer - 1) / budget.outer);
 
   std::atomic<int> next{0};
   static obs::Counter& trajectories_counter =
       obs::Registry::global().counter("whatif.trajectories");
-  const auto worker = [&]() {
-    Validator v(factory, worker_config);
+  const auto work = [&](Validator& v) {
     for (;;) {
       if (stop != nullptr && stop->load(std::memory_order_relaxed)) return;
-      const int i = next.fetch_add(1);
-      if (i >= num_trajectories) return;
-      outcomes[static_cast<std::size_t>(i)] =
-          run_trajectory(params, i, v, phases);
-      trajectories_counter.inc();
+      const int begin = next.fetch_add(chunk);
+      if (begin >= num_trajectories) return;
+      const int end = std::min(num_trajectories, begin + chunk);
+      walk_chunk(params, begin, end, v, phases, outcomes);
+      trajectories_counter.inc(end - begin);
     }
   };
-  if (budget.outer <= 1) {
-    worker();
-  } else {
-    std::vector<std::thread> workers;
-    workers.reserve(static_cast<std::size_t>(budget.outer));
-    for (int i = 0; i < budget.outer; ++i) workers.emplace_back(worker);
-    for (std::thread& w : workers) w.join();
+  // Worker 0 runs on this thread and its validator outlives the pool: the
+  // action labels and the margin pass reuse its case instead of building
+  // another one.
+  std::vector<std::thread> workers;
+  workers.reserve(static_cast<std::size_t>(budget.outer - 1));
+  for (int i = 1; i < budget.outer; ++i) {
+    workers.emplace_back([&] {
+      Validator v(factory, worker_config);
+      work(v);
+    });
   }
+  Validator first(factory, worker_config);
+  work(first);
+  for (std::thread& w : workers) w.join();
 
   // Serial aggregation in index order: every fold over doubles happens in
   // the same sequence at any thread count.
@@ -270,20 +315,16 @@ WhatIfReport run_whatif(const CaseFactory& factory, const core::Plan& plan,
   report.seed = params.seed;
   report.break_histogram.assign(std::max<std::size_t>(phases.size(), 1), 0);
   const double theta = params.checker.demand.max_utilization;
-  {
-    migration::MigrationCase label_case = factory();
-    for (std::size_t p = 0; p < phases.size(); ++p) {
-      PhaseStats row;
-      row.phase = static_cast<int>(p);
-      row.action =
-          label_case.task
-              .action_types[static_cast<std::size_t>(phases[p].type)]
-              .label;
-      row.blocks = static_cast<int>(phases[p].block_indices.size());
-      row.worst_utilization = 0.0;
-      row.min_headroom = theta;
-      report.phases.push_back(std::move(row));
-    }
+  for (std::size_t p = 0; p < phases.size(); ++p) {
+    PhaseStats row;
+    row.phase = static_cast<int>(p);
+    row.action =
+        first.mig.task.action_types[static_cast<std::size_t>(phases[p].type)]
+            .label;
+    row.blocks = static_cast<int>(phases[p].block_indices.size());
+    row.worst_utilization = 0.0;
+    row.min_headroom = theta;
+    report.phases.push_back(std::move(row));
   }
   for (const TrajectoryOutcome& t : outcomes) {
     if (!t.completed) {
@@ -330,7 +371,9 @@ WhatIfReport run_whatif(const CaseFactory& factory, const core::Plan& plan,
         .inc(report.unroutable);
   }
 
-  margin_search(factory, params, phases, report);
+  // Delta materialization back from the walk's last phase is bit-identical
+  // to a replay from the original state.
+  margin_pass(first, params, phases, report);
   return report;
 }
 

@@ -8,17 +8,25 @@
 // surge windows, and forecast-error windows, all drawn from the same
 // generators the chaos engine uses (sim::make_fault_script demand events
 // composed through traffic::Forecaster) — and re-validates every plan phase
-// against each future with the incremental StateEvaluator/ECMP fast path.
-// The report says what fraction of futures the plan survives, which phase
-// breaks first and under what demand multiplier, the worst-case headroom
-// per phase, and the uniform demand multiplier the plan provably tolerates
-// (binary-searched "safe growth margin").
+// against each future. The report says what fraction of futures the plan
+// survives, which phase breaks first and under what demand multiplier, the
+// worst-case headroom per phase, and the uniform demand multiplier the plan
+// tolerates (the "safe growth margin").
+//
+// The sweep walks phases, not trajectories: a worker takes a chunk of
+// trajectories, materializes each phase once, runs the structural checks
+// (ports, space/power) once, and then only the demand check per trajectory
+// still safe. The ECMP router keeps each demand group's DAG while the phase
+// topology holds, so those checks only re-inject and re-propagate. The
+// margin is closed-form: ECMP loads are linear in the injected volume over
+// a fixed DAG, so with U the largest peak utilization of the origin and
+// every phase under the base demands, the plan holds up to theta / U.
 //
 // Determinism contract: the report is a pure function of (inputs, seed, N)
 // — trajectory i's future is derived from hash_combine(seed, i) alone,
-// workers claim trajectory indices from an atomic counter but store results
-// by index, and aggregation runs serially in index order. Reports are
-// byte-identical at any thread count, which tier-1 asserts.
+// workers claim chunks of trajectory indices from an atomic counter but
+// store results by index, and aggregation runs serially in index order.
+// Reports are byte-identical at any thread count, which tier-1 asserts.
 #pragma once
 
 #include <atomic>
@@ -59,9 +67,8 @@ struct WhatIfParams {
   /// routing mode, router threads) — same shape the planner used.
   pipeline::CheckerConfig checker;
 
-  /// Safe-growth-margin bisection: fixed iteration count (determinism) and
-  /// the upper bracket of the uniform demand multiplier.
-  int margin_iterations = 16;
+  /// Cap of the safe growth margin: a plan tolerating this uniform demand
+  /// multiplier reports it with margin_saturated set.
   double margin_max = 4.0;
 };
 
@@ -69,7 +76,9 @@ struct WhatIfParams {
 struct TrajectoryOutcome {
   bool completed = false;  // false only when a stop request skipped it
   bool safe = false;
-  bool unroutable = false;       // broke with a no-path demand, not theta
+  /// Broke without exceeding theta: a no-path demand, or a structural
+  /// (ports, space/power) violation, which reports utilization 0.
+  bool unroutable = false;
   int first_break_phase = -1;    // phase index of the first violation
   double break_multiplier = 0.0; // total-volume multiplier at the break step
   double break_utilization = 0.0;
@@ -105,22 +114,26 @@ struct WhatIfReport {
   /// break_histogram[p] = trajectories whose first violation was phase p.
   std::vector<long long> break_histogram;
   std::vector<PhaseStats> phases;
-  /// Largest uniform demand multiplier (within margin_max) under which every
-  /// phase stays safe; margin_saturated means safe even at margin_max.
+  /// Largest uniform demand multiplier (within margin_max) under which the
+  /// origin and every phase stay safe: theta / U for U the largest peak
+  /// utilization under the base demands, 0 when a state fails a structural
+  /// check or has an unroutable demand. margin_saturated means safe even
+  /// at margin_max.
   double safe_growth_margin = 1.0;
   bool margin_saturated = false;
 };
 
 /// Builds a fresh, identical copy of the migration under test. Called once
-/// per sweep worker (trajectories mutate topology state), so it must be
+/// per sweep worker (the walk mutates topology state), so it must be
 /// deterministic: every returned case must be element-for-element identical.
 using CaseFactory = std::function<migration::MigrationCase()>;
 
-/// Runs the sweep + margin search. `plan` must be a valid plan for the
-/// factory's case (block indices resolve against it). `stop` is an optional
-/// cooperative stop flag polled between trajectories; a stopped run reports
-/// the completed prefix with stopped = true. Throws std::invalid_argument
-/// on bad params.
+/// Runs the sweep, then the margin pass on the first worker's case. `plan`
+/// must be a valid plan for the factory's case (block indices resolve
+/// against it). `stop` is an optional cooperative stop flag polled between
+/// trajectory chunks; a stopped run reports only the fully walked
+/// trajectories, with stopped = true. Throws std::invalid_argument on bad
+/// params.
 WhatIfReport run_whatif(const CaseFactory& factory, const core::Plan& plan,
                         const WhatIfParams& params,
                         const std::atomic<bool>* stop = nullptr);

@@ -534,6 +534,24 @@ TEST(PlanServiceWhatIf, KeyNamespaceIsDisjointFromPlanKeys) {
             json::content_hash(plan_cache_key_doc(doc)));
 }
 
+// The margin is closed-form now, so a bisection step count no longer
+// names a different report: requests that differ only in the retired
+// margin_iterations param share one key, under the v2 key schema that
+// keeps bisection-era (v1) reports from ever being served.
+TEST(PlanServiceWhatIf, RetiredMarginIterationsDoNotSplitTheKey) {
+  json::Object params;
+  params["npd"] = preset_npd_json();
+  params["plan"] = json::Value(json::Object{});
+  json::Object tweaked = params;
+  params["margin_iterations"] = 16;
+  tweaked["margin_iterations"] = 4;
+  const json::Value key = whatif_cache_key_doc(json::Value(params));
+  EXPECT_EQ(key.get_string("schema", ""), "klotski.serve.whatif-key.v2");
+  EXPECT_EQ(key.as_object().find("margin_iterations"), nullptr);
+  EXPECT_EQ(json::content_hash(key), json::content_hash(whatif_cache_key_doc(
+                                         json::Value(std::move(tweaked)))));
+}
+
 TEST(PlanServiceWhatIf, MalformedParamsBecomeErrorResponses) {
   PlanService service(service_options());
   std::atomic<bool> stop{false};

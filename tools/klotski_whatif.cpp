@@ -9,9 +9,11 @@
 // Samples N demand futures (per-trajectory organic growth, surge windows,
 // forecast-error windows) and re-validates every plan phase against each,
 // reporting the fraction of futures the plan survives, the first breaking
-// phase, per-phase worst-case headroom, and the binary-searched safe growth
-// margin. The report is byte-identical for the same (inputs, seed, N) at
-// any --threads, locally or through a daemon.
+// phase, per-phase worst-case headroom, and the safe growth margin (the
+// largest uniform demand multiplier the plan tolerates, theta over the
+// plan's peak utilization under the base demands). The report is
+// byte-identical for the same (inputs, seed, N) at any --threads, locally
+// or through a daemon.
 //
 // Flags:
 //   --npd           NPD JSON document (required)
@@ -31,16 +33,20 @@
 //                                  (default 1 / 1)
 //   --surge-factor-min / --surge-factor-max    (default 0.8 / 1.5)
 //   --bias-factor-min / --bias-factor-max      (default 0.85 / 1.2)
-//   --margin-iterations  safe-growth-margin bisection steps (default 16)
-//   --margin-max         upper bracket of the margin search (default 4)
+//   --margin-max    cap of the safe growth margin   (default 4)
 //   --connect       run the sweep remotely on a klotski_served daemon
 //                   (unix:PATH | tcp:HOST:PORT); repeated identical
-//                   requests hit the daemon's content-addressed cache
+//                   requests hit the daemon's content-addressed cache.
+//                   Also prints the request's round trip, submit to
+//                   response, as "request_s=<seconds>" on stderr.
 //   --metrics-out   write the metrics registry JSON here
 //   --trace-out     write Chrome trace_event JSON here
 //
 // Exit status: 0 every trajectory stayed safe; 1 some future breaks the
-// plan; 2 usage/input error; 3 daemon rejected the job (--connect only).
+// plan; 2 usage/input error, unknown flags included; 3 daemon rejected the
+// job (--connect only).
+#include <chrono>
+#include <cstdio>
 #include <iostream>
 #include <string>
 #include <utility>
@@ -73,8 +79,6 @@ whatif::WhatIfParams params_from_flags(const util::Flags& flags) {
   params.surge_factor_max = flags.get_double("surge-factor-max", 1.5);
   params.bias_factor_min = flags.get_double("bias-factor-min", 0.85);
   params.bias_factor_max = flags.get_double("bias-factor-max", 1.2);
-  params.margin_iterations =
-      static_cast<int>(flags.get_int("margin-iterations", 16));
   params.margin_max = flags.get_double("margin-max", 4.0);
   params.checker.demand.max_utilization = flags.get_double("theta", 0.75);
   params.checker.demand.funneling_margin = flags.get_double("funneling", 0.0);
@@ -153,13 +157,16 @@ int run(const util::Flags& flags) {
     params_json["surge_factor_max"] = params.surge_factor_max;
     params_json["bias_factor_min"] = params.bias_factor_min;
     params_json["bias_factor_max"] = params.bias_factor_max;
-    params_json["margin_iterations"] = params.margin_iterations;
     params_json["margin_max"] = params.margin_max;
 
     serve::Client client = serve::Client::connect_with_retry(
         serve::Endpoint::parse(connect), /*attempts=*/5);
+    const auto sent = std::chrono::steady_clock::now();
     const serve::Response resp = client.submit_and_wait(
         "whatif", json::Value(std::move(params_json)), "whatif-sweep");
+    const std::chrono::duration<double> round_trip =
+        std::chrono::steady_clock::now() - sent;
+    std::fprintf(stderr, "request_s=%.6f\n", round_trip.count());
     if (resp.status == "overloaded" || resp.status == "draining") {
       std::cerr << "klotski_whatif: daemon " << resp.status << "\n";
       return 3;
@@ -203,5 +210,10 @@ int run(const util::Flags& flags) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  return klotski::tools::tool_main(argc, argv, "klotski_whatif", run);
+  return klotski::tools::tool_main(
+      argc, argv, "klotski_whatif", run,
+      {"npd", "plan", "demands", "out", "trajectories", "seed", "threads",
+       "theta", "routing", "funneling", "growth-min", "growth-max", "surges",
+       "forecast-errors", "surge-factor-min", "surge-factor-max",
+       "bias-factor-min", "bias-factor-max", "margin-max", "connect"});
 }
