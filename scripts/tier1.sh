@@ -152,7 +152,7 @@ KLOTSKI_CHAOS_SEEDS=10 ./build-tsan/tests/test_sim \
 # engine's epoch stamping / sparse slot bookkeeping is exactly the kind of
 # code where a stale-index bug reads garbage instead of crashing.
 cmake -B build-asan -S . -DKLOTSKI_SANITIZE=address
-cmake --build build-asan -j"${JOBS}" --target test_traffic test_sim test_core test_util test_migration test_whatif
+cmake --build build-asan -j"${JOBS}" --target test_traffic test_sim test_core test_util test_migration test_whatif test_pipeline
 ./build-asan/tests/test_traffic \
   --gtest_filter='EcmpEquivalence.*:EcmpParallel*'
 # Chaos engine under ASan: fault scripts mutate live capacities, tear
@@ -177,6 +177,12 @@ KLOTSKI_CHAOS_SEEDS=10 ./build-asan/tests/test_sim
 # stale class indices or an under-sized scratch vector would read garbage
 # here long before a plain run noticed.
 ./build-asan/tests/test_migration --gtest_filter='SymmetryIncremental.*'
+# Checkpoint load and resume under ASan: a checkpoint is untrusted input
+# (the daemon's replan method takes it from the socket) and the driver
+# indexes per-type arrays with its counters and plan action types, so an
+# out-of-range index that a plain run reads straight through fails here.
+./build-asan/tests/test_pipeline \
+  --gtest_filter='ReplanCheckpoint*:Replan.CheckpointResume*:Replan.ResumeRejects*'
 
 # Observability smoke: plan a small preset with --metrics-out/--trace-out at
 # --threads=1 and --threads=4 with each planner, check both artifacts

@@ -9,13 +9,13 @@
 // footprint (arena + dedup table + open list + satisfiability cache). On
 // exceeding the budget it evicts the worst half of the open list (keeping
 // at least kMinBeamWidth entries — this is the degradation to beam search),
-// compacts the arena to the surviving nodes plus their parent chains, and
-// rebuilds the dedup table from the survivors. Closed ancestors keep their
-// dedup entries through the rebuild, which caps re-expansion: a
-// re-generated state is only re-opened on a strictly better g. Without a
-// budget the search is bit-identical to the reference implementation
-// (tests/core/soa_equivalence_test.cpp holds the old representation to
-// that claim).
+// compacts the arena to the surviving nodes plus their parent chains,
+// rebuilds the dedup table from the survivors and clears the satisfiability
+// cache. Closed ancestors keep their dedup entries through the rebuild,
+// which caps re-expansion: a re-generated state is only re-opened on a
+// strictly better g. Without a budget the search is bit-identical to the
+// reference implementation (tests/core/soa_equivalence_test.cpp holds the
+// old representation to that claim).
 #include "klotski/core/astar_planner.h"
 
 #include <algorithm>
@@ -117,31 +117,10 @@ Plan AStarPlanner::plan(migration::MigrationTask& task,
   const auto num_types = static_cast<std::int32_t>(target.size());
   const CostModel cost(options.alpha, options.type_weights);
 
-  // Warm start, part 1: adopt the shared verdict cache before the first
-  // evaluation. Carried entries hold verdicts identical to a fresh check
-  // (the caller's invalidation rules guarantee it), so adoption changes
-  // latency, never the plan.
-  if (options.warm != nullptr && options.use_satisfiability_cache &&
-      options.warm->sat_cache != nullptr) {
-    plan.provenance.sat_carried =
-        static_cast<long long>(options.warm->sat_cache->size());
-    // An empty shared cache is a harvest vehicle, not a warm start.
-    if (plan.provenance.sat_carried > 0) plan.provenance.warm_start = true;
-    evaluator.adopt_cache(options.warm->sat_cache);
-  }
-
   const auto budget_bytes = static_cast<std::size_t>(
       options.mem_budget_mb > 0.0 ? options.mem_budget_mb * 1024.0 * 1024.0
                                   : 0.0);
   plan.provenance.mem_budget_mb = options.mem_budget_mb;
-  if (budget_bytes > 0) {
-    // Keep the verdict cache to roughly a quarter of the budget (entries
-    // cost ~16 bytes of slot + 4|V| bytes of key across two generations).
-    evaluator.set_cache_capacity(std::max<std::size_t>(
-        1024, budget_bytes / (8 * (sizeof(std::int32_t) *
-                                       static_cast<std::size_t>(num_types) +
-                                   16))));
-  }
 
   auto finish = [&](Plan&& p) {
     task.reset_to_original();
@@ -190,8 +169,8 @@ Plan AStarPlanner::plan(migration::MigrationTask& task,
   // induced re-expansion.
   long long total_pushed = 1;
 
-  // Warm start, part 2: replay the surviving suffix of the previous plan as
-  // an arena chain so the old plan's corridor starts on the open list. Each
+  // Warm start: replay the surviving suffix of the previous plan as an
+  // arena chain so the old plan's corridor starts on the open list. Each
   // seed action must target the next block of its type; a type change
   // closes a run, so the boundary state is checked for feasibility and the
   // replay stops at the first violation. Seeded entries carry true g values
@@ -262,6 +241,9 @@ Plan AStarPlanner::plan(migration::MigrationTask& task,
       t = t == SearchArena::kNoNode ? t : remap[t];
     }
     table.rebuild();
+    // The verdict table counts against the budget too; a state expanded
+    // again after this is checked again.
+    evaluator.clear_cache();
     ++plan.provenance.compactions;
     arena_size_at_compaction = arena.size();
   };

@@ -28,34 +28,18 @@ Plan DpPlanner::plan(migration::MigrationTask& task,
   Plan plan;
   plan.planner = name();
 
-  StateEvaluator evaluator(task, checker, options.use_satisfiability_cache);
+  // No satisfiability cache: the safe[] lattice below keeps every cell's
+  // verdict, so the §4.2 cache could only ever miss. The sweep visits
+  // every cell regardless, so WarmStart's arena seeds do not apply either.
+  StateEvaluator evaluator(task, checker, /*use_cache=*/false);
   const CountVector& target = evaluator.target();
   const auto num_types = static_cast<std::int32_t>(target.size());
   const CostModel cost(options.alpha, options.type_weights);
 
-  // Warm start: adopt the shared verdict cache before the first evaluation
-  // (the DP sweep visits every lattice cell regardless, so the arena-seed
-  // half of WarmStart does not apply — only the carried verdicts do).
-  if (options.warm != nullptr && options.use_satisfiability_cache &&
-      options.warm->sat_cache != nullptr) {
-    plan.provenance.sat_carried =
-        static_cast<long long>(options.warm->sat_cache->size());
-    // An empty shared cache is a harvest vehicle, not a warm start.
-    if (plan.provenance.sat_carried > 0) plan.provenance.warm_start = true;
-    evaluator.adopt_cache(options.warm->sat_cache);
-  }
-
-  // The DP table is dense and pre-sized, so the memory budget only governs
-  // the satisfiability cache here; the A* planner owns open-list eviction.
+  // The DP table is dense and pre-sized, so the memory budget governs
+  // nothing here; it is recorded for provenance only. The A* planner owns
+  // open-list eviction.
   plan.provenance.mem_budget_mb = options.mem_budget_mb;
-  if (options.mem_budget_mb > 0.0) {
-    const auto budget_bytes = static_cast<std::size_t>(
-        options.mem_budget_mb * 1024.0 * 1024.0);
-    evaluator.set_cache_capacity(std::max<std::size_t>(
-        1024, budget_bytes / (8 * (sizeof(std::int32_t) *
-                                       static_cast<std::size_t>(num_types) +
-                                   16))));
-  }
 
   auto finish = [&](Plan&& p) {
     task.reset_to_original();
@@ -116,20 +100,14 @@ Plan DpPlanner::plan(migration::MigrationTask& task,
 
   CountVector counts(static_cast<std::size_t>(num_types), 0);
   CountVector scratch(static_cast<std::size_t>(num_types), 0);
-  // The count hash rides the odometer: each digit change is one O(1)
-  // StateHasher::update, so predecessor probes below never rehash V.
-  std::uint64_t counts_hash = StateHasher::hash(counts);
   for (long long idx = 1; idx < num_states; ++idx) {
     // Advance the odometer to match idx.
     for (std::int32_t a = 0; a < num_types; ++a) {
-      const std::int32_t before = counts[static_cast<std::size_t>(a)];
       if (++counts[static_cast<std::size_t>(a)] <=
           target[static_cast<std::size_t>(a)]) {
-        counts_hash = StateHasher::update(counts_hash, a, before, before + 1);
         break;
       }
       counts[static_cast<std::size_t>(a)] = 0;
-      counts_hash = StateHasher::update(counts_hash, a, before, 0);
     }
 
     if ((idx & 127) == 0 && deadline.expired()) {
@@ -160,13 +138,7 @@ Plan DpPlanner::plan(migration::MigrationTask& task,
               scratch = counts;
               --scratch[static_cast<std::size_t>(a)];
               safe[static_cast<std::size_t>(pidx)] =
-                  evaluator.feasible(
-                      scratch.data(),
-                      StateHasher::update(
-                          counts_hash, a, counts[static_cast<std::size_t>(a)],
-                          scratch[static_cast<std::size_t>(a)]))
-                      ? 1
-                      : 0;
+                  evaluator.feasible(scratch) ? 1 : 0;
             }
             if (safe[static_cast<std::size_t>(pidx)] == 0) continue;
           }

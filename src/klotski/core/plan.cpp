@@ -25,7 +25,6 @@ void publish_planner_metrics(const std::string& planner,
   if (provenance != nullptr && provenance->warm_start) {
     reg.counter("planner.warm_starts").inc();
     reg.counter("planner.warm_seeded_nodes").inc(provenance->warm_seeded_nodes);
-    reg.counter("planner.sat_carried").inc(provenance->sat_carried);
   }
   if (provenance != nullptr && provenance->mem_budget_mb > 0.0) {
     reg.counter("planner.evicted_states").inc(provenance->evicted_states);

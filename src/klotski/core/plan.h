@@ -52,12 +52,11 @@ struct SearchProvenance {
   // Warm-start replanning (DESIGN.md §11). warm_repair means no search ran
   // at all: the plan is the previous plan's surviving suffix, revalidated
   // from scratch and accepted under the repair cost slack. warm_start means
-  // a search ran but was seeded (arena corridor and/or carried verdict
-  // cache) — its result is identical to a cold search, only faster.
+  // a search ran with its arena seeded from that suffix — its result is
+  // identical to a cold search, only faster.
   bool warm_start = false;
   bool warm_repair = false;
   long long warm_seeded_nodes = 0;  // arena nodes seeded from the suffix
-  long long sat_carried = 0;        // carried verdict-cache entries adopted
 };
 
 /// Publishes one run's stats into the global obs registry (no-op while

@@ -1,34 +1,28 @@
 // Planner interface shared by Klotski-A*, Klotski-DP and the baselines.
 #pragma once
 
-#include <memory>
 #include <string>
+#include <vector>
 
 #include "klotski/constraints/composite.h"
 #include "klotski/core/plan.h"
-#include "klotski/core/sat_cache.h"
 #include "klotski/migration/task.h"
 
 namespace klotski::core {
 
 /// Warm-start input for re-planning (pipeline/replan.cpp, DESIGN.md §11):
-/// state salvaged from the previous planning epoch. Both members are pure
-/// accelerators — a warm search returns the same plan a cold one would,
-/// only faster — which is what lets the chaos resume oracle hold across
-/// warm runs.
+/// the previous plan's surviving suffix. A pure accelerator — a warm search
+/// returns the same plan a cold one would, only faster — which is what lets
+/// the chaos resume oracle hold across warm runs.
 struct WarmStart {
   /// The surviving suffix of the previous plan, rebased into the new task's
   /// coordinates (per-type block indices renumbered from zero). The A*
   /// planner replays it into the search arena so the old plan's corridor
   /// starts on the open list; actions are validated at type boundaries
   /// during seeding and the replay stops at the first infeasibility — seeds
-  /// are hints, never commitments.
+  /// are hints, never commitments. DP sweeps the whole lattice and ignores
+  /// them.
   std::vector<PlannedAction> seed_actions;
-  /// Verdict cache shared with (or carried from) the caller; adopted by the
-  /// planner's evaluator, so it is both pre-seeded input and harvestable
-  /// output. Carried entries must be provably still valid (the caller owns
-  /// the invalidation rules — see SatCache::carried). nullptr = none.
-  std::shared_ptr<SatCache> sat_cache;
 };
 
 struct PlannerOptions {
@@ -36,7 +30,9 @@ struct PlannerOptions {
   double alpha = 0.0;
   /// OPEX weights per action type (§7.2); empty = every type costs 1.
   std::vector<double> type_weights;
-  /// Efficient satisfiability checking (§4.2); false = "w/o ESC" ablation.
+  /// Efficient satisfiability checking (§4.2): the A* and brute-force
+  /// planners keep a per-search SatCache of verdicts; false = the "w/o ESC"
+  /// ablation. DP ignores it: its dense safe[] lattice is its verdict cache.
   bool use_satisfiability_cache = true;
   /// A* priority function (§4.4); false degrades the A* planner to
   /// uniform-cost search, the "w/o A*" ablation.
@@ -55,15 +51,16 @@ struct PlannerOptions {
   /// Safety valve for the exhaustive planners: give up (found = false,
   /// failure = "state space too large") beyond this many compact states.
   long long max_states = 200'000'000;
-  /// Memory budget for the search structures (node arena, dedup table,
+  /// Memory budget for the A* search structures (node arena, dedup table,
   /// open list, satisfiability cache) in MB; 0 = unbounded. When the
   /// tracked footprint exceeds the budget, the A* planner evicts the worst
-  /// half of the open list and compacts the arena — degrading to beam
-  /// search instead of OOMing. The degradation (and the loss of the
-  /// optimality guarantee) is recorded in Plan::provenance. The baseline
-  /// process footprint (topology, demands, routers) is outside the budget.
-  /// A budget also caps the satisfiability cache at roughly a quarter of
-  /// it; unbudgeted runs keep the SatCache default.
+  /// half of the open list, compacts the arena and clears the
+  /// satisfiability cache — degrading to beam search instead of OOMing.
+  /// The degradation (and the loss of the optimality guarantee) is recorded
+  /// in Plan::provenance. The baseline process footprint (topology,
+  /// demands, routers) is outside the budget. DP records the budget in its
+  /// provenance, but it governs nothing there: the DP table is dense and
+  /// pre-sized, and DP keeps no satisfiability cache.
   double mem_budget_mb = 0.0;
   /// Warm-start state from a previous planning epoch; nullptr = cold start.
   /// Not owned; must outlive the plan() call.

@@ -2,91 +2,46 @@
 
 #include <cstring>
 
-#include "klotski/obs/metrics.h"
-
 namespace klotski::core {
 
 namespace {
 constexpr std::size_t kInitialSlots = 64;
 }
 
-SatCache::Slot* SatCache::find(Gen& gen, const std::int32_t* counts,
-                               std::size_t n, std::uint64_t hash) {
-  if (gen.slots.empty()) return nullptr;
-  for (std::size_t i = hash & gen.mask;; i = (i + 1) & gen.mask) {
-    Slot& s = gen.slots[i];
-    if (s.state == 0) return nullptr;
-    if (s.state == 1 && s.hash == hash && s.key_len == n &&
-        std::memcmp(gen.keys.data() + s.key_pos, counts,
+const SatCache::Slot* SatCache::find(const std::int32_t* counts,
+                                     std::size_t n,
+                                     std::uint64_t hash) const {
+  if (slots_.empty()) return nullptr;
+  for (std::size_t i = hash & mask_;; i = (i + 1) & mask_) {
+    const Slot& s = slots_[i];
+    if (!s.live) return nullptr;
+    if (s.hash == hash && s.key_len == n &&
+        std::memcmp(keys_.data() + s.key_pos, counts,
                     n * sizeof(std::int32_t)) == 0) {
       return &s;
     }
   }
 }
 
-void SatCache::grow(Gen& gen) {
-  std::vector<Slot> old = std::move(gen.slots);
-  gen.slots.assign(old.empty() ? kInitialSlots : old.size() * 2, Slot{});
-  gen.mask = gen.slots.size() - 1;
+void SatCache::grow() {
+  std::vector<Slot> old = std::move(slots_);
+  slots_.assign(old.empty() ? kInitialSlots : old.size() * 2, Slot{});
+  mask_ = slots_.size() - 1;
   for (const Slot& s : old) {
-    if (s.state != 1) continue;
-    for (std::size_t i = s.hash & gen.mask;; i = (i + 1) & gen.mask) {
-      if (gen.slots[i].state == 0) {
-        gen.slots[i] = s;
+    if (!s.live) continue;
+    for (std::size_t i = s.hash & mask_;; i = (i + 1) & mask_) {
+      if (!slots_[i].live) {
+        slots_[i] = s;
         break;
       }
     }
   }
 }
 
-void SatCache::rotate() {
-  const auto dropped = static_cast<long long>(old_.size);
-  if (dropped > 0) {
-    evictions_ += dropped;
-    if (obs::metrics_enabled()) {
-      obs::Registry::global()
-          .counter("evaluator.sat_cache_evictions")
-          .inc(dropped);
-    }
-  }
-  old_ = std::move(cur_);
-  cur_ = Gen{};
-}
-
-void SatCache::insert_current(const std::int32_t* counts, std::size_t n,
-                              std::uint64_t hash, bool satisfiable) {
-  if (cur_.size >= max_entries_) rotate();
-  // Load factor cap 7/10; tombstones never occur in cur_ (promotion only
-  // tombstones old_), so live entries alone drive the occupancy.
-  if (cur_.slots.empty() || (cur_.size + 1) * 10 >= cur_.slots.size() * 7) {
-    grow(cur_);
-  }
-  for (std::size_t i = hash & cur_.mask;; i = (i + 1) & cur_.mask) {
-    Slot& s = cur_.slots[i];
-    if (s.state != 0) continue;
-    s.hash = hash;
-    s.key_pos = static_cast<std::uint32_t>(cur_.keys.size());
-    s.key_len = static_cast<std::uint16_t>(n);
-    s.state = 1;
-    s.verdict = satisfiable ? 1 : 0;
-    cur_.keys.insert(cur_.keys.end(), counts, counts + n);
-    ++cur_.size;
-    return;
-  }
-}
-
 std::optional<bool> SatCache::lookup(const std::int32_t* counts,
-                                     std::size_t n, std::uint64_t hash) {
-  if (Slot* s = find(cur_, counts, n, hash)) return s->verdict != 0;
-  if (Slot* s = find(old_, counts, n, hash)) {
-    // Second chance: promote into the current generation so entries in
-    // active use survive the next rotation.
-    const bool verdict = s->verdict != 0;
-    s->state = 2;
-    --old_.size;
-    insert_current(counts, n, hash, verdict);
-    return verdict;
-  }
+                                     std::size_t n,
+                                     std::uint64_t hash) const {
+  if (const Slot* s = find(counts, n, hash)) return s->verdict != 0;
   return std::nullopt;
 }
 
@@ -94,54 +49,28 @@ void SatCache::store(const std::int32_t* counts, std::size_t n,
                      std::uint64_t hash, bool satisfiable) {
   // The verdict of a topology never changes, so a duplicate store is a
   // no-op rather than an overwrite (first store wins).
-  if (find(cur_, counts, n, hash) != nullptr) return;
-  if (find(old_, counts, n, hash) != nullptr) return;
-  insert_current(counts, n, hash, satisfiable);
+  if (find(counts, n, hash) != nullptr) return;
+  // Load factor cap 7/10.
+  if (slots_.empty() || (size_ + 1) * 10 >= slots_.size() * 7) grow();
+  for (std::size_t i = hash & mask_;; i = (i + 1) & mask_) {
+    Slot& s = slots_[i];
+    if (s.live) continue;
+    s.hash = hash;
+    s.key_pos = static_cast<std::uint32_t>(keys_.size());
+    s.key_len = static_cast<std::uint16_t>(n);
+    s.live = 1;
+    s.verdict = satisfiable ? 1 : 0;
+    keys_.insert(keys_.end(), counts, counts + n);
+    ++size_;
+    return;
+  }
 }
 
-void SatCache::clear() {
-  cur_ = Gen{};
-  old_ = Gen{};
-}
-
-SatCache SatCache::carried(const std::int32_t* delta, std::size_t n,
-                           bool keep_sat, bool keep_unsat) const {
-  SatCache out;
-  out.max_entries_ = max_entries_;
-  if (!keep_sat && !keep_unsat) return out;
-  std::vector<std::int32_t> shifted(n);
-  const auto carry_gen = [&](const Gen& gen) {
-    for (const Slot& s : gen.slots) {
-      if (s.state != 1 || s.key_len != n) continue;
-      const bool verdict = s.verdict != 0;
-      if (verdict ? !keep_sat : !keep_unsat) continue;
-      bool in_range = true;
-      for (std::size_t i = 0; i < n; ++i) {
-        shifted[i] = gen.keys[s.key_pos + i] - delta[i];
-        if (shifted[i] < 0) {
-          in_range = false;
-          break;
-        }
-      }
-      if (!in_range) continue;
-      // Keys are unique across both generations (store() checks both and
-      // promotion tombstones the old copy) and the shift is injective, so a
-      // plain insert suffices.
-      out.insert_current(shifted.data(), n,
-                         StateHasher::hash(shifted.data(), n), verdict);
-    }
-  };
-  carry_gen(cur_);
-  carry_gen(old_);
-  return out;
-}
+void SatCache::clear() { *this = SatCache(); }
 
 std::size_t SatCache::approx_memory_bytes() const {
-  const auto gen_bytes = [](const Gen& gen) {
-    return gen.slots.capacity() * sizeof(Slot) +
-           gen.keys.capacity() * sizeof(std::int32_t);
-  };
-  return gen_bytes(cur_) + gen_bytes(old_);
+  return slots_.capacity() * sizeof(Slot) +
+         keys_.capacity() * sizeof(std::int32_t);
 }
 
 }  // namespace klotski::core

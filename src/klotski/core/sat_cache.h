@@ -4,19 +4,15 @@
 // Indexing a handful of int32 counters is what makes caching affordable at
 // O(10,000)-switch scale — storing whole topologies would not be.
 //
-// Storage is an open-addressing table keyed by the incremental Zobrist hash
-// (StateHasher), with key payloads packed into one flat int32 pool: a probe
-// touches one 16-byte slot and compares the count span only on a full
+// Storage is one open-addressing table keyed by the incremental Zobrist
+// hash (StateHasher), with key payloads packed into one flat int32 pool: a
+// probe touches one 16-byte slot and compares the count span only on a full
 // 64-bit hash match, so lookups never rehash V and the footprint is exact.
 //
-// Growth is bounded: the cache holds at most max_entries() live entries per
-// *generation* and rotates generations when the current one fills — the
-// previous old generation (the coldest ~half of the cache) is dropped in
-// O(1) and counted as evictions. A hit in the old generation promotes the
-// entry into the current one, so recently-used verdicts survive rotation
-// (LRU-ish second-chance semantics without per-entry bookkeeping). Verdicts
-// are immutable, so dropping entries only costs re-checks, never
-// correctness; duplicate stores keep the first verdict.
+// A table lives for one search: its owner (StateEvaluator) fills it and
+// drops it with the search, and the budgeted A* planner clears it when it
+// compacts. Verdicts are immutable, so duplicate stores keep the first
+// verdict and a cleared table only costs re-checks, never correctness.
 #pragma once
 
 #include <cstdint>
@@ -29,15 +25,12 @@ namespace klotski::core {
 
 class SatCache {
  public:
-  /// Per-generation entry cap; total live entries stay under 2x this.
-  static constexpr std::size_t kDefaultMaxEntries = std::size_t{1} << 20;
-
   std::optional<bool> lookup(const std::int32_t* counts, std::size_t n,
-                             std::uint64_t hash);
+                             std::uint64_t hash) const;
   void store(const std::int32_t* counts, std::size_t n, std::uint64_t hash,
              bool satisfiable);
 
-  std::optional<bool> lookup(const CountVector& counts) {
+  std::optional<bool> lookup(const CountVector& counts) const {
     return lookup(counts.data(), counts.size(), StateHasher::hash(counts));
   }
   void store(const CountVector& counts, bool satisfiable) {
@@ -45,38 +38,11 @@ class SatCache {
           satisfiable);
   }
 
-  /// Caps live entries per generation; takes effect on the next store.
-  /// Shrinking below the current fill rotates lazily, it does not flush.
-  void set_max_entries(std::size_t cap) { max_entries_ = cap ? cap : 1; }
-  std::size_t max_entries() const { return max_entries_; }
-
-  std::size_t size() const { return cur_.size + old_.size; }
+  std::size_t size() const { return size_; }
+  /// Drops every entry and releases the table's memory.
   void clear();
 
-  /// Cross-epoch carry for warm-start replanning (DESIGN.md §11): builds a
-  /// fresh cache whose entries are this cache's live entries re-keyed into
-  /// the next planning epoch's coordinates. `delta` (length n) is the
-  /// per-type count of blocks executed between the epochs; an entry keyed
-  /// (v_i) becomes (v_i - delta_i) and is dropped when any component would
-  /// go negative (the state precedes the new origin). keep_sat / keep_unsat
-  /// select which verdicts the caller proved still valid under the new
-  /// epoch's demands and capacities (pipeline/replan.cpp owns the
-  /// monotonicity rules); carried verdicts must be *provably identical* to
-  /// a fresh check, so seeding a planner with them cannot change its
-  /// output, only its latency. Entries with a different arity are dropped.
-  SatCache carried(const std::int32_t* delta, std::size_t n, bool keep_sat,
-                   bool keep_unsat) const;
-
-  /// Opaque tag identifying the planning epoch this cache was filled in
-  /// (the replan driver stamps the topology state-version); serialized into
-  /// checkpoints as warm-state provenance.
-  void set_epoch_key(std::uint64_t key) { epoch_key_ = key; }
-  std::uint64_t epoch_key() const { return epoch_key_; }
-
-  /// Entries dropped by generation rotation since construction.
-  long long evictions() const { return evictions_; }
-
-  /// Approximate resident bytes (slot tables + key pools), exact up to the
+  /// Approximate resident bytes (slot table + key pool), exact up to the
   /// vector headers; the compact representation makes this a few dozen
   /// bytes per state.
   std::size_t approx_memory_bytes() const;
@@ -84,31 +50,20 @@ class SatCache {
  private:
   struct Slot {
     std::uint64_t hash = 0;
-    std::uint32_t key_pos = 0;  // offset into Gen::keys
+    std::uint32_t key_pos = 0;  // offset into keys_
     std::uint16_t key_len = 0;
-    std::uint8_t state = 0;  // 0 empty, 1 live, 2 tombstone (promoted away)
+    std::uint8_t live = 0;
     std::uint8_t verdict = 0;
   };
 
-  struct Gen {
-    std::vector<Slot> slots;
-    std::vector<std::int32_t> keys;  // flat key payloads
-    std::size_t size = 0;
-    std::size_t mask = 0;
-  };
+  const Slot* find(const std::int32_t* counts, std::size_t n,
+                   std::uint64_t hash) const;
+  void grow();
 
-  Slot* find(Gen& gen, const std::int32_t* counts, std::size_t n,
-             std::uint64_t hash);
-  void insert_current(const std::int32_t* counts, std::size_t n,
-                      std::uint64_t hash, bool satisfiable);
-  void rotate();
-  static void grow(Gen& gen);
-
-  Gen cur_;
-  Gen old_;
-  std::size_t max_entries_ = kDefaultMaxEntries;
-  long long evictions_ = 0;
-  std::uint64_t epoch_key_ = 0;
+  std::vector<Slot> slots_;
+  std::vector<std::int32_t> keys_;  // flat key payloads
+  std::size_t size_ = 0;
+  std::size_t mask_ = 0;
 };
 
 }  // namespace klotski::core

@@ -187,7 +187,7 @@ bool StateEvaluator::feasible(const std::int32_t* counts,
   ++evaluations_;
   const std::size_t n = target_.size();
   if (use_cache_) {
-    if (const auto cached = cache_->lookup(counts, n, hash)) {
+    if (const auto cached = cache_.lookup(counts, n, hash)) {
       ++cache_hits_;
       return *cached;
     }
@@ -195,7 +195,7 @@ bool StateEvaluator::feasible(const std::int32_t* counts,
   materialize_span(counts);
   ++sat_checks_;
   const bool ok = checker_.check(*task_.topo).satisfied;
-  if (use_cache_) cache_->store(counts, n, hash, ok);
+  if (use_cache_) cache_.store(counts, n, hash, ok);
   return ok;
 }
 

@@ -19,7 +19,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 
 #include "klotski/constraints/composite.h"
 #include "klotski/core/sat_cache.h"
@@ -57,22 +56,10 @@ class StateEvaluator {
   void set_incremental(bool on) { incremental_ = on; }
   bool incremental() const { return incremental_; }
 
-  /// Warm-start plumbing (PlannerOptions::warm): replaces the verdict cache
-  /// with a shared instance — carried over from a previous planning epoch,
-  /// and harvestable by the caller after the search. Every carried entry
-  /// must hold a verdict identical to what a fresh check would produce for
-  /// this evaluator's task; call before the first evaluation.
-  void adopt_cache(std::shared_ptr<SatCache> cache) {
-    if (cache != nullptr) cache_ = std::move(cache);
-  }
-  const std::shared_ptr<SatCache>& shared_cache() const { return cache_; }
-
-  /// Caps the satisfiability cache (SatCache::set_max_entries); the
-  /// budgeted planners derive this from --mem-budget-mb.
-  void set_cache_capacity(std::size_t max_entries) {
-    cache_->set_max_entries(max_entries);
-  }
-  std::size_t cache_bytes() const { return cache_->approx_memory_bytes(); }
+  /// Drops every cached verdict and releases the table's memory (the
+  /// budgeted A* planner calls this when it compacts).
+  void clear_cache() { cache_.clear(); }
+  std::size_t cache_bytes() const { return cache_.approx_memory_bytes(); }
 
   long long sat_checks() const { return sat_checks_; }
   long long cache_hits() const { return cache_hits_; }
@@ -80,7 +67,7 @@ class StateEvaluator {
   long long evaluations() const { return evaluations_; }
   long long delta_applies() const { return delta_applies_; }
   long long full_replays() const { return full_replays_; }
-  const SatCache& cache() const { return *cache_; }
+  const SatCache& cache() const { return cache_; }
 
  private:
   /// One op touching an element, keyed by its position in the canonical
@@ -104,7 +91,7 @@ class StateEvaluator {
   constraints::CompositeChecker& checker_;
   bool use_cache_;
   bool incremental_ = true;
-  std::shared_ptr<SatCache> cache_ = std::make_shared<SatCache>();
+  SatCache cache_;
   CountVector target_;
   long long sat_checks_ = 0;
   long long cache_hits_ = 0;

@@ -62,8 +62,6 @@ json::Value plan_to_json(const migration::MigrationTask& task,
       prov["warm_repair"] = plan.provenance.warm_repair;
       prov["warm_seeded_nodes"] =
           static_cast<std::int64_t>(plan.provenance.warm_seeded_nodes);
-      prov["sat_carried"] =
-          static_cast<std::int64_t>(plan.provenance.sat_carried);
     }
     root["provenance"] = Value(std::move(prov));
   }
@@ -145,8 +143,6 @@ core::Plan plan_from_json(const migration::MigrationTask& task,
     plan.provenance.warm_repair = prov.get_bool("warm_repair", false);
     plan.provenance.warm_seeded_nodes =
         static_cast<long long>(prov.get_double("warm_seeded_nodes", 0.0));
-    plan.provenance.sat_carried =
-        static_cast<long long>(prov.get_double("sat_carried", 0.0));
   }
 
   // Resolve labels: action-type label -> id, block label -> (type, index).

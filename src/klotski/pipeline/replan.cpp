@@ -132,7 +132,8 @@ bool remaining_plan_safe(migration::MigrationTask& task,
   probe.original_state = maintained_original;
   CheckerBundle bundle = make_standard_checker(probe, config);
 
-  core::StateEvaluator evaluator(probe, *bundle.checker, true);
+  // Every phase end is a distinct state, so a verdict cache could not hit.
+  core::StateEvaluator evaluator(probe, *bundle.checker, false);
   const std::vector<core::Phase> phases = plan.phases();
   for (std::size_t p = from_phase; p < phases.size(); ++p) {
     done[static_cast<std::size_t>(phases[p].type)] +=
@@ -177,6 +178,65 @@ bool contains(const std::vector<int>& items, int value) {
   throw std::invalid_argument("replan-checkpoint: " + message);
 }
 
+/// Checks a resume checkpoint against `task` before anything executes: the
+/// driver indexes per-type arrays with its counters and plan actions, so a
+/// checkpoint from another task (or a hostile peer) must fail here, not
+/// read or write out of bounds.
+void validate_resume(const ReplanCheckpoint& cp,
+                     const migration::MigrationTask& task) {
+  const std::size_t num_types = task.blocks.size();
+  if (cp.done.size() != num_types) {
+    checkpoint_fail("done arity does not match the task");
+  }
+  for (std::size_t t = 0; t < num_types; ++t) {
+    if (cp.done[t] < 0 ||
+        static_cast<std::size_t>(cp.done[t]) > task.blocks[t].size()) {
+      checkpoint_fail("done[" + std::to_string(t) + "] = " +
+                      std::to_string(cp.done[t]) + " is outside [0, " +
+                      std::to_string(task.blocks[t].size()) + "]");
+    }
+  }
+  const auto valid_type = [&](std::int32_t type) {
+    return type >= 0 && static_cast<std::size_t>(type) < num_types;
+  };
+  if (cp.last_type != migration::kNoAction && !valid_type(cp.last_type)) {
+    checkpoint_fail("last_type " + std::to_string(cp.last_type) +
+                    " is not an action type of the task");
+  }
+  for (const core::PlannedAction& a : cp.plan_actions) {
+    if (!valid_type(a.type)) {
+      checkpoint_fail("plan action type " + std::to_string(a.type) +
+                      " is not an action type of the task");
+    }
+    if (a.block_index < 0) {
+      checkpoint_fail("plan action block index " +
+                      std::to_string(a.block_index) + " is negative");
+    }
+  }
+  core::Plan plan;
+  plan.actions = cp.plan_actions;
+  const std::vector<core::Phase> phases = plan.phases();
+  if (cp.next_phase < 0 ||
+      static_cast<std::size_t>(cp.next_phase) > phases.size()) {
+    checkpoint_fail("next_phase " + std::to_string(cp.next_phase) +
+                    " is outside the plan's " +
+                    std::to_string(phases.size()) + " phases");
+  }
+  if (cp.replan_pending) return;  // the stored plan only seeds a repair
+  // Resuming execution: the rest of the plan must fit the blocks left.
+  std::vector<std::size_t> after(cp.done.begin(), cp.done.end());
+  for (std::size_t p = static_cast<std::size_t>(cp.next_phase);
+       p < phases.size(); ++p) {
+    const auto t = static_cast<std::size_t>(phases[p].type);
+    after[t] += phases[p].block_indices.size();
+    if (after[t] > task.blocks[t].size()) {
+      checkpoint_fail("the plan from next_phase runs past the " +
+                      std::to_string(task.blocks[t].size()) +
+                      " blocks of type " + std::to_string(t));
+    }
+  }
+}
+
 }  // namespace
 
 json::Value ReplanCheckpoint::to_json() const {
@@ -216,7 +276,6 @@ json::Value ReplanCheckpoint::to_json() const {
     warm["attempts"] = warm_attempts;
     warm["wins"] = warm_wins;
     warm["fallback_full"] = fallback_full;
-    warm["sat_generation"] = static_cast<std::int64_t>(sat_generation);
     root["warm"] = json::Value(std::move(warm));
   }
   json::Array consumed;
@@ -262,15 +321,14 @@ ReplanCheckpoint ReplanCheckpoint::from_json(const json::Value& value) {
   // v2 warm-state provenance. A v1 document predates warm-start replanning,
   // so the zero defaults are exact — and replan_pending stays false (v1
   // never stored a plan when a re-plan was pending, so a stored plan always
-  // meant "resume executing it").
+  // meant "resume executing it"). Older v2 writers also stored
+  // warm.sat_generation, a diagnostic nothing reads; it is ignored.
   cp.replan_pending = value.get_bool("replan_pending", false);
   if (value.as_object().contains("warm")) {
     const json::Value& warm = value.at("warm");
     cp.warm_attempts = static_cast<int>(warm.get_int("attempts", 0));
     cp.warm_wins = static_cast<int>(warm.get_int("wins", 0));
     cp.fallback_full = static_cast<int>(warm.get_int("fallback_full", 0));
-    cp.sat_generation =
-        static_cast<std::uint64_t>(warm.get_int("sat_generation", 0));
   }
   for (const json::Value& v : value.at("consumed_failures").as_array()) {
     cp.consumed_failures.push_back(static_cast<int>(v.as_int()));
@@ -319,87 +377,9 @@ ReplanResult execute_with_replanning(migration::MigrationTask& task,
   // re-plan triggered, rebased into remaining-task coordinates. One-shot:
   // the next planning round consumes it (repair attempt and/or arena seed).
   std::vector<core::PlannedAction> warm_seed;
-  // The verdict cache harvested from the last planning round together with
-  // the scenario it was computed under. Carried into the next round only
-  // when the guards in carried_cache() prove every surviving entry would
-  // reproduce verbatim (see SatCache::carried). Never checkpointed: carried
-  // entries change latency, not outcomes, so a resume without the cache
-  // replays the identical trajectory.
-  struct WarmCarry {
-    std::shared_ptr<core::SatCache> cache;
-    core::CountVector done_at;
-    std::uint64_t base_signature = 0;
-    std::vector<double> capacities;
-    traffic::DemandSet demands;
-    bool valid = false;
-  } carry;
   // Incremental symmetry for the repair gate; persists across rounds so
   // each refresh only reprocesses the dirty frontier of the refinement.
   migration::IncrementalSymmetry warm_symmetry;
-
-  auto snapshot_capacities = [&]() {
-    std::vector<double> caps;
-    caps.reserve(task.topo->num_circuits());
-    for (const topo::Circuit& c : task.topo->circuits()) {
-      caps.push_back(c.capacity_tbps);
-    }
-    return caps;
-  };
-
-  // Decides whether (and how much of) the carried verdict cache is provably
-  // still exact for a round planning `rest` from the current `done` prefix.
-  // Rules (DESIGN.md §11): any reuse requires the executed prefix and the
-  // post-overlay base state to be unchanged — only then does a count vector
-  // still materialize the identical topology. On top of that, SAT entries
-  // survive only a completely unchanged scenario, while UNSAT entries also
-  // survive demand growth and, under equal-split routing (routes ignore
-  // capacity, so load ratios only rise), capacity loss. Anything else drops
-  // the carry.
-  auto carried_cache = [&](const migration::MigrationTask& rest)
-      -> std::shared_ptr<core::SatCache> {
-    if (!carry.valid) return nullptr;
-    if (carry.done_at != done) return nullptr;
-    if (rest.original_state.signature() != carry.base_signature) {
-      return nullptr;
-    }
-    const std::vector<topo::Circuit>& circuits = task.topo->circuits();
-    if (carry.capacities.size() != circuits.size()) return nullptr;
-    bool caps_equal = true;
-    bool caps_le = true;
-    for (std::size_t i = 0; i < circuits.size(); ++i) {
-      if (circuits[i].capacity_tbps != carry.capacities[i]) {
-        caps_equal = false;
-      }
-      if (circuits[i].capacity_tbps > carry.capacities[i]) caps_le = false;
-    }
-    bool dem_equal = rest.demands.size() == carry.demands.size();
-    bool dem_ge = dem_equal;
-    for (std::size_t i = 0; dem_ge && i < rest.demands.size(); ++i) {
-      const traffic::Demand& now = rest.demands[i];
-      const traffic::Demand& then = carry.demands[i];
-      if (now.kind != then.kind || now.sources != then.sources ||
-          now.targets != then.targets) {
-        dem_equal = false;
-        dem_ge = false;
-        break;
-      }
-      if (now.volume_tbps != then.volume_tbps) dem_equal = false;
-      if (now.volume_tbps < then.volume_tbps) dem_ge = false;
-    }
-    const bool keep_sat = dem_equal && caps_equal;
-    const bool keep_unsat =
-        dem_ge &&
-        (caps_equal || (caps_le && options.checker.routing ==
-                                       traffic::SplitMode::kEqualSplit));
-    if (keep_sat && keep_unsat) return carry.cache;  // scenario unchanged
-    if (!keep_sat && !keep_unsat) return nullptr;
-    const core::CountVector zeros(done.size(), 0);
-    auto filtered = std::make_shared<core::SatCache>(carry.cache->carried(
-        zeros.data(), zeros.size(), keep_sat, keep_unsat));
-    if (filtered->size() == 0) return nullptr;
-    filtered->set_epoch_key(carry.cache->epoch_key());
-    return filtered;
-  };
 
   // The prefix-preserving repair (DESIGN.md §11): keep executing the
   // surviving suffix of the previous plan when it (a) only operates switches
@@ -408,8 +388,8 @@ ReplanResult execute_with_replanning(migration::MigrationTask& task,
   // current forecast (and under measured demand when the forecast is
   // biased), and (c) costs at most repair_cost_slack times an admissible
   // lower bound of the from-scratch optimum. On acceptance `plan` holds the
-  // suffix and the verdict carry is re-harvested; on decline `reason` says
-  // why and the caller falls back to a (still warm-seeded) full search.
+  // suffix; on decline `reason` says why and the caller falls back to a
+  // (still warm-seeded) full search.
   auto try_suffix_repair = [&](const Overlay& overlay,
                                std::string& reason) -> bool {
     migration::MigrationTask rest = remaining_task(task, done);
@@ -500,17 +480,11 @@ ReplanResult execute_with_replanning(migration::MigrationTask& task,
     }
 
     // From-scratch revalidation of every boundary state (Eq. 4-6) the
-    // suffix visits, under the current forecast. The evaluator adopts the
-    // carried verdict cache when the guards prove it exact — verdicts are
-    // identical either way, only faster.
+    // suffix visits, under the current forecast. Each boundary is a
+    // distinct state, so the evaluator runs without a verdict cache.
     obs::Span revalidate_span("replan/repair_revalidate");
     CheckerBundle bundle = make_standard_checker(rest, options.checker);
-    core::StateEvaluator evaluator(rest, *bundle.checker, true);
-    std::shared_ptr<core::SatCache> repair_cache = carried_cache(rest);
-    if (repair_cache == nullptr) {
-      repair_cache = std::make_shared<core::SatCache>();
-    }
-    evaluator.adopt_cache(repair_cache);
+    core::StateEvaluator evaluator(rest, *bundle.checker, false);
 
     double suffix_cost = 0.0;
     bool safe = true;
@@ -571,23 +545,12 @@ ReplanResult execute_with_replanning(migration::MigrationTask& task,
     repaired.cost = suffix_cost;
     repaired.provenance.warm_repair = true;
     plan = std::move(repaired);
-
-    repair_cache->set_epoch_key(task.topo->state_version());
-    carry.cache = std::move(repair_cache);
-    carry.done_at = done;
-    carry.base_signature = rest.original_state.signature();
-    carry.capacities = snapshot_capacities();
-    carry.demands = std::move(rest.demands);
-    carry.valid = true;
     return true;
   };
 
   if (options.resume != nullptr) {
     const ReplanCheckpoint& cp = *options.resume;
-    if (cp.done.size() != done.size()) {
-      throw std::invalid_argument(
-          "replan-checkpoint: done arity does not match the task");
-    }
+    validate_resume(cp, task);
     done = cp.done;
     result.phases_executed = cp.phases_executed;
     result.executed_cost = cp.executed_cost;
@@ -673,7 +636,6 @@ ReplanResult execute_with_replanning(migration::MigrationTask& task,
       // and graceful degradation to the fallback planner after max_replans.
       bool use_truth = false;
       int plan_attempt = 0;
-      core::WarmStart warm_start;
       for (;;) {
         migration::MigrationTask rest = remaining_task(task, done);
         const bool biased = !use_truth && forecaster.biased_at(step);
@@ -703,22 +665,15 @@ ReplanResult execute_with_replanning(migration::MigrationTask& task,
             fallback_active ? *fallback : planner;
 
         // Warm search (DESIGN.md §11): seed the arena with the surviving
-        // suffix and adopt the carried verdict cache when provably exact.
-        // Both are pure accelerators — the planner's result is identical to
-        // a cold run — and the shared cache doubles as the harvest vehicle
-        // for the next epoch's carry. The fallback planner always runs
-        // cold: its plans must not depend on the primary's artifacts.
+        // suffix. A pure accelerator — the planner's result is identical to
+        // a cold run. The fallback planner always runs cold: its plans must
+        // not depend on the primary's artifacts.
         core::PlannerOptions round_options = options.planner_options;
+        core::WarmStart warm_start;
         if (options.warm_repair && !fallback_active) {
-          warm_start = core::WarmStart{};
           warm_start.seed_actions = warm_seed;
-          warm_start.sat_cache = carried_cache(rest);
-          if (warm_start.sat_cache == nullptr) {
-            warm_start.sat_cache = std::make_shared<core::SatCache>();
-          }
           round_options.warm = &warm_start;
-          round_seeded = !warm_start.seed_actions.empty() ||
-                         warm_start.sat_cache->size() > 0;
+          round_seeded = !warm_start.seed_actions.empty();
         }
 
         CheckerBundle bundle = make_standard_checker(rest, options.checker);
@@ -771,20 +726,6 @@ ReplanResult execute_with_replanning(migration::MigrationTask& task,
           obs::Registry::global().counter("replan.bias_replans").inc();
           use_truth = true;
           continue;
-        }
-
-        // Harvest this round's verdicts as the next epoch's carry. The
-        // cache is shared with the planner's evaluator, so it already holds
-        // every verdict the search derived; the scenario snapshot lets
-        // carried_cache() decide later how much of it survives.
-        if (round_options.warm != nullptr) {
-          warm_start.sat_cache->set_epoch_key(task.topo->state_version());
-          carry.cache = warm_start.sat_cache;
-          carry.done_at = done;
-          carry.base_signature = rest.original_state.signature();
-          carry.capacities = snapshot_capacities();
-          carry.demands = std::move(rest.demands);
-          carry.valid = true;
         }
         break;
       }
@@ -968,7 +909,6 @@ ReplanResult execute_with_replanning(migration::MigrationTask& task,
         cp.warm_attempts = result.warm_attempts;
         cp.warm_wins = result.warm_wins;
         cp.fallback_full = result.fallback_full;
-        cp.sat_generation = carry.valid ? carry.cache->epoch_key() : 0;
         // v2 stores the plan even when a re-plan is pending: the resume
         // rebuilds the warm-repair seed from its suffix, keeping the
         // resumed trajectory identical to the uninterrupted one.

@@ -122,12 +122,10 @@ struct ReplanCheckpoint {
   /// the warm-repair seed, reproducing the uninterrupted run's decision.
   bool replan_pending = false;
   /// v2 warm-state provenance: repair/fallback counters so a resumed run's
-  /// totals match the uninterrupted run, and the carried SatCache's epoch
-  /// key (generation id; diagnostic — verdicts are re-derived, not stored).
+  /// totals match the uninterrupted run.
   int warm_attempts = 0;
   int warm_wins = 0;
   int fallback_full = 0;
-  std::uint64_t sat_generation = 0;
   /// Failure injections already consumed (ReplanOptions::failing_phases
   /// entries must fire at most once per phase index).
   std::vector<int> consumed_failures;
@@ -172,10 +170,10 @@ struct ReplanOptions {
   /// the suffix is revalidated from scratch (fresh checker, current
   /// forecast/topology/overlay) and accepted when its cost stays within
   /// repair_cost_slack times an admissible lower bound of the from-scratch
-  /// optimum. On rejection the full planning round still runs warm — arena
-  /// seeds from the suffix plus the carried verdict cache — so either path
-  /// beats a cold restart. false = every re-plan is cold (the
-  /// --no-warm-repair ablation; also what checkpoint-v1 era behavior was).
+  /// optimum. On rejection the full planning round still runs warm — its
+  /// arena seeded from the suffix — so either path beats a cold restart.
+  /// false = every re-plan is cold (the --no-warm-repair ablation; also what
+  /// checkpoint-v1 era behavior was).
   bool warm_repair = true;
   double repair_cost_slack = 1.25;
 
@@ -195,6 +193,9 @@ struct ReplanOptions {
   /// Resume a previous run from its checkpoint instead of starting fresh.
   /// The caller must pass the same task / forecaster / options as the
   /// original run (the checkpoint stores execution position, not inputs).
+  /// A checkpoint whose counters or plan do not fit the task (arity, done
+  /// counts, action types, next_phase, blocks left) is rejected with
+  /// std::invalid_argument before anything executes.
   const ReplanCheckpoint* resume = nullptr;
 };
 
@@ -203,7 +204,7 @@ struct ReplanOptions {
 struct ReplanRound {
   int step = 0;            // forecast step the round planned at
   bool warm = false;        // suffix repair won — no search ran
-  bool warm_seeded = false;  // a full search ran, but warm-seeded
+  bool warm_seeded = false;  // a full search ran, handed the suffix as seed
   double seconds = 0.0;     // wall clock of the whole round
 };
 

@@ -6,6 +6,7 @@
 #include "klotski/core/dp_planner.h"
 #include "klotski/pipeline/audit.h"
 #include "klotski/pipeline/edp.h"
+#include "klotski/pipeline/experiments.h"
 
 namespace klotski::core {
 namespace {
@@ -144,6 +145,54 @@ TEST(PlannerVariants, NoCacheIsOptimalWithMoreChecks) {
   EXPECT_DOUBLE_EQ(with_cache.cost, without_cache.cost);
   EXPECT_GE(without_cache.stats.sat_checks, with_cache.stats.sat_checks);
   EXPECT_EQ(without_cache.stats.cache_hits, 0);
+}
+
+TEST(PlannerVariants, DpLatticeIsItsOwnVerdictCache) {
+  // DP keeps every lattice cell's verdict in its safe[] table, so the §4.2
+  // switch changes nothing there: the same plan, the same counters, and no
+  // cache hit either way.
+  struct Case {
+    topo::TopologyFamily family;
+    topo::PresetId id;
+    const char* name;
+  };
+  for (const Case& c : {Case{topo::TopologyFamily::kClos, topo::PresetId::kA,
+                             "clos A"},
+                        Case{topo::TopologyFamily::kClos, topo::PresetId::kB,
+                             "clos B"},
+                        Case{topo::TopologyFamily::kClos, topo::PresetId::kC,
+                             "clos C"},
+                        Case{topo::TopologyFamily::kFlat, topo::PresetId::kA,
+                             "flat A"},
+                        Case{topo::TopologyFamily::kReconf,
+                             topo::PresetId::kA, "reconf A"}}) {
+    SCOPED_TRACE(c.name);
+    const auto run = [&](bool use_cache) {
+      migration::MigrationCase mig = pipeline::build_family_experiment(
+          c.family, c.id, topo::PresetScale::kReduced);
+      pipeline::CheckerBundle bundle =
+          pipeline::make_standard_checker(mig.task, {});
+      PlannerOptions options;
+      options.use_satisfiability_cache = use_cache;
+      return DpPlanner().plan(mig.task, *bundle.checker, options);
+    };
+    const Plan on = run(true);
+    const Plan off = run(false);
+    ASSERT_TRUE(on.found) << on.failure;
+    ASSERT_TRUE(off.found) << off.failure;
+    EXPECT_EQ(on.actions, off.actions);
+    EXPECT_EQ(on.cost, off.cost);
+    EXPECT_EQ(on.stats.visited_states, off.stats.visited_states);
+    EXPECT_EQ(on.stats.generated_states, off.stats.generated_states);
+    EXPECT_EQ(on.stats.sat_checks, off.stats.sat_checks);
+    EXPECT_EQ(on.stats.cache_hits, off.stats.cache_hits);
+    EXPECT_EQ(on.stats.evaluations, off.stats.evaluations);
+    EXPECT_EQ(on.stats.delta_applies, off.stats.delta_applies);
+    EXPECT_EQ(on.stats.full_replays, off.stats.full_replays);
+    EXPECT_EQ(on.stats.frontier_peak, off.stats.frontier_peak);
+    EXPECT_EQ(on.stats.cache_hits, 0);
+    EXPECT_EQ(on.stats.evaluations, on.stats.sat_checks);
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -60,58 +60,28 @@ TEST(SatCache, MemoryFootprintIsCompact) {
   EXPECT_LT(cache.approx_memory_bytes(), 2u * 1024 * 1024);
 }
 
-TEST(SatCache, EntryCapBoundsSizeAndCountsEvictions) {
+TEST(SatCache, ClearReleasesItsMemoryAndKeepsWorking) {
+  // The budgeted A* planner clears the table when it compacts: the bytes
+  // must really go (they count against the budget), and the table must
+  // serve the rest of the search as if new.
   SatCache cache;
-  cache.set_max_entries(100);
-  for (std::int32_t i = 0; i < 1000; ++i) {
-    cache.store({i, 0}, true);
-  }
-  // Two generations of at most max_entries each: size can never exceed 2x
-  // the cap no matter how many distinct states are stored.
-  EXPECT_LE(cache.size(), 200u);
-  EXPECT_GT(cache.evictions(), 0u);
-  EXPECT_EQ(cache.evictions() + cache.size(), 1000u);
-}
+  for (std::int32_t i = 0; i < 1000; ++i) cache.store({i, 3}, i % 3 != 0);
+  const std::size_t filled = cache.approx_memory_bytes();
+  EXPECT_GT(filled, 1000u * 2 * sizeof(std::int32_t));
+  cache.clear();
+  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_EQ(cache.approx_memory_bytes(), 0u);
+  EXPECT_FALSE(cache.lookup({0, 3}).has_value());
 
-TEST(SatCache, RecentlyTouchedEntriesSurviveRotation) {
-  // Generational eviction is LRU-ish: an old-generation hit promotes the
-  // entry to the current generation, so states the search keeps probing
-  // outlive rotations that drop cold entries.
-  SatCache cache;
-  cache.set_max_entries(64);
-  cache.store({-1, -1}, false);
-  for (std::int32_t i = 0; i < 1000; ++i) {
-    cache.store({i, 7}, true);
-    // Touch the hot key on every store so it is always promoted before its
-    // generation is dropped.
-    ASSERT_TRUE(cache.lookup({-1, -1}).has_value()) << "lost after " << i;
-  }
-  ASSERT_TRUE(cache.lookup({-1, -1}).has_value());
-  EXPECT_FALSE(*cache.lookup({-1, -1}));
-  // A key stored early and never touched again was evicted long ago.
-  EXPECT_FALSE(cache.lookup({0, 7}).has_value());
-}
-
-TEST(SatCache, FirstStoreWinsAcrossGenerations) {
-  SatCache cache;
-  cache.set_max_entries(4);
-  cache.store({9, 9}, true);
-  // Push enough distinct keys to rotate {9, 9} into the old generation,
-  // then try to overwrite it: the original verdict must survive.
-  for (std::int32_t i = 0; i < 4; ++i) cache.store({i, 1}, false);
-  cache.store({9, 9}, false);
-  ASSERT_TRUE(cache.lookup({9, 9}).has_value());
-  EXPECT_TRUE(*cache.lookup({9, 9}));
-}
-
-TEST(SatCache, CapOfOneStillServesHits) {
-  SatCache cache;
-  cache.set_max_entries(1);
-  cache.store({5}, true);
-  ASSERT_TRUE(cache.lookup({5}).has_value());
-  cache.store({6}, false);
-  ASSERT_TRUE(cache.lookup({6}).has_value());
-  EXPECT_FALSE(*cache.lookup({6}));
+  // A cleared verdict can be stored again, even the opposite one.
+  cache.store({0, 3}, true);
+  cache.store({1, 3}, false);
+  ASSERT_TRUE(cache.lookup({0, 3}).has_value());
+  EXPECT_TRUE(*cache.lookup({0, 3}));
+  ASSERT_TRUE(cache.lookup({1, 3}).has_value());
+  EXPECT_FALSE(*cache.lookup({1, 3}));
+  EXPECT_EQ(cache.size(), 2u);
+  EXPECT_LT(cache.approx_memory_bytes(), filled);
 }
 
 }  // namespace

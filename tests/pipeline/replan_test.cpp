@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "../test_helpers.h"
 #include "klotski/core/astar_planner.h"
 #include "klotski/pipeline/replan.h"
@@ -304,6 +309,122 @@ TEST(Replan, ResumeRejectsCheckpointFromAnotherTask) {
       std::invalid_argument);
 }
 
+// ---- Resume validation: a checkpoint is untrusted input (the daemon's
+// replan method takes it from the socket), so every field the driver uses
+// as an index is checked before anything executes. ----
+
+namespace {
+
+/// A checkpoint from a real run of small_hgrid_case that resumes executing
+/// its stored plan (no re-plan pending), with at least one phase left.
+ReplanCheckpoint resumable_checkpoint() {
+  migration::MigrationCase mig = small_hgrid_case();
+  traffic::Forecaster forecaster(mig.task.demands, 0.0);
+  core::AStarPlanner planner;
+  ReplanOptions options;
+  std::vector<ReplanCheckpoint> checkpoints;
+  options.checkpoint_sink = [&](const ReplanCheckpoint& cp) {
+    checkpoints.push_back(cp);
+  };
+  execute_with_replanning(mig.task, planner, forecaster, options);
+  for (const ReplanCheckpoint& cp : checkpoints) {
+    if (!cp.plan_actions.empty() && !cp.replan_pending) return cp;
+  }
+  return {};
+}
+
+/// Resumes small_hgrid_case from `cp`: the driver must refuse it with
+/// std::invalid_argument and leave the topology exactly as it found it.
+void expect_resume_rejected(const ReplanCheckpoint& cp) {
+  migration::MigrationCase mig = small_hgrid_case();
+  traffic::Forecaster forecaster(mig.task.demands, 0.0);
+  core::AStarPlanner planner;
+  ReplanOptions options;
+  options.resume = &cp;
+  const std::uint64_t version = mig.task.topo->state_version();
+  try {
+    execute_with_replanning(mig.task, planner, forecaster, options);
+    ADD_FAILURE() << "resume accepted a malformed checkpoint";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(std::string(e.what()).rfind("replan-checkpoint: ", 0), 0u)
+        << e.what();
+  }
+  EXPECT_EQ(mig.task.topo->state_version(), version);
+  EXPECT_TRUE(mig.task.original_state ==
+              topo::TopologyState::capture(*mig.task.topo));
+}
+
+}  // namespace
+
+TEST(Replan, ResumeRejectsMalformedCheckpointFields) {
+  const ReplanCheckpoint valid = resumable_checkpoint();
+  ASSERT_FALSE(valid.plan_actions.empty());
+  {
+    // Unmodified, the checkpoint resumes to completion.
+    migration::MigrationCase mig = small_hgrid_case();
+    traffic::Forecaster forecaster(mig.task.demands, 0.0);
+    core::AStarPlanner planner;
+    ReplanOptions options;
+    options.resume = &valid;
+    EXPECT_TRUE(execute_with_replanning(mig.task, planner, forecaster,
+                                        options)
+                    .completed);
+  }
+
+  const migration::MigrationCase mig = small_hgrid_case();
+  const auto blocks_of = [&](std::size_t t) {
+    return static_cast<std::int32_t>(mig.task.blocks[t].size());
+  };
+  const auto types = static_cast<std::int32_t>(mig.task.blocks.size());
+  core::Plan plan;
+  plan.actions = valid.plan_actions;
+  const std::vector<core::Phase> phases = plan.phases();
+  const auto next_type = static_cast<std::size_t>(
+      phases[static_cast<std::size_t>(valid.next_phase)].type);
+
+  using Mutation = std::function<void(ReplanCheckpoint&)>;
+  const std::vector<std::pair<std::string, Mutation>> mutations = {
+      {"done[0] = -1", [](ReplanCheckpoint& cp) { cp.done[0] = -1; }},
+      {"done[0] past its blocks",
+       [&](ReplanCheckpoint& cp) { cp.done[0] = blocks_of(0) + 1; }},
+      {"last_type = type count",
+       [&](ReplanCheckpoint& cp) { cp.last_type = types; }},
+      {"last_type = 7", [](ReplanCheckpoint& cp) { cp.last_type = 7; }},
+      {"last_type = -3", [](ReplanCheckpoint& cp) { cp.last_type = -3; }},
+      {"action type 100000000",
+       [](ReplanCheckpoint& cp) { cp.plan_actions.back().type = 100000000; }},
+      {"action type 7",
+       [](ReplanCheckpoint& cp) { cp.plan_actions.back().type = 7; }},
+      {"action type -3",
+       [](ReplanCheckpoint& cp) { cp.plan_actions.back().type = -3; }},
+      // A pending re-plan only seeds a repair from the stored plan, but its
+      // actions must name real types all the same.
+      {"action type 7, re-plan pending",
+       [](ReplanCheckpoint& cp) {
+         cp.plan_actions.back().type = 7;
+         cp.replan_pending = true;
+       }},
+      {"block index -1",
+       [](ReplanCheckpoint& cp) { cp.plan_actions.back().block_index = -1; }},
+      {"next_phase past the plan",
+       [&](ReplanCheckpoint& cp) {
+         cp.next_phase = static_cast<int>(phases.size()) + 1;
+       }},
+      // Every block of the next phase's type already done: executing the
+      // rest of the plan would operate blocks that do not exist.
+      {"plan runs past the blocks left",
+       [&](ReplanCheckpoint& cp) {
+         cp.done[next_type] = blocks_of(next_type);
+       }},
+  };
+  for (const auto& [name, mutate] : mutations) {
+    SCOPED_TRACE(name);
+    ReplanCheckpoint cp = valid;
+    mutate(cp);
+    expect_resume_rejected(cp);
+  }
+}
+
 namespace {
 
 /// Fails phase 1 on its first attempt after pushing two ops of its block
@@ -456,17 +577,16 @@ TEST(ReplanCheckpointV2, RoundTripPreservesWarmState) {
   cp.warm_attempts = 5;
   cp.warm_wins = 3;
   cp.fallback_full = 2;
-  cp.sat_generation = 42;
 
   const json::Value doc = json::parse(json::dump(cp.to_json()));
   EXPECT_EQ(doc.get_string("schema", ""), "klotski.replan-checkpoint.v2");
+  EXPECT_FALSE(doc.at("warm").as_object().contains("sat_generation"));
   const ReplanCheckpoint back = ReplanCheckpoint::from_json(doc);
   EXPECT_EQ(back.done, cp.done);
   EXPECT_EQ(back.replan_pending, true);
   EXPECT_EQ(back.warm_attempts, 5);
   EXPECT_EQ(back.warm_wins, 3);
   EXPECT_EQ(back.fallback_full, 2);
-  EXPECT_EQ(back.sat_generation, 42u);
   EXPECT_EQ(back.plan_actions.size(), 2u);
 }
 
@@ -499,7 +619,113 @@ TEST(ReplanCheckpointV2, LoadsV1DocumentsWithZeroWarmDefaults) {
   EXPECT_EQ(back.warm_attempts, 0);
   EXPECT_EQ(back.warm_wins, 0);
   EXPECT_EQ(back.fallback_full, 0);
-  EXPECT_EQ(back.sat_generation, 0u);
+}
+
+namespace {
+
+/// Adds the warm.sat_generation key that earlier v2 writers stored (the
+/// epoch key of a verdict cache carried between planning rounds).
+json::Value with_sat_generation(const json::Value& doc, std::int64_t value) {
+  json::Object root = doc.as_object();
+  json::Object warm = root["warm"].as_object();
+  warm["sat_generation"] = value;
+  root["warm"] = json::Value(std::move(warm));
+  return json::Value(std::move(root));
+}
+
+void expect_same_checkpoint(const ReplanCheckpoint& a,
+                            const ReplanCheckpoint& b) {
+  EXPECT_EQ(a.phases_executed, b.phases_executed);
+  EXPECT_EQ(a.step, b.step);
+  EXPECT_EQ(a.next_phase, b.next_phase);
+  EXPECT_EQ(a.planning_runs, b.planning_runs);
+  EXPECT_EQ(a.last_plan_step, b.last_plan_step);
+  EXPECT_EQ(a.phase_retries, b.phase_retries);
+  EXPECT_EQ(a.fallback_active, b.fallback_active);
+  EXPECT_EQ(a.fallback_plans, b.fallback_plans);
+  EXPECT_EQ(a.last_type, b.last_type);
+  EXPECT_EQ(a.executed_cost, b.executed_cost);
+  EXPECT_EQ(a.state_version, b.state_version);
+  EXPECT_EQ(a.done, b.done);
+  EXPECT_EQ(a.plan_actions, b.plan_actions);
+  EXPECT_EQ(a.plan_cost, b.plan_cost);
+  EXPECT_EQ(a.plan_planner, b.plan_planner);
+  EXPECT_EQ(a.replan_pending, b.replan_pending);
+  EXPECT_EQ(a.warm_attempts, b.warm_attempts);
+  EXPECT_EQ(a.warm_wins, b.warm_wins);
+  EXPECT_EQ(a.fallback_full, b.fallback_full);
+  EXPECT_EQ(a.consumed_failures, b.consumed_failures);
+}
+
+}  // namespace
+
+TEST(ReplanCheckpointV2, LoadsDocumentsThatStillCarrySatGeneration) {
+  ReplanCheckpoint cp;
+  cp.done = core::CountVector{2, 1};
+  cp.phases_executed = 3;
+  cp.step = 7;
+  cp.next_phase = 2;
+  cp.planning_runs = 4;
+  cp.last_plan_step = 5;
+  cp.phase_retries = 1;
+  cp.fallback_active = true;
+  cp.fallback_plans = 1;
+  cp.last_type = 1;
+  cp.executed_cost = 3.5;
+  cp.state_version = 99;
+  cp.plan_planner = "astar";
+  cp.plan_cost = 6.0;
+  cp.plan_actions = {core::PlannedAction{0, 2}, core::PlannedAction{1, 1}};
+  cp.replan_pending = true;
+  cp.warm_attempts = 5;
+  cp.warm_wins = 3;
+  cp.fallback_full = 2;
+  cp.consumed_failures = {1, 4};
+
+  const json::Value old_doc = json::parse(
+      json::dump(with_sat_generation(cp.to_json(), 42)));
+  EXPECT_EQ(old_doc.get_string("schema", ""), "klotski.replan-checkpoint.v2");
+  expect_same_checkpoint(ReplanCheckpoint::from_json(old_doc), cp);
+}
+
+TEST(ReplanCheckpointV2, ResumeFromADocumentCarryingSatGenerationMatches) {
+  // The resume half of the compatibility claim: a checkpoint written with
+  // warm.sat_generation resumes into the uninterrupted run's outcome, on a
+  // trajectory that re-plans (drift) and retries a failed phase.
+  migration::MigrationCase mig = small_hgrid_case();
+  traffic::Forecaster forecaster = surging_forecaster(mig.task);
+  core::AStarPlanner planner;
+  ReplanOptions options;
+  options.failing_phases = {1};
+  std::vector<ReplanCheckpoint> checkpoints;
+  options.checkpoint_sink = [&](const ReplanCheckpoint& cp) {
+    checkpoints.push_back(cp);
+  };
+  const ReplanResult full =
+      execute_with_replanning(mig.task, planner, forecaster, options);
+  ASSERT_TRUE(full.completed) << full.failure;
+  ASSERT_GE(checkpoints.size(), 2u);
+
+  for (std::size_t at = 0; at + 1 < checkpoints.size(); ++at) {
+    SCOPED_TRACE("checkpoint " + std::to_string(at));
+    const ReplanCheckpoint restored = ReplanCheckpoint::from_json(json::parse(
+        json::dump(with_sat_generation(checkpoints[at].to_json(), 7))));
+    migration::MigrationCase mig2 = small_hgrid_case();
+    traffic::Forecaster forecaster2 = surging_forecaster(mig2.task);
+    ReplanOptions options2;
+    options2.failing_phases = {1};
+    options2.resume = &restored;
+    const ReplanResult resumed =
+        execute_with_replanning(mig2.task, planner, forecaster2, options2);
+    ASSERT_TRUE(resumed.completed) << resumed.failure;
+    EXPECT_EQ(resumed.phases_executed, full.phases_executed);
+    EXPECT_EQ(resumed.executed_cost, full.executed_cost);  // bit-exact
+    EXPECT_EQ(resumed.replans, full.replans);
+    EXPECT_EQ(resumed.phase_retries, full.phase_retries);
+    EXPECT_EQ(resumed.warm_attempts, full.warm_attempts);
+    EXPECT_EQ(resumed.warm_wins, full.warm_wins);
+    EXPECT_EQ(resumed.fallback_full, full.fallback_full);
+  }
 }
 
 }  // namespace

@@ -18,12 +18,14 @@
 
 #include "klotski/json/canonical.h"
 #include "klotski/json/json.h"
+#include "klotski/npd/npd.h"
 #include "klotski/npd/npd_io.h"
 #include "klotski/obs/metrics.h"
 #include "klotski/pipeline/audit.h"
 #include "klotski/pipeline/edp.h"
 #include "klotski/pipeline/experiments.h"
 #include "klotski/pipeline/plan_export.h"
+#include "klotski/pipeline/replan.h"
 #include "klotski/serve/client.h"
 #include "klotski/serve/job_manager.h"
 #include "klotski/serve/plan_cache.h"
@@ -565,6 +567,40 @@ TEST(PlanServiceWhatIf, MalformedParamsBecomeErrorResponses) {
   EXPECT_EQ(resp.status, "error");
 }
 
+// --- replan resume tokens ------------------------------------------------
+
+/// A replan request resuming from a checkpoint whose stored plan names an
+/// action type the task does not have. The checkpoint arrives from the
+/// socket, so the driver must refuse it instead of indexing its per-type
+/// counters with that type.
+Request replan_with_bad_type_request(const std::string& id) {
+  const json::Value npd = preset_npd_json();
+  pipeline::ReplanCheckpoint cp;
+  cp.done.assign(npd::build_case(npd::from_json(npd)).task.blocks.size(), 0);
+  cp.plan_planner = "astar";
+  cp.plan_cost = 1.0;
+  cp.plan_actions = {core::PlannedAction{100000000, 0}};
+  Request req;
+  req.id = id;
+  req.method = "replan";
+  json::Object params;
+  params["npd"] = npd;
+  params["checkpoint"] = cp.to_json();
+  req.params = json::Value(std::move(params));
+  return req;
+}
+
+TEST(PlanServiceReplan, CheckpointNamingAnUnknownActionTypeIsAnError) {
+  PlanService service(service_options());
+  std::atomic<bool> stop{false};
+  const Response resp =
+      service.execute(replan_with_bad_type_request("bad-cp"), stop);
+  EXPECT_EQ(resp.status, "error");
+  EXPECT_EQ(resp.id, "bad-cp");
+  EXPECT_NE(resp.error.find("replan-checkpoint"), std::string::npos)
+      << resp.error;
+}
+
 // --- server round trip ---------------------------------------------------
 
 class ServerRoundTrip : public ::testing::Test {
@@ -721,6 +757,16 @@ TEST_F(ServerRoundTrip, MalformedAndUnknownRequests) {
             "error");
   EXPECT_EQ(client.call("poll", json::Value(json::Object{})).status,
             "error");
+}
+
+TEST_F(ServerRoundTrip, MalformedCheckpointIsAnsweredAndServingGoesOn) {
+  Client client(socket_path_);
+  const Response bad = client.call(replan_with_bad_type_request("cp-1"));
+  EXPECT_EQ(bad.status, "error");
+  EXPECT_EQ(bad.id, "cp-1");
+  const Response next = client.call(plan_request(0.75, "after"));
+  ASSERT_TRUE(next.ok()) << next.error;
+  EXPECT_EQ(next.id, "after");
 }
 
 TEST_F(ServerRoundTrip, DrainStopsAdmissionAndCompletes) {
