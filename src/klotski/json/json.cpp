@@ -62,9 +62,23 @@ bool Value::as_bool() const {
 std::int64_t Value::as_int() const {
   if (const auto* i = std::get_if<std::int64_t>(&data_)) return *i;
   if (const auto* d = std::get_if<double>(&data_)) {
-    if (std::floor(*d) == *d) return static_cast<std::int64_t>(*d);
+    // [-2^63, 2^63): the doubles whose int64 conversion is defined.
+    if (std::floor(*d) == *d && *d >= -0x1p63 && *d < 0x1p63) {
+      return static_cast<std::int64_t>(*d);
+    }
   }
   type_error("int", type());
+}
+
+std::int64_t Value::as_int_in(const std::string& field, std::int64_t min,
+                              std::int64_t max) const {
+  const std::int64_t v = as_int();
+  if (v < min || v > max) {
+    throw JsonError("json: " + field + " = " + std::to_string(v) +
+                    " is outside [" + std::to_string(min) + ", " +
+                    std::to_string(max) + "]");
+  }
+  return v;
 }
 
 double Value::as_double() const {
@@ -110,6 +124,12 @@ std::int64_t Value::get_int(const std::string& key,
                             std::int64_t fallback) const {
   const Value* v = as_object().find(key);
   return v == nullptr ? fallback : v->as_int();
+}
+
+std::int64_t Value::get_int_in(const std::string& key, std::int64_t fallback,
+                               std::int64_t min, std::int64_t max) const {
+  const Value* v = as_object().find(key);
+  return v == nullptr ? fallback : v->as_int_in(key, min, max);
 }
 
 double Value::get_double(const std::string& key, double fallback) const {

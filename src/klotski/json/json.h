@@ -75,7 +75,12 @@ class Value {
 
   /// Typed accessors; throw JsonError on mismatch.
   bool as_bool() const;
-  std::int64_t as_int() const;   // accepts integral doubles
+  std::int64_t as_int() const;   // accepts integral doubles in int64 range
+  /// as_int() checked against [min, max]: throws JsonError naming `field`
+  /// and the range when the integer lies outside it. Untrusted documents
+  /// narrow integers through this, never through a bare cast.
+  std::int64_t as_int_in(const std::string& field, std::int64_t min,
+                         std::int64_t max) const;
   double as_double() const;      // accepts ints
   const std::string& as_string() const;
   const Array& as_array() const;
@@ -87,6 +92,9 @@ class Value {
   const Value& at(const std::string& key) const;
   /// Optional lookups returning a fallback on missing key.
   std::int64_t get_int(const std::string& key, std::int64_t fallback) const;
+  /// get_int() with the range check of as_int_in(); the error names `key`.
+  std::int64_t get_int_in(const std::string& key, std::int64_t fallback,
+                          std::int64_t min, std::int64_t max) const;
   double get_double(const std::string& key, double fallback) const;
   std::string get_string(const std::string& key,
                          const std::string& fallback) const;

@@ -16,7 +16,7 @@ using topo::Topology;
 namespace {
 
 /// Initial coloring: everything a constraint can see locally on the switch
-/// itself, hashed so an attribute edit recolors only that switch.
+/// itself.
 std::uint64_t initial_color(const topo::Switch& s) {
   std::uint64_t h = util::hash_combine(0x9E3779B97F4A7C15ULL,
                                        static_cast<std::uint64_t>(s.role));
@@ -59,34 +59,30 @@ std::size_t distinct_colors(const std::vector<std::uint64_t>& colors) {
   return seen.size();
 }
 
-/// Full refinement to the fixed point. Appends the initial colors and every
-/// refined round to `rounds`; the back() is the fixed-point coloring. The
-/// class count is strictly increasing, so at most |S| rounds. Colors are
+/// Full refinement to the fixed point; returns the fixed-point coloring.
+/// The class count is strictly increasing, so at most |S| rounds. Colors are
 /// hashes — two switches share a color iff they are 1-WL equivalent (up to
 /// a 2^-64 collision, the same bet the planner's state hashing makes).
-void run_refinement(const Topology& topo,
-                    const std::vector<std::uint64_t>& edge_sigs,
-                    std::vector<std::vector<std::uint64_t>>& rounds) {
+std::vector<std::uint64_t> run_refinement(
+    const Topology& topo, const std::vector<std::uint64_t>& edge_sigs) {
   const std::size_t n = topo.num_switches();
-  rounds.clear();
-  rounds.emplace_back(n);
+  std::vector<std::uint64_t> prev(n);
   for (const topo::Switch& s : topo.switches()) {
-    rounds.back()[static_cast<std::size_t>(s.id)] = initial_color(s);
+    prev[static_cast<std::size_t>(s.id)] = initial_color(s);
   }
-  std::size_t num_colors = distinct_colors(rounds.back());
+  std::size_t num_colors = distinct_colors(prev);
 
+  std::vector<std::uint64_t> next(n);
   std::vector<std::uint64_t> scratch;
   while (true) {
-    const std::vector<std::uint64_t>& prev = rounds.back();
-    std::vector<std::uint64_t> next(n);
     for (std::size_t i = 0; i < n; ++i) {
       next[i] = refine_one(topo, static_cast<SwitchId>(i), edge_sigs, prev,
                            scratch);
     }
     const std::size_t next_colors = distinct_colors(next);
-    rounds.push_back(std::move(next));
-    if (next_colors == num_colors) break;  // fixed point
+    if (next_colors == num_colors) return next;  // fixed point
     num_colors = next_colors;
+    prev.swap(next);
   }
 }
 
@@ -129,9 +125,7 @@ SymmetryPartition compute_symmetry(const Topology& topo) {
   for (std::size_t c = 0; c < topo.num_circuits(); ++c) {
     edge_sigs[c] = edge_signature(topo.circuits()[c]);
   }
-  std::vector<std::vector<std::uint64_t>> rounds;
-  run_refinement(topo, edge_sigs, rounds);
-  return build_partition(rounds.back());
+  return build_partition(run_refinement(topo, edge_sigs));
 }
 
 bool equivalent(const SymmetryPartition& partition, SwitchId a, SwitchId b) {
@@ -139,208 +133,29 @@ bool equivalent(const SymmetryPartition& partition, SwitchId a, SwitchId b) {
          partition.class_of[static_cast<std::size_t>(b)];
 }
 
-void IncrementalSymmetry::diff_dirty(
-    const Topology& topo, std::vector<SwitchId>& dirty_switches,
-    std::vector<CircuitId>& dirty_circuits) const {
-  // The cached round-0 colors are a pure hash of each switch's attributes,
-  // so they double as the attribute snapshot; likewise edge_sigs_ for
-  // circuits. Comparing against them filters journal entries that changed
-  // and changed back, and replaces the journal entirely when coverage was
-  // lost (bump_state_version restarts it).
-  const std::vector<std::uint64_t>& initial = rounds_.front();
-  for (const topo::Switch& s : topo.switches()) {
-    if (initial_color(s) != initial[static_cast<std::size_t>(s.id)]) {
-      dirty_switches.push_back(s.id);
-    }
-  }
-  for (std::size_t c = 0; c < topo.num_circuits(); ++c) {
-    if (edge_signature(topo.circuits()[c]) != edge_sigs_[c]) {
-      dirty_circuits.push_back(static_cast<CircuitId>(c));
-    }
-  }
-}
-
-void IncrementalSymmetry::compute_changed(const SymmetryPartition& before) {
+std::vector<SwitchId> changed_switches(const SymmetryPartition& before,
+                                       const SymmetryPartition& after) {
   // A switch's interchangeability context changed iff its old class and new
   // class differ as member sets. Old blocks partition the switches, and
   // block member lists are ascending, so one vector compare per old block
   // covers every switch in O(|S|) total.
-  changed_switches_.clear();
-  if (before.class_of.size() != partition_.class_of.size()) {
-    for (std::size_t i = 0; i < partition_.class_of.size(); ++i) {
-      changed_switches_.push_back(static_cast<SwitchId>(i));
+  std::vector<SwitchId> changed;
+  if (before.class_of.size() != after.class_of.size()) {
+    for (std::size_t i = 0; i < after.class_of.size(); ++i) {
+      changed.push_back(static_cast<SwitchId>(i));
     }
-    return;
+    return changed;
   }
   for (const std::vector<SwitchId>& old_block : before.blocks) {
     if (old_block.empty()) continue;
     const auto new_class = static_cast<std::size_t>(
-        partition_.class_of[static_cast<std::size_t>(old_block.front())]);
-    if (old_block != partition_.blocks[new_class]) {
-      changed_switches_.insert(changed_switches_.end(), old_block.begin(),
-                               old_block.end());
+        after.class_of[static_cast<std::size_t>(old_block.front())]);
+    if (old_block != after.blocks[new_class]) {
+      changed.insert(changed.end(), old_block.begin(), old_block.end());
     }
   }
-  std::sort(changed_switches_.begin(), changed_switches_.end());
-}
-
-const SymmetryPartition& IncrementalSymmetry::refresh(const Topology& topo) {
-  const std::size_t n = topo.num_switches();
-  const std::size_t m = topo.num_circuits();
-
-  const bool reusable = topo_ == &topo && !rounds_.empty() &&
-                        rounds_.front().size() == n && edge_sigs_.size() == m;
-  if (!reusable) {
-    ++full_refreshes_;
-    topo_ = &topo;
-    edge_sigs_.resize(m);
-    for (std::size_t c = 0; c < m; ++c) {
-      edge_sigs_[c] = edge_signature(topo.circuits()[c]);
-    }
-    run_refinement(topo, edge_sigs_, rounds_);
-    const SymmetryPartition before = std::move(partition_);
-    partition_ = build_partition(rounds_.back());
-    compute_changed(before);
-    version_ = topo.state_version();
-    return partition_;
-  }
-
-  // Exact dirty sets: journal when it still covers (since, now], snapshot
-  // diff otherwise. Journal entries are only candidates — the snapshot
-  // comparison drops elements whose attributes ended up unchanged.
-  std::vector<SwitchId> dirty_switches;
-  std::vector<CircuitId> dirty_circuits;
-  std::vector<Topology::StateChange> journal;
-  if (topo.changes_since(version_, journal)) {
-    const std::vector<std::uint64_t>& initial = rounds_.front();
-    for (const Topology::StateChange e : journal) {
-      if (Topology::change_is_switch(e)) {
-        const SwitchId sw = Topology::change_switch(e);
-        if (initial_color(topo.sw(sw)) !=
-            initial[static_cast<std::size_t>(sw)]) {
-          dirty_switches.push_back(sw);
-        }
-      } else {
-        const CircuitId c = Topology::change_circuit(e);
-        if (edge_signature(topo.circuit(c)) !=
-            edge_sigs_[static_cast<std::size_t>(c)]) {
-          dirty_circuits.push_back(c);
-        }
-      }
-    }
-    std::sort(dirty_switches.begin(), dirty_switches.end());
-    dirty_switches.erase(
-        std::unique(dirty_switches.begin(), dirty_switches.end()),
-        dirty_switches.end());
-    std::sort(dirty_circuits.begin(), dirty_circuits.end());
-    dirty_circuits.erase(
-        std::unique(dirty_circuits.begin(), dirty_circuits.end()),
-        dirty_circuits.end());
-  } else {
-    diff_dirty(topo, dirty_switches, dirty_circuits);
-  }
-
-  version_ = topo.state_version();
-  if (dirty_switches.empty() && dirty_circuits.empty()) {
-    ++incremental_refreshes_;
-    changed_switches_.clear();
-    return partition_;
-  }
-  ++incremental_refreshes_;
-
-  for (const CircuitId c : dirty_circuits) {
-    edge_sigs_[static_cast<std::size_t>(c)] =
-        edge_signature(topo.circuit(c));
-  }
-
-  // Round 0: re-hash only the attribute-dirty switches.
-  std::vector<std::vector<std::uint64_t>> new_rounds;
-  new_rounds.push_back(rounds_.front());
-  std::vector<SwitchId> changed_prev;
-  for (const SwitchId sw : dirty_switches) {
-    const std::uint64_t color = initial_color(topo.sw(sw));
-    if (color != new_rounds[0][static_cast<std::size_t>(sw)]) {
-      new_rounds[0][static_cast<std::size_t>(sw)] = color;
-      changed_prev.push_back(sw);
-    }
-  }
-  std::size_t num_colors = distinct_colors(new_rounds[0]);
-
-  // Endpoints of attribute-dirty circuits must be re-signed every round —
-  // their edge term changed for good, not just transitively.
-  std::vector<SwitchId> circuit_endpoints;
-  for (const CircuitId c : dirty_circuits) {
-    circuit_endpoints.push_back(topo.circuit(c).a);
-    circuit_endpoints.push_back(topo.circuit(c).b);
-  }
-
-  std::vector<std::uint8_t> in_frontier(n, 0);
-  std::vector<SwitchId> frontier;
-  std::vector<std::uint64_t> scratch;
-
-  for (std::size_t r = 1;; ++r) {
-    const std::vector<std::uint64_t>& prev = new_rounds[r - 1];
-    std::vector<std::uint64_t> next;
-
-    if (r < rounds_.size()) {
-      // Frontier: switches whose previous-round color changed, their
-      // neighbors, and dirty-circuit endpoints. Everything else gets the
-      // cached signature — its inputs (own prev color, every neighbor's
-      // prev color, every incident edge signature) are all unchanged.
-      frontier.clear();
-      std::fill(in_frontier.begin(), in_frontier.end(), 0);
-      const auto add = [&](SwitchId sw) {
-        if (!in_frontier[static_cast<std::size_t>(sw)]) {
-          in_frontier[static_cast<std::size_t>(sw)] = 1;
-          frontier.push_back(sw);
-        }
-      };
-      for (const SwitchId sw : circuit_endpoints) add(sw);
-      for (const SwitchId sw : changed_prev) {
-        add(sw);
-        for (const CircuitId c : topo.incident(sw)) {
-          const topo::Circuit& circuit =
-              topo.circuits()[static_cast<std::size_t>(c)];
-          add(circuit.a == sw ? circuit.b : circuit.a);
-        }
-      }
-
-      next = rounds_[r];
-      changed_prev.clear();
-      for (const SwitchId sw : frontier) {
-        const std::uint64_t color =
-            refine_one(topo, sw, edge_sigs_, prev, scratch);
-        if (color != next[static_cast<std::size_t>(sw)]) {
-          next[static_cast<std::size_t>(sw)] = color;
-          changed_prev.push_back(sw);
-        }
-      }
-      std::sort(changed_prev.begin(), changed_prev.end());
-    } else {
-      // Past the cached fixed point: the new run needs more rounds than the
-      // old one had — refine everything (no cache to diff against).
-      next.resize(n);
-      for (std::size_t i = 0; i < n; ++i) {
-        next[i] = refine_one(topo, static_cast<SwitchId>(i), edge_sigs_,
-                             prev, scratch);
-      }
-      changed_prev.clear();
-      for (std::size_t i = 0; i < n; ++i) {
-        changed_prev.push_back(static_cast<SwitchId>(i));
-      }
-    }
-
-    const std::size_t next_colors = distinct_colors(next);
-    new_rounds.push_back(std::move(next));
-    if (next_colors == num_colors) break;  // fixed point, same rule as full
-    num_colors = next_colors;
-  }
-
-  rounds_ = std::move(new_rounds);
-  const SymmetryPartition before = std::move(partition_);
-  partition_ = build_partition(rounds_.back());
-  compute_changed(before);
-  return partition_;
+  std::sort(changed.begin(), changed.end());
+  return changed;
 }
 
 }  // namespace klotski::migration

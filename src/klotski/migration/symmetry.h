@@ -15,12 +15,8 @@
 // blocks by *locality* into operation blocks.
 //
 // Colors are raw 64-bit hashes throughout refinement (no per-round dense
-// renumbering), so an element change only perturbs the colors it can
-// actually reach — the property IncrementalSymmetry exploits to recompute
-// just the dirty frontier of each round instead of the whole fabric.
-// Classes are renumbered densely (first occurrence in switch-id order) only
-// when the final partition is built, which keeps the numbering identical to
-// the historical full recompute.
+// renumbering). Classes are renumbered densely (first occurrence in
+// switch-id order) only when the final partition is built.
 #pragma once
 
 #include <cstdint>
@@ -54,60 +50,13 @@ SymmetryPartition compute_symmetry(const topo::Topology& topo);
 bool equivalent(const SymmetryPartition& partition, topo::SwitchId a,
                 topo::SwitchId b);
 
-/// Incremental symmetry recomputation across topology mutations (the
-/// warm-start replanning path, DESIGN.md §11).
-///
-/// refresh() produces exactly compute_symmetry(topo) — asserted by the
-/// randomized equivalence suite — but reuses the cached per-round colors of
-/// the previous refresh: only switches whose round-(r-1) color changed,
-/// their neighbors, and the endpoints of circuits with changed attributes
-/// are re-signed in round r; everything outside that growing frontier keeps
-/// its cached color (a 1-WL signature is a pure function of those inputs).
-///
-/// Dirty elements come from the topology's change journal when it still
-/// covers the span since the last refresh; otherwise (journal overflow, or
-/// bump_state_version() after an out-of-band capacity edit, which restarts
-/// coverage) from an O(|S| + |C|) snapshot diff — either way the dirty set
-/// is exact, never guessed.
-class IncrementalSymmetry {
- public:
-  /// Recomputes the partition for `topo`'s current element states and
-  /// returns it. The first call (or a call against a different topology
-  /// object) runs a full refinement.
-  const SymmetryPartition& refresh(const topo::Topology& topo);
-
-  /// The partition of the last refresh().
-  const SymmetryPartition& partition() const { return partition_; }
-
-  /// Switches whose class *membership set* changed in the last refresh():
-  /// s is listed iff the set of switches s is interchangeable with differs
-  /// from the previous refresh. The first refresh lists every switch
-  /// (nothing is comparable yet). Sorted ascending.
-  const std::vector<topo::SwitchId>& changed_switches() const {
-    return changed_switches_;
-  }
-
-  long long full_refreshes() const { return full_refreshes_; }
-  long long incremental_refreshes() const { return incremental_refreshes_; }
-
- private:
-  void diff_dirty(const topo::Topology& topo,
-                  std::vector<topo::SwitchId>& dirty_switches,
-                  std::vector<topo::CircuitId>& dirty_circuits) const;
-  void compute_changed(const SymmetryPartition& before);
-
-  const topo::Topology* topo_ = nullptr;
-  std::uint64_t version_ = 0;
-  /// Cached refinement state: rounds_[0] is the initial (attribute) colors,
-  /// rounds_[r] the colors after the r-th refinement; edge_sigs_[c] the
-  /// (capacity, state) signature of circuit c. rounds_[0] doubles as the
-  /// switch-attribute snapshot for the diff fallback.
-  std::vector<std::vector<std::uint64_t>> rounds_;
-  std::vector<std::uint64_t> edge_sigs_;
-  SymmetryPartition partition_;
-  std::vector<topo::SwitchId> changed_switches_;
-  long long full_refreshes_ = 0;
-  long long incremental_refreshes_ = 0;
-};
+/// Switches whose class *membership set* differs between two partitions
+/// of the same switches: s is listed iff the set of switches s is
+/// interchangeable with in `after` differs from that in `before`. Every
+/// switch of `after` is listed when the partitions cover different switch
+/// counts. Sorted ascending. The warm-repair gate (DESIGN.md §11) compares
+/// the partitions of the world a plan was made in and of the current world.
+std::vector<topo::SwitchId> changed_switches(const SymmetryPartition& before,
+                                             const SymmetryPartition& after);
 
 }  // namespace klotski::migration

@@ -1,6 +1,7 @@
 #include "klotski/pipeline/replan.h"
 
 #include <algorithm>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 
@@ -237,6 +238,83 @@ void validate_resume(const ReplanCheckpoint& cp,
   }
 }
 
+constexpr std::int64_t kIntMax = std::numeric_limits<int>::max();
+constexpr std::int64_t kInt32Min = std::numeric_limits<std::int32_t>::min();
+constexpr std::int64_t kInt32Max = std::numeric_limits<std::int32_t>::max();
+
+/// The non-negative int at `key`.
+int count_at(const json::Value& object, const std::string& key) {
+  return static_cast<int>(object.at(key).as_int_in(key, 0, kIntMax));
+}
+
+/// `value` as an int32; `field` names it in the error.
+std::int32_t int32_of(const json::Value& value, const std::string& field) {
+  return static_cast<std::int32_t>(
+      value.as_int_in(field, kInt32Min, kInt32Max));
+}
+
+ReplanCheckpoint read_checkpoint(const json::Value& value) {
+  if (!value.is_object()) checkpoint_fail("document is not an object");
+  const std::string schema = value.get_string("schema", "");
+  if (schema != "klotski.replan-checkpoint.v2" &&
+      schema != "klotski.replan-checkpoint.v1") {
+    checkpoint_fail("unknown schema '" + schema + "'");
+  }
+  ReplanCheckpoint cp;
+  cp.phases_executed = count_at(value, "phases_executed");
+  cp.step = count_at(value, "step");
+  cp.next_phase = count_at(value, "next_phase");
+  cp.planning_runs = count_at(value, "planning_runs");
+  cp.last_plan_step = count_at(value, "last_plan_step");
+  cp.phase_retries = count_at(value, "phase_retries");
+  cp.fallback_active = value.at("fallback_active").as_bool();
+  cp.fallback_plans = count_at(value, "fallback_plans");
+  cp.last_type = int32_of(value.at("last_type"), "last_type");
+  cp.executed_cost = value.at("executed_cost").as_double();
+  cp.state_version = static_cast<std::uint64_t>(
+      value.at("state_version")
+          .as_int_in("state_version", 0,
+                     std::numeric_limits<std::int64_t>::max()));
+  const json::Array& done = value.at("done").as_array();
+  for (std::size_t t = 0; t < done.size(); ++t) {
+    cp.done.push_back(int32_of(done[t], "done[" + std::to_string(t) + "]"));
+  }
+  const json::Value& plan = value.at("plan");
+  cp.plan_planner = plan.get_string("planner", "");
+  cp.plan_cost = plan.get_double("cost", 0.0);
+  const json::Array& actions = plan.at("actions").as_array();
+  for (std::size_t i = 0; i < actions.size(); ++i) {
+    const json::Array& pair = actions[i].as_array();
+    if (pair.size() != 2) checkpoint_fail("plan action is not a [type, index] pair");
+    const std::string field = "plan.actions[" + std::to_string(i) + "]";
+    core::PlannedAction action;
+    action.type = int32_of(pair[0], field + ".type");
+    action.block_index = int32_of(pair[1], field + ".block_index");
+    cp.plan_actions.push_back(action);
+  }
+  // v2 warm-state provenance. A v1 document predates warm-start replanning,
+  // so the zero defaults are exact — and replan_pending stays false (v1
+  // never stored a plan when a re-plan was pending, so a stored plan always
+  // meant "resume executing it"). Older v2 writers also stored
+  // warm.sat_generation, a diagnostic nothing reads; it is ignored.
+  cp.replan_pending = value.get_bool("replan_pending", false);
+  if (value.as_object().contains("warm")) {
+    const json::Value& warm = value.at("warm");
+    cp.warm_attempts =
+        static_cast<int>(warm.get_int_in("attempts", 0, 0, kIntMax));
+    cp.warm_wins = static_cast<int>(warm.get_int_in("wins", 0, 0, kIntMax));
+    cp.fallback_full =
+        static_cast<int>(warm.get_int_in("fallback_full", 0, 0, kIntMax));
+  }
+  const json::Array& consumed = value.at("consumed_failures").as_array();
+  for (std::size_t i = 0; i < consumed.size(); ++i) {
+    cp.consumed_failures.push_back(static_cast<int>(consumed[i].as_int_in(
+        "consumed_failures[" + std::to_string(i) + "]",
+        std::numeric_limits<int>::min(), kIntMax)));
+  }
+  return cp;
+}
+
 }  // namespace
 
 json::Value ReplanCheckpoint::to_json() const {
@@ -285,58 +363,14 @@ json::Value ReplanCheckpoint::to_json() const {
 }
 
 ReplanCheckpoint ReplanCheckpoint::from_json(const json::Value& value) {
-  if (!value.is_object()) checkpoint_fail("document is not an object");
-  const std::string schema = value.get_string("schema", "");
-  if (schema != "klotski.replan-checkpoint.v2" &&
-      schema != "klotski.replan-checkpoint.v1") {
-    checkpoint_fail("unknown schema '" + schema + "'");
+  // A checkpoint is untrusted input: every failure to read one, a missing
+  // key or an integer out of its field's range included, is a
+  // replan-checkpoint error.
+  try {
+    return read_checkpoint(value);
+  } catch (const json::JsonError& e) {
+    checkpoint_fail(e.what());
   }
-  ReplanCheckpoint cp;
-  cp.phases_executed = static_cast<int>(value.at("phases_executed").as_int());
-  cp.step = static_cast<int>(value.at("step").as_int());
-  cp.next_phase = static_cast<int>(value.at("next_phase").as_int());
-  cp.planning_runs = static_cast<int>(value.at("planning_runs").as_int());
-  cp.last_plan_step = static_cast<int>(value.at("last_plan_step").as_int());
-  cp.phase_retries = static_cast<int>(value.at("phase_retries").as_int());
-  cp.fallback_active = value.at("fallback_active").as_bool();
-  cp.fallback_plans = static_cast<int>(value.at("fallback_plans").as_int());
-  cp.last_type = static_cast<std::int32_t>(value.at("last_type").as_int());
-  cp.executed_cost = value.at("executed_cost").as_double();
-  cp.state_version =
-      static_cast<std::uint64_t>(value.at("state_version").as_int());
-  for (const json::Value& v : value.at("done").as_array()) {
-    cp.done.push_back(static_cast<std::int32_t>(v.as_int()));
-  }
-  const json::Value& plan = value.at("plan");
-  cp.plan_planner = plan.get_string("planner", "");
-  cp.plan_cost = plan.get_double("cost", 0.0);
-  for (const json::Value& v : plan.at("actions").as_array()) {
-    const json::Array& pair = v.as_array();
-    if (pair.size() != 2) checkpoint_fail("plan action is not a [type, index] pair");
-    core::PlannedAction action;
-    action.type = static_cast<migration::ActionTypeId>(pair[0].as_int());
-    action.block_index = static_cast<std::int32_t>(pair[1].as_int());
-    cp.plan_actions.push_back(action);
-  }
-  // v2 warm-state provenance. A v1 document predates warm-start replanning,
-  // so the zero defaults are exact — and replan_pending stays false (v1
-  // never stored a plan when a re-plan was pending, so a stored plan always
-  // meant "resume executing it"). Older v2 writers also stored
-  // warm.sat_generation, a diagnostic nothing reads; it is ignored.
-  cp.replan_pending = value.get_bool("replan_pending", false);
-  if (value.as_object().contains("warm")) {
-    const json::Value& warm = value.at("warm");
-    cp.warm_attempts = static_cast<int>(warm.get_int("attempts", 0));
-    cp.warm_wins = static_cast<int>(warm.get_int("wins", 0));
-    cp.fallback_full = static_cast<int>(warm.get_int("fallback_full", 0));
-  }
-  for (const json::Value& v : value.at("consumed_failures").as_array()) {
-    cp.consumed_failures.push_back(static_cast<int>(v.as_int()));
-  }
-  if (cp.next_phase < 0 || cp.phases_executed < 0 || cp.step < 0) {
-    checkpoint_fail("negative execution counter");
-  }
-  return cp;
 }
 
 ReplanResult execute_with_replanning(migration::MigrationTask& task,
@@ -377,9 +411,6 @@ ReplanResult execute_with_replanning(migration::MigrationTask& task,
   // re-plan triggered, rebased into remaining-task coordinates. One-shot:
   // the next planning round consumes it (repair attempt and/or arena seed).
   std::vector<core::PlannedAction> warm_seed;
-  // Incremental symmetry for the repair gate; persists across rounds so
-  // each refresh only reprocesses the dirty frontier of the refinement.
-  migration::IncrementalSymmetry warm_symmetry;
 
   // The prefix-preserving repair (DESIGN.md §11): keep executing the
   // surviving suffix of the previous plan when it (a) only operates switches
@@ -430,7 +461,7 @@ ReplanResult execute_with_replanning(migration::MigrationTask& task,
       // alike — capacities are a pure function of the active event set)
       // mean the plan-time and current comparison states materialize the
       // identical topology, so the refinement cannot have moved and the
-      // two refreshes below would diff nothing.
+      // two refinements below would diff nothing.
       const bool same_world =
           active_maintenance(options.maintenance, last_plan_step) ==
               overlay.maintenance &&
@@ -441,13 +472,14 @@ ReplanResult execute_with_replanning(migration::MigrationTask& task,
         Overlay plan_overlay = overlay_at(last_plan_step, options, *task.topo);
         materialize_done(task, done);
         drain_overlay(*task.topo, options.maintenance, plan_overlay);
-        warm_symmetry.refresh(*task.topo);
+        const migration::SymmetryPartition before =
+            migration::compute_symmetry(*task.topo);
         overlay_at(step, options, *task.topo);  // restore this step's faults
         materialize_done(task, done);
         drain_overlay(*task.topo, options.maintenance, overlay);
-        warm_symmetry.refresh(*task.topo);
-        const std::vector<topo::SwitchId>& changed =
-            warm_symmetry.changed_switches();
+        const std::vector<topo::SwitchId> changed =
+            migration::changed_switches(
+                before, migration::compute_symmetry(*task.topo));
         bool hit = false;
         if (!changed.empty()) {
           std::vector<std::uint8_t> is_changed(task.topo->num_switches(), 0);

@@ -131,6 +131,11 @@ struct ReplanCheckpoint {
   std::vector<int> consumed_failures;
 
   json::Value to_json() const;
+  /// Throws std::invalid_argument("replan-checkpoint: …") on an unknown
+  /// schema, a missing key, a wrong type, or an integer outside its field's
+  /// range (counters and steps are non-negative ints, `done`, `last_type`
+  /// and action pairs int32, `state_version` non-negative); the message
+  /// names the field.
   static ReplanCheckpoint from_json(const json::Value& value);
 };
 

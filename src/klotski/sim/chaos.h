@@ -47,9 +47,10 @@ struct ChaosParams {
   int max_replans = 0;  // 0 = never degrade to the fallback
   std::string fallback_planner = "mrc";
 
-  /// Warm-start replanning knobs (ReplanOptions; DESIGN.md §11). Warm runs
-  /// must produce the same pass/fail verdicts as cold runs — tier-1 sweeps
-  /// both settings and compares.
+  /// Warm-start replanning knobs (ReplanOptions; DESIGN.md §11). tier-1
+  /// sweeps both settings and requires the same pass/fail verdicts on the
+  /// sweeps it runs; elsewhere a kept suffix can change the outcome (flat b
+  /// seed 2 and reconf c seed 118 pass warm and fail cold; ROADMAP item 4).
   bool warm_repair = true;
   double repair_cost_slack = 1.25;
 

@@ -118,19 +118,6 @@ void InvariantChecker::observe(const pipeline::PhaseObservation& observation) {
     }
   }
 
-  // 5. Incremental symmetry equals a full recompute on the executed state.
-  {
-    const migration::SymmetryPartition& incremental =
-        persistent_symmetry_.refresh(topo);
-    const migration::SymmetryPartition fresh =
-        migration::compute_symmetry(topo);
-    if (incremental.class_of != fresh.class_of ||
-        incremental.blocks != fresh.blocks) {
-      violation(observation,
-                "incremental symmetry diverged from full recompute");
-    }
-  }
-
   // 2b. Packed liveness words match the per-circuit predicate.
   {
     std::vector<std::uint64_t> words;

@@ -19,10 +19,6 @@
 //     independent re-accumulation through the CostModel, bit-for-bit, and
 //     the final ReplanResult totals match the observed stream (including
 //     the warm-repair identity attempts == wins + full fallbacks).
-//  5. Incremental symmetry: an IncrementalSymmetry instance that has lived
-//     through the whole trajectory (journal / snapshot-diff refresh) yields
-//     exactly compute_symmetry on every executed state — the warm-repair
-//     gate never sees a stale partition.
 //
 // The checker doubles as the trajectory recorder: one line per executed
 // phase (type, blocks, step, state signature, cost) whose byte-equality
@@ -33,7 +29,6 @@
 #include <vector>
 
 #include "klotski/core/cost_model.h"
-#include "klotski/migration/symmetry.h"
 #include "klotski/pipeline/edp.h"
 #include "klotski/pipeline/replan.h"
 #include "klotski/traffic/ecmp.h"
@@ -81,7 +76,6 @@ class InvariantChecker {
   pipeline::CheckerConfig config_;
   core::CostModel cost_;
   traffic::EcmpRouter persistent_router_;
-  migration::IncrementalSymmetry persistent_symmetry_;
 
   // Accounting state mirrored from the driver.
   core::CountVector prev_done_;

@@ -54,10 +54,10 @@ struct Circuit {
 ///
 /// State changes that go through set_switch_state() / set_circuit_state()
 /// (or TopologyState::restore) bump a monotonically increasing version
-/// counter and are recorded in a bounded change journal. Incremental
-/// consumers (the ECMP router's liveness bitmap, incremental symmetry) key
-/// their state on the version and replay the journal instead of rescanning
-/// the whole graph. Writing `sw(id).state` directly
+/// counter and are recorded in a bounded change journal. The incremental
+/// consumer (the ECMP router's liveness bitmap) keys its state on the
+/// version and replays the journal instead of rescanning the whole graph.
+/// Writing `sw(id).state` directly
 /// bypasses the counter and is only safe before any such consumer exists
 /// (construction-time setup); call bump_state_version() after out-of-band
 /// edits (e.g. capacity or port-budget tweaks) to flush downstream caches.

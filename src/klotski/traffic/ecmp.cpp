@@ -490,27 +490,4 @@ WorstCircuit worst_circuit(const topo::Topology& topo,
   return worst;
 }
 
-double max_utilization(const topo::Topology& topo, const LoadVector& loads,
-                       const std::vector<topo::CircuitId>& touched) {
-  return worst_circuit(topo, loads, touched).utilization;
-}
-
-WorstCircuit worst_circuit(const topo::Topology& topo, const LoadVector& loads,
-                           const std::vector<topo::CircuitId>& touched) {
-  WorstCircuit worst;
-  const std::size_t n = std::min(loads.size() / 2, topo.num_circuits());
-  for (const CircuitId c : touched) {
-    const auto ci = static_cast<std::size_t>(c);
-    if (ci >= n) continue;
-    const double load = std::max(loads[ci * 2], loads[ci * 2 + 1]);
-    if (load <= 0.0) continue;
-    const double util = load / topo.circuit(c).capacity_tbps;
-    if (util > worst.utilization) {
-      worst.utilization = util;
-      worst.circuit = c;
-    }
-  }
-  return worst;
-}
-
 }  // namespace klotski::traffic

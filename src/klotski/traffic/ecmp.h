@@ -126,9 +126,9 @@ class EcmpRouter {
   std::size_t num_switches() const { return num_switches_; }
 
   /// After a successful assign_all: the ascending-id list of circuits that
-  /// call added load to. Lets utilization scans (max_utilization /
-  /// worst_circuit / DemandChecker) visit only loaded circuits instead of
-  /// all of them. Empty after a failed assign_all or any assign().
+  /// call added load to. Lets the DemandChecker's utilization scan visit
+  /// only loaded circuits instead of all of them. Empty after a failed
+  /// assign_all or any assign().
   const std::vector<topo::CircuitId>& touched_circuits() const {
     return touched_circuits_;
   }
@@ -320,14 +320,5 @@ struct WorstCircuit {
   double utilization = 0.0;
 };
 WorstCircuit worst_circuit(const topo::Topology& topo, const LoadVector& loads);
-
-/// Touched-circuit fast path: identical result to the full-scan overloads
-/// when `touched` (ascending circuit ids, e.g. EcmpRouter::touched_circuits)
-/// covers every circuit with non-zero load in `loads`. Circuits outside
-/// `touched` are not inspected.
-double max_utilization(const topo::Topology& topo, const LoadVector& loads,
-                       const std::vector<topo::CircuitId>& touched);
-WorstCircuit worst_circuit(const topo::Topology& topo, const LoadVector& loads,
-                           const std::vector<topo::CircuitId>& touched);
 
 }  // namespace klotski::traffic

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <clocale>
+#include <cstdint>
+#include <limits>
 #include <string>
 
 #include "klotski/json/json.h"
@@ -200,6 +202,35 @@ TEST(JsonValue, OptionalLookups) {
   EXPECT_DOUBLE_EQ(v.get_double("d", 0), 2.5);
   EXPECT_EQ(v.get_string("s", ""), "x");
   EXPECT_TRUE(v.get_bool("b", false));
+}
+
+TEST(JsonValue, RangeCheckedIntegersNameTheFieldAndRange) {
+  const Value v = parse(R"({"step": 4294967296, "low": -1, "ok": 7})");
+  EXPECT_EQ(v.at("ok").as_int_in("ok", 0, 7), 7);
+  EXPECT_EQ(v.get_int_in("ok", 0, 7, 7), 7);
+  EXPECT_EQ(v.get_int_in("missing", 3, 0, 7), 3);  // fallback, unchecked
+  try {
+    v.at("step").as_int_in("step", 0, 2147483647);
+    FAIL() << "expected JsonError";
+  } catch (const JsonError& e) {
+    EXPECT_STREQ(e.what(),
+                 "json: step = 4294967296 is outside [0, 2147483647]");
+  }
+  try {
+    v.get_int_in("low", 0, 0, 10);
+    FAIL() << "expected JsonError";
+  } catch (const JsonError& e) {
+    EXPECT_STREQ(e.what(), "json: low = -1 is outside [0, 10]");
+  }
+}
+
+TEST(JsonValue, IntegralDoublesOutsideInt64AreNotInts) {
+  // Converting them to int64 is undefined; they are refused instead.
+  EXPECT_THROW(parse("1e19").as_int(), JsonError);
+  EXPECT_THROW(parse("-1e300").as_int(), JsonError);
+  EXPECT_THROW(parse("18446744073709551616").as_int(), JsonError);
+  EXPECT_EQ(parse("-9223372036854775808.0").as_int(),
+            std::numeric_limits<std::int64_t>::min());
 }
 
 // ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 #include "../test_helpers.h"
 #include "klotski/migration/symmetry.h"
+#include "klotski/topo/families.h"
 #include "klotski/topo/presets.h"
 
 namespace klotski::migration {
@@ -146,6 +147,18 @@ TEST(Symmetry, SizeHistogramSumsToBlockCount) {
     blocks += count;
   }
   EXPECT_EQ(blocks, partition.num_blocks());
+}
+
+TEST(Symmetry, FlatIrregularityShrinksSymmetryBlocks) {
+  // Flat fabrics are intentionally irregular: the extra seeded chords must
+  // break the ring automorphisms, so the partition has many more classes
+  // than the role-uniform Clos layers would suggest.
+  const topo::Region region = topo::build_flat(
+      topo::flat_params(topo::PresetId::kB, topo::PresetScale::kReduced));
+  const SymmetryPartition part = compute_symmetry(region.topo);
+  EXPECT_GT(part.blocks.size(), region.topo.num_switches() / 4)
+      << "flat fabric collapsed into a few symmetry classes; the chord "
+         "seeding no longer produces degree irregularity";
 }
 
 }  // namespace

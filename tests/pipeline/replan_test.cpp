@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <functional>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -725,6 +727,73 @@ TEST(ReplanCheckpointV2, ResumeFromADocumentCarryingSatGenerationMatches) {
     EXPECT_EQ(resumed.warm_attempts, full.warm_attempts);
     EXPECT_EQ(resumed.warm_wins, full.warm_wins);
     EXPECT_EQ(resumed.fallback_full, full.fallback_full);
+  }
+}
+
+// The reader range-checks every integer it narrows. A bare cast used to
+// wrap 2^32 to 0 and 2^32 + 1 to 1, so the document below loaded as step 0,
+// done[0] = 0 and action type 1 and passed the resume checks.
+TEST(ReplanCheckpoint, OutOfRangeIntegersAreRefusedNamingTheField) {
+  ReplanCheckpoint cp;
+  cp.done = core::CountVector{0, 0};
+  cp.plan_planner = "astar";
+  cp.plan_actions = {core::PlannedAction{1, 0}};
+  const json::Value valid = cp.to_json();
+  ASSERT_NO_THROW(ReplanCheckpoint::from_json(valid));
+
+  const auto set_step = [](json::Value& doc, json::Value v) {
+    doc.as_object()["step"] = std::move(v);
+  };
+  const auto set_done0 = [](json::Value& doc, json::Value v) {
+    doc.as_object()["done"].as_array()[0] = std::move(v);
+  };
+  const auto set_type0 = [](json::Value& doc, json::Value v) {
+    doc.as_object()["plan"].as_object()["actions"].as_array()[0]
+        .as_array()[0] = std::move(v);
+  };
+  const std::int64_t two32 = std::int64_t{1} << 32;
+
+  json::Value all = valid;  // the three fields at once
+  set_step(all, json::Value(two32));
+  set_done0(all, json::Value(two32));
+  set_type0(all, json::Value(two32 + 1));
+  json::Value done = valid;
+  set_done0(done, json::Value(two32));
+  json::Value type = valid;
+  set_type0(type, json::Value(two32 + 1));
+  json::Value negative_step = valid;
+  set_step(negative_step, json::Value(-1));
+  json::Value huge_step = valid;  // an integral double past int64
+  set_step(huge_step, json::Value(1e300));
+  json::Value version = valid;
+  version.as_object()["state_version"] = json::Value(-1);
+  json::Value consumed = valid;
+  consumed.as_object()["consumed_failures"] =
+      json::Value(json::Array{json::Value(two32)});
+  json::Value attempts = valid;
+  attempts.as_object()["warm"].as_object()["attempts"] = json::Value(-1);
+
+  const std::vector<std::pair<json::Value, std::string>> cases = {
+      {all, "replan-checkpoint: json: step = 4294967296 is outside [0, "},
+      {done, "replan-checkpoint: json: done[0] = 4294967296 is outside ["},
+      {type, "replan-checkpoint: json: plan.actions[0].type = 4294967297 "
+             "is outside ["},
+      {negative_step, "replan-checkpoint: json: step = -1 is outside [0, "},
+      {huge_step, "replan-checkpoint: json: expected int, got double"},
+      {version, "replan-checkpoint: json: state_version = -1 is outside [0, "},
+      {consumed, "replan-checkpoint: json: consumed_failures[0] = "
+                 "4294967296 is outside ["},
+      {attempts, "replan-checkpoint: json: attempts = -1 is outside [0, "},
+  };
+  for (const auto& [doc, want] : cases) {
+    SCOPED_TRACE(want);
+    try {
+      // Through text, as a peer or a file would deliver it.
+      ReplanCheckpoint::from_json(json::parse(json::dump(doc)));
+      ADD_FAILURE() << "out-of-range checkpoint accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()).rfind(want, 0), 0u) << e.what();
+    }
   }
 }
 

@@ -590,6 +590,20 @@ Request replan_with_bad_type_request(const std::string& id) {
   return req;
 }
 
+/// The same request carrying integers that a narrowing cast would wrap
+/// into valid ones: step 2^32, done[0] 2^32 and action type 2^32 + 1 (they
+/// used to load as 0, 0 and 1).
+Request replan_with_wrapping_integers_request(const std::string& id) {
+  Request req = replan_with_bad_type_request(id);
+  json::Object& cp = req.params.as_object()["checkpoint"].as_object();
+  const std::int64_t two32 = std::int64_t{1} << 32;
+  cp["step"] = json::Value(two32);
+  cp["done"].as_array()[0] = json::Value(two32);
+  cp["plan"].as_object()["actions"].as_array()[0].as_array()[0] =
+      json::Value(two32 + 1);
+  return req;
+}
+
 TEST(PlanServiceReplan, CheckpointNamingAnUnknownActionTypeIsAnError) {
   PlanService service(service_options());
   std::atomic<bool> stop{false};
@@ -764,6 +778,20 @@ TEST_F(ServerRoundTrip, MalformedCheckpointIsAnsweredAndServingGoesOn) {
   const Response bad = client.call(replan_with_bad_type_request("cp-1"));
   EXPECT_EQ(bad.status, "error");
   EXPECT_EQ(bad.id, "cp-1");
+  const Response next = client.call(plan_request(0.75, "after"));
+  ASSERT_TRUE(next.ok()) << next.error;
+  EXPECT_EQ(next.id, "after");
+}
+
+TEST_F(ServerRoundTrip, OutOfRangeCheckpointIntegersAreAnsweredWithTheId) {
+  Client client(socket_path_);
+  const Response bad =
+      client.call(replan_with_wrapping_integers_request("cp-range"));
+  EXPECT_EQ(bad.status, "error");
+  EXPECT_EQ(bad.id, "cp-range");
+  EXPECT_NE(bad.error.find("replan-checkpoint: json: step = 4294967296"),
+            std::string::npos)
+      << bad.error;
   const Response next = client.call(plan_request(0.75, "after"));
   ASSERT_TRUE(next.ok()) << next.error;
   EXPECT_EQ(next.id, "after");

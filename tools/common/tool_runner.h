@@ -8,16 +8,17 @@
 // and a one-line main.
 //
 //   int main(int argc, char** argv) {
-//     return klotski::tools::tool_main(argc, argv, "klotski_plan", run);
+//     return klotski::tools::tool_main(argc, argv, "klotski_plan", run,
+//                                      {"npd", "planner", "out"});
 //   }
 //
 // Uncaught exceptions are reported as "<tool>: <what>" and map to the
 // usage/input-error exit code (2), matching the tools' documented contract.
 //
-// A tool that passes `known_flags` (every flag its run() reads) rejects any
-// other flag with exit 2 before running, so a typo or a retired flag fails
-// loudly instead of running on defaults. --metrics-out and --trace-out are
-// always accepted.
+// `known_flags` lists every flag the tool's run() reads; any other flag
+// exits 2 before running, so a typo or a retired flag fails loudly instead
+// of running on defaults. --metrics-out and --trace-out are always
+// accepted.
 #pragma once
 
 #include <algorithm>
@@ -35,16 +36,14 @@ namespace klotski::tools {
 inline int tool_main(int argc, const char* const* argv,
                      const std::string& name,
                      int (*run)(const util::Flags&),
-                     std::initializer_list<std::string_view> known_flags = {}) {
+                     std::initializer_list<std::string_view> known_flags) {
   const util::Flags flags = util::Flags::parse(argc, argv);
-  if (known_flags.size() > 0) {
-    for (const std::string& flag : flags.names()) {
-      if (flag != "metrics-out" && flag != "trace-out" &&
-          std::find(known_flags.begin(), known_flags.end(), flag) ==
-              known_flags.end()) {
-        std::cerr << name << ": unknown flag --" << flag << "\n";
-        return 2;
-      }
+  for (const std::string& flag : flags.names()) {
+    if (flag != "metrics-out" && flag != "trace-out" &&
+        std::find(known_flags.begin(), known_flags.end(), flag) ==
+            known_flags.end()) {
+      std::cerr << name << ": unknown flag --" << flag << "\n";
+      return 2;
     }
   }
   const ObsOutput obs_out = obs_from_flags(flags);

@@ -79,5 +79,7 @@ int run(const klotski::util::Flags& flags) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  return klotski::tools::tool_main(argc, argv, "klotski_audit", run);
+  return klotski::tools::tool_main(
+      argc, argv, "klotski_audit", run,
+      {"npd", "plan", "theta", "routing", "strict"});
 }

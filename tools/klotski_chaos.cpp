@@ -284,5 +284,11 @@ int run(const util::Flags& flags) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  return klotski::tools::tool_main(argc, argv, "klotski_chaos", run);
+  return klotski::tools::tool_main(
+      argc, argv, "klotski_chaos", run,
+      {"family", "preset", "scale", "planner", "fallback", "max-replans",
+       "retries", "theta", "growth", "degrades", "circuit-failures", "drains",
+       "step-failures", "surges", "forecast-errors", "no-resume-check",
+       "no-warm-repair", "repair-cost-slack", "threads", "first-seed", "seeds",
+       "seed-range", "seed", "trajectory", "connect"});
 }

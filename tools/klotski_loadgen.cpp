@@ -316,5 +316,9 @@ int run(const util::Flags& flags) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  return klotski::tools::tool_main(argc, argv, "klotski_loadgen", run);
+  return klotski::tools::tool_main(
+      argc, argv, "klotski_loadgen", run,
+      {"connect", "socket", "npd", "once", "result-out", "planner", "theta",
+       "alpha", "routing", "funneling", "requests", "qps", "connections",
+       "plan-variants", "mix", "report"});
 }

@@ -162,5 +162,7 @@ int run(const klotski::util::Flags& flags) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  return klotski::tools::tool_main(argc, argv, "klotski_metrics_check", run);
+  return klotski::tools::tool_main(
+      argc, argv, "klotski_metrics_check", run,
+      {"metrics", "trace", "expect-same", "counters"});
 }

@@ -123,5 +123,8 @@ int run(const util::Flags& flags) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  return klotski::tools::tool_main(argc, argv, "klotski_servectl", run);
+  return klotski::tools::tool_main(
+      argc, argv, "klotski_servectl", run,
+      {"connect", "timeout-ms", "retries", "method", "params", "params-file",
+       "job"});
 }

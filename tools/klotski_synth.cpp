@@ -78,5 +78,7 @@ int run(const klotski::util::Flags& flags) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  return klotski::tools::tool_main(argc, argv, "klotski_synth", run);
+  return klotski::tools::tool_main(
+      argc, argv, "klotski_synth", run,
+      {"preset", "scale", "family", "migration", "out"});
 }
