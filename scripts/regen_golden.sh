@@ -1,10 +1,12 @@
 #!/usr/bin/env bash
 # Regenerate the golden-plan regression corpus
-# (tests/golden/plan-{a,b,c,flat,reconf}.json) with the real CLI binaries,
-# so the corpus is exactly what
-#   klotski_synth --family=F --preset=X --scale=reduced | klotski_plan
-# produces. Run after an *intentional* planner/checker/preset change, review
-# the diff, and commit the updated files.
+# (tests/golden/plan-{a,b,c,flat,reconf,d-full}.json) with the real CLI
+# binaries, so the corpus is exactly what
+#   klotski_synth --family=F --preset=X --scale=S | klotski_plan
+# produces (S is reduced except for plan-d-full.json, the full-scale Clos D
+# instance perfbench's plan-cold workload plans). Run after an *intentional*
+# planner/checker/preset change, review the diff, and commit the updated
+# files.
 #
 # Usage: scripts/regen_golden.sh [build-dir]   (default: build)
 set -euo pipefail
@@ -25,8 +27,8 @@ trap 'rm -rf "${TMP}"' EXIT
 mkdir -p tests/golden
 
 regen() {
-  local family="$1" preset="$2" out="$3"
-  "${SYNTH}" --family="${family}" --preset="${preset}" --scale=reduced \
+  local family="$1" preset="$2" out="$3" scale="${4:-reduced}"
+  "${SYNTH}" --family="${family}" --preset="${preset}" --scale="${scale}" \
     --out="${TMP}/${out}.npd.json"
   "${PLAN}" --npd="${TMP}/${out}.npd.json" --planner=astar \
     --out="${TMP}/${out}.json"
@@ -43,3 +45,4 @@ for preset in A B C; do
 done
 regen flat A plan-flat
 regen reconf A plan-reconf
+regen clos D plan-d-full full

@@ -167,6 +167,11 @@ KLOTSKI_CHAOS_SEEDS=10 ./build-asan/tests/test_sim
 ./build-asan/tests/test_util --gtest_filter='PodPool.*:StridedPool.*'
 ./build-asan/tests/test_core \
   --gtest_filter='SoAEquivalence.*:MemBudget.*:StateHasher.*:SatCache.*'
+# Quotient checks under ASan: the quotient router indexes per-class and
+# per-bundle arrays through arc records built from an unverified partition
+# until Quotient::build accepts it, and the oracle suite corrupts partitions
+# on purpose — an out-of-range class or slot reads garbage in a plain run.
+./build-asan/tests/test_core --gtest_filter='QuotientOracle.*'
 # What-if engine under ASan: every trajectory rebuilds a private case,
 # mutates its demand volumes in place, and walks cumulative phase states —
 # a stale demand pointer or an off-by-one phase index reads garbage here
@@ -188,7 +193,8 @@ KLOTSKI_CHAOS_SEEDS=10 ./build-asan/tests/test_sim
 # Observability smoke: plan a small preset with --metrics-out/--trace-out at
 # --threads=1 and --threads=4 with each planner, check both artifacts
 # re-parse with the in-tree JSON parser, that sat_cache_hits +
-# sat_cache_misses == evaluations, and that the evaluator counters are
+# sat_cache_misses == evaluations and quotient checks + fallbacks ==
+# scoped checks, and that the evaluator and quotient counters are
 # thread-invariant (the threads only split the work inside each check).
 OBS_TMP="$(mktemp -d)"
 trap 'rm -rf "${OBS_TMP}"' EXIT

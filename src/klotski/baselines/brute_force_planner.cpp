@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "klotski/core/cost_model.h"
+#include "klotski/core/search_scope.h"
 #include "klotski/core/state_evaluator.h"
 #include "klotski/util/timer.h"
 
@@ -45,6 +46,7 @@ Plan BruteForcePlanner::plan(migration::MigrationTask& task,
     plan.failure = "task too large for brute force";
     return finish(std::move(plan));
   }
+  const core::SearchScope scope(evaluator, checker);
 
   CountVector counts(static_cast<std::size_t>(num_types), 0);
   if (!evaluator.feasible(counts)) {

@@ -6,6 +6,7 @@
 
 #include "klotski/baselines/mrc_planner.h"  // task_changes_topology_structure
 #include "klotski/core/cost_model.h"
+#include "klotski/core/search_scope.h"
 #include "klotski/core/state_evaluator.h"
 #include "klotski/migration/symmetry.h"
 #include "klotski/util/timer.h"
@@ -89,6 +90,7 @@ Plan JanusPlanner::plan(migration::MigrationTask& task,
         "introduce a new layer";
     return finish(std::move(plan));
   }
+  const core::SearchScope scope(evaluator, checker);
 
   // Superblock structure from the origin topology's symmetry partition
   // (Janus assumes it does not change during the migration). Consecutive

@@ -20,6 +20,10 @@
 
 #include "klotski/topo/topology.h"
 
+namespace klotski::traffic {
+class Quotient;
+}
+
 namespace klotski::constraints {
 
 struct Verdict {
@@ -43,6 +47,16 @@ class Checker {
 
   /// Short name for logs and audit reports.
   virtual std::string name() const = 0;
+
+  /// Search scope (DESIGN.md §3 "Quotient checks"). A planner opens one
+  /// for the length of one search (core::SearchScope). Until close_scope(),
+  /// every topology checked is one the search reached from its task's
+  /// original state by applying and reverting blocks, so a checker may
+  /// answer from `quotient` — the class-level graph of that task, or
+  /// nullptr when the search has none — provided every verdict equals the
+  /// one it gives outside the scope. The default ignores the scope.
+  virtual void open_scope(const traffic::Quotient* /*quotient*/) {}
+  virtual void close_scope() {}
 };
 
 using CheckerPtr = std::unique_ptr<Checker>;

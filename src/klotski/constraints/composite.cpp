@@ -20,4 +20,12 @@ Verdict CompositeChecker::check(const topo::Topology& topo) {
   return Verdict::ok();
 }
 
+void CompositeChecker::open_scope(const traffic::Quotient* quotient) {
+  for (const CheckerPtr& checker : checkers_) checker->open_scope(quotient);
+}
+
+void CompositeChecker::close_scope() {
+  for (const CheckerPtr& checker : checkers_) checker->close_scope();
+}
+
 }  // namespace klotski::constraints

@@ -19,6 +19,10 @@ class CompositeChecker : public Checker {
   Verdict check(const topo::Topology& topo) override;
   std::string name() const override { return "composite"; }
 
+  /// Forwarded to every member.
+  void open_scope(const traffic::Quotient* quotient) override;
+  void close_scope() override;
+
   std::size_t size() const { return checkers_.size(); }
   Checker& checker(std::size_t i) { return *checkers_[i]; }
 

@@ -1,17 +1,83 @@
 #include "klotski/constraints/demand_checker.h"
 
 #include <algorithm>
+#include <cmath>
 
+#include "klotski/obs/metrics.h"
 #include "klotski/util/string_util.h"
 
 namespace klotski::constraints {
+
+namespace {
+
+/// Where the checks of a search scope went. A logical tally, invariant
+/// under the router's worker count: quotient + guard_band + not_applicable
+/// == scoped (klotski_metrics_check asserts it).
+struct ScopeCounters {
+  obs::Counter& scoped;
+  obs::Counter& quotient;
+  obs::Counter& guard_band;
+  obs::Counter& not_applicable;
+
+  static ScopeCounters& get() {
+    obs::Registry& reg = obs::Registry::global();
+    static ScopeCounters counters{
+        reg.counter("quotient.scoped_checks"),
+        reg.counter("quotient.checks"),
+        reg.counter("quotient.fallback_guard_band"),
+        reg.counter("quotient.fallback_not_applicable")};
+    return counters;
+  }
+};
+
+}  // namespace
 
 DemandChecker::DemandChecker(traffic::EcmpRouter& router,
                              traffic::DemandSet demands,
                              DemandCheckerParams params)
     : router_(router), demands_(std::move(demands)), params_(params) {}
 
+void DemandChecker::open_scope(const traffic::Quotient* quotient) {
+  scoped_ = true;
+  quotient_ = quotient;
+  bind_quotient();
+}
+
+void DemandChecker::close_scope() {
+  scoped_ = false;
+  quotient_ = nullptr;
+  quotient_router_.reset();
+}
+
+void DemandChecker::set_demands(traffic::DemandSet demands) {
+  demands_ = std::move(demands);
+  if (scoped_) bind_quotient();
+}
+
+void DemandChecker::bind_quotient() {
+  quotient_router_.reset();
+  if (quotient_ == nullptr) return;
+  auto router = std::make_unique<traffic::QuotientRouter>(*quotient_);
+  if (router->bind(demands_)) quotient_router_ = std::move(router);
+}
+
 Verdict DemandChecker::check(const topo::Topology& topo) {
+  if (!scoped_) return check_fabric(topo);
+  ScopeCounters& counters = ScopeCounters::get();
+  counters.scoped.inc();
+  if (quotient_router_ == nullptr || &quotient_->topology() != &topo) {
+    counters.not_applicable.inc();
+    return check_fabric(topo);
+  }
+  if (std::optional<Verdict> verdict = check_quotient(topo)) {
+    counters.quotient.inc();
+    return *std::move(verdict);
+  }
+  counters.guard_band.inc();
+  return check_fabric(topo);
+}
+
+Verdict DemandChecker::check_fabric(const topo::Topology& topo) {
   loads_.assign(topo.num_circuits() * 2, 0.0);
   last_max_utilization_ = 0.0;
 
@@ -43,19 +109,74 @@ Verdict DemandChecker::check(const topo::Topology& topo) {
   // non-zero load: the verdict is the full scan's, including which
   // over-theta circuit is reported first.
   for (const topo::CircuitId id : router_.touched_circuits()) {
-    const topo::Circuit& c = topo.circuit(id);
-    const double util = utilization(c);
+    const double util = utilization(topo.circuit(id));
     if (util <= 0.0) continue;
     last_max_utilization_ = std::max(last_max_utilization_, util);
-    if (util > params_.max_utilization) {
-      return Verdict::fail(
-          "circuit " + std::to_string(c.id) + " (" + topo.sw(c.a).name +
-          " - " + topo.sw(c.b).name + ") at " +
-          util::format_double(util * 100.0, 1) + "% > theta " +
-          util::format_double(params_.max_utilization * 100.0, 1) + "%");
-    }
+    if (util > params_.max_utilization) return over_theta(topo, id, util);
   }
   return Verdict::ok();
+}
+
+std::optional<Verdict> DemandChecker::check_quotient(
+    const topo::Topology& topo) {
+  last_max_utilization_ = 0.0;
+  std::string failed_demand;
+  if (!quotient_router_->assign_all(router_.split_mode(), &failed_demand)) {
+    return Verdict::fail("demand " + failed_demand +
+                         " has no path in this topology");
+  }
+
+  // Funneling is class-uniform: a bundle's circuits share their state, and
+  // every member of a class terminates the same bundles.
+  const traffic::Quotient& q = *quotient_;
+  const bool funnel = params_.funneling_margin > 0.0;
+  if (funnel) {
+    class_funneled_.assign(q.num_classes(), 0);
+    for (const traffic::Quotient::Bundle& b : q.bundles()) {
+      if (topo.circuit(b.rep).state != topo::ElementState::kActive) {
+        class_funneled_[static_cast<std::size_t>(b.x)] = 1;
+        class_funneled_[static_cast<std::size_t>(b.y)] = 1;
+      }
+    }
+  }
+
+  // The full peak, and the first over-theta bundle: bundles are numbered
+  // in the order of their smallest circuit id, and the fabric scan reports
+  // the smallest over-theta circuit id first.
+  const std::vector<double>& loads = quotient_router_->loads();
+  const double theta = params_.max_utilization;
+  double peak = 0.0;
+  std::size_t worst = q.num_bundles();
+  double worst_util = 0.0;
+  for (std::size_t b = 0; b < q.num_bundles(); ++b) {
+    const double load = std::max(loads[2 * b], loads[2 * b + 1]);
+    if (load <= 0.0) continue;
+    const traffic::Quotient::Bundle& bundle = q.bundles()[b];
+    double util = load / bundle.capacity_tbps;
+    if (funnel && (class_funneled_[static_cast<std::size_t>(bundle.x)] ||
+                   class_funneled_[static_cast<std::size_t>(bundle.y)])) {
+      util *= 1.0 + params_.funneling_margin;
+    }
+    peak = std::max(peak, util);
+    if (util > theta && worst == q.num_bundles()) {
+      worst = b;
+      worst_util = util;
+    }
+  }
+  if (std::abs(peak - theta) <= kGuardBand * theta) return std::nullopt;
+  last_max_utilization_ = peak;
+  if (worst == q.num_bundles()) return Verdict::ok();
+  return over_theta(topo, q.bundles()[worst].rep, worst_util);
+}
+
+Verdict DemandChecker::over_theta(const topo::Topology& topo,
+                                  topo::CircuitId id, double util) const {
+  const topo::Circuit& c = topo.circuit(id);
+  return Verdict::fail(
+      "circuit " + std::to_string(c.id) + " (" + topo.sw(c.a).name + " - " +
+      topo.sw(c.b).name + ") at " + util::format_double(util * 100.0, 1) +
+      "% > theta " +
+      util::format_double(params_.max_utilization * 100.0, 1) + "%");
 }
 
 double DemandChecker::utilization(const topo::Circuit& c) const {

@@ -8,19 +8,31 @@
 // their load inflated by (1 + margin), approximating the window in which
 // sibling circuits have drained but this one has not yet.
 //
-// Every check routes the whole demand set (EcmpRouter::assign_all) and
-// then scans utilization over the router's ascending touched-circuit list,
-// the only circuits that carry load — the same verdict as a full-circuit
-// scan, including which violation is reported first. Nothing is cached
-// between checks: set_demands and set_max_utilization take effect on the
-// next one.
+// Outside a search scope every check routes the whole demand set
+// (EcmpRouter::assign_all) and then scans utilization over the router's
+// ascending touched-circuit list, the only circuits that carry load — the
+// same verdict as a full-circuit scan, including which violation is
+// reported first.
+//
+// In a search scope with a quotient whose classes every demand's source
+// and target lists cover uniformly, a check routes on the quotient instead
+// (traffic::QuotientRouter) and scans utilization per bundle. Its verdict
+// is the fabric's: unroutability is combinatorial, and a peak utilization
+// within a relative kGuardBand of theta — where float summation order
+// could decide the verdict — is routed again on the fabric router
+// (DESIGN.md §3 "Quotient checks"). A theta failure then names the
+// smallest-id circuit of an over-theta bundle. Nothing is cached between
+// checks: set_demands and set_max_utilization take effect on the next one.
 #pragma once
 
 #include <cstdint>
+#include <memory>
+#include <optional>
 #include <vector>
 
 #include "klotski/constraints/checker.h"
 #include "klotski/traffic/ecmp.h"
+#include "klotski/traffic/quotient.h"
 
 namespace klotski::constraints {
 
@@ -40,30 +52,49 @@ class DemandChecker : public Checker {
   DemandChecker(traffic::EcmpRouter& router, traffic::DemandSet demands,
                 DemandCheckerParams params = {});
 
+  /// Relative distance from theta within which a quotient peak is routed
+  /// again on the fabric. Both routers compute the same real-valued loads
+  /// to within ~1e-12 relative; DESIGN.md §3 derives the bound.
+  static constexpr double kGuardBand = 1e-9;
+
   Verdict check(const topo::Topology& topo) override;
   std::string name() const override { return "demands"; }
 
-  void set_demands(traffic::DemandSet demands) { demands_ = std::move(demands); }
+  void open_scope(const traffic::Quotient* quotient) override;
+  void close_scope() override;
+
+  void set_demands(traffic::DemandSet demands);
   const traffic::DemandSet& demands() const { return demands_; }
   const DemandCheckerParams& params() const { return params_; }
   void set_max_utilization(double theta) { params_.max_utilization = theta; }
 
   /// Peak utilization seen by the most recent check (diagnostics). The
-  /// scan stops at the first circuit over theta, so after a theta failure
-  /// this is that circuit's utilization or a higher one seen before it.
+  /// fabric scan stops at the first circuit over theta, so after a theta
+  /// failure this is that circuit's utilization or a higher one seen
+  /// before it; a check answered on the quotient records its full peak.
   double last_max_utilization() const { return last_max_utilization_; }
 
-  /// The true peak utilization of the most recent check's loads, funneling
-  /// inflation included: every loaded circuit is scanned, whatever the
-  /// verdict. 0 when that check had an unroutable demand. `topo` must be
-  /// the topology that check ran on, and neither it nor the router may
-  /// have been used or changed since.
+  /// The true peak utilization of the most recent fabric check's loads,
+  /// funneling inflation included: every loaded circuit is scanned,
+  /// whatever the verdict. 0 when that check had an unroutable demand.
+  /// `topo` must be the topology that check ran on, and neither it nor the
+  /// router may have been used or changed since.
   double peak_utilization(const topo::Topology& topo) const;
 
  private:
+  Verdict check_fabric(const topo::Topology& topo);
+  /// The quotient's verdict, or nullopt when the peak lies in the guard
+  /// band and the fabric must decide.
+  std::optional<Verdict> check_quotient(const topo::Topology& topo);
+  /// Binds demands_ to the scope's quotient, or leaves the checker on the
+  /// fabric when there is none or the demands split a class.
+  void bind_quotient();
+
   /// Utilization of circuit `c` under loads_, inflated by the funneling
   /// margin when an endpoint is funneled.
   double utilization(const topo::Circuit& c) const;
+  Verdict over_theta(const topo::Topology& topo, topo::CircuitId id,
+                     double util) const;
 
   traffic::EcmpRouter& router_;
   traffic::DemandSet demands_;
@@ -71,6 +102,13 @@ class DemandChecker : public Checker {
   traffic::LoadVector loads_;           // scratch
   std::vector<std::uint8_t> funneled_;  // scratch (per-switch)
   double last_max_utilization_ = 0.0;
+
+  // Search scope: whether one is open, and its quotient router bound to
+  // demands_ (null when the checks stay on the fabric).
+  bool scoped_ = false;
+  const traffic::Quotient* quotient_ = nullptr;
+  std::unique_ptr<traffic::QuotientRouter> quotient_router_;
+  std::vector<std::uint8_t> class_funneled_;  // scratch (per-class)
 };
 
 }  // namespace klotski::constraints

@@ -3,14 +3,24 @@
 namespace klotski::constraints {
 
 Verdict PortChecker::check(const topo::Topology& topo) {
-  for (const topo::Switch& s : topo.switches()) {
-    if (!s.present()) continue;
-    const int occupied = topo.occupied_ports(s.id);
-    if (occupied > s.max_ports) {
-      return Verdict::fail("switch " + s.name + " needs " +
-                           std::to_string(occupied) + " ports but has " +
-                           std::to_string(s.max_ports));
+  const auto over_budget = [&](const topo::Switch& s) {
+    return s.present() && topo.occupied_ports(s.id) > s.max_ports;
+  };
+  const auto fail = [&](const topo::Switch& s) {
+    return Verdict::fail("switch " + s.name + " needs " +
+                         std::to_string(topo.occupied_ports(s.id)) +
+                         " ports but has " + std::to_string(s.max_ports));
+  };
+  if (quotient_ != nullptr && &quotient_->topology() == &topo) {
+    const auto classes = static_cast<std::int32_t>(quotient_->num_classes());
+    for (std::int32_t cls = 0; cls < classes; ++cls) {
+      const topo::Switch& s = topo.sw(quotient_->representative(cls));
+      if (over_budget(s)) return fail(s);
     }
+    return Verdict::ok();
+  }
+  for (const topo::Switch& s : topo.switches()) {
+    if (over_budget(s)) return fail(s);
   }
   return Verdict::ok();
 }

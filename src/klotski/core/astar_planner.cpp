@@ -23,6 +23,7 @@
 
 #include "klotski/core/cost_model.h"
 #include "klotski/core/search_arena.h"
+#include "klotski/core/search_scope.h"
 #include "klotski/core/state_evaluator.h"
 #include "klotski/obs/trace.h"
 #include "klotski/util/timer.h"
@@ -113,6 +114,7 @@ Plan AStarPlanner::plan(migration::MigrationTask& task,
   plan.planner = name();
 
   StateEvaluator evaluator(task, checker, options.use_satisfiability_cache);
+  const SearchScope scope(evaluator, checker);
   const CountVector& target = evaluator.target();
   const auto num_types = static_cast<std::int32_t>(target.size());
   const CostModel cost(options.alpha, options.type_weights);

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "klotski/core/cost_model.h"
+#include "klotski/core/search_scope.h"
 #include "klotski/core/state_evaluator.h"
 #include "klotski/obs/trace.h"
 #include "klotski/util/timer.h"
@@ -32,6 +33,7 @@ Plan DpPlanner::plan(migration::MigrationTask& task,
   // verdict, so the §4.2 cache could only ever miss. The sweep visits
   // every cell regardless, so WarmStart's arena seeds do not apply either.
   StateEvaluator evaluator(task, checker, /*use_cache=*/false);
+  const SearchScope scope(evaluator, checker);
   const CountVector& target = evaluator.target();
   const auto num_types = static_cast<std::int32_t>(target.size());
   const CostModel cost(options.alpha, options.type_weights);

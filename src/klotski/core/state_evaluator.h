@@ -69,7 +69,6 @@ class StateEvaluator {
   long long full_replays() const { return full_replays_; }
   const SatCache& cache() const { return cache_; }
 
- private:
   /// One op touching an element, keyed by its position in the canonical
   /// replay order (type ascending, block index ascending). An element's
   /// materialized state is the `to` of the last applied op in this order,
@@ -78,8 +77,21 @@ class StateEvaluator {
     std::int32_t type;
     std::int32_t block;
     topo::ElementState to;
+
+    friend bool operator==(const OpRef&, const OpRef&) = default;
   };
 
+  const migration::MigrationTask& task() const { return task_; }
+  /// The ops touching one element, in canonical replay order (the seeds of
+  /// a search's quotient, core/search_scope.h).
+  const std::vector<OpRef>& switch_ops(topo::SwitchId id) const {
+    return switch_ops_[static_cast<std::size_t>(id)];
+  }
+  const std::vector<OpRef>& circuit_ops(topo::CircuitId id) const {
+    return circuit_ops_[static_cast<std::size_t>(id)];
+  }
+
+ private:
   void validate_counts(const std::int32_t* counts) const;
   void materialize_span(const std::int32_t* counts);
   void full_materialize(const std::int32_t* counts);

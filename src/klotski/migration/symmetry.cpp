@@ -33,10 +33,10 @@ std::uint64_t edge_signature(const topo::Circuit& c) {
 }
 
 /// One switch's refined color: hash of its previous color and the sorted
-/// multiset of (edge signature, previous neighbor color) over all incident
+/// multiset of (circuit color, previous neighbor color) over all incident
 /// circuits. `scratch` avoids per-call allocation.
 std::uint64_t refine_one(const Topology& topo, SwitchId sw,
-                         const std::vector<std::uint64_t>& edge_sigs,
+                         const std::vector<std::uint64_t>& circuit_colors,
                          const std::vector<std::uint64_t>& prev,
                          std::vector<std::uint64_t>& scratch) {
   scratch.clear();
@@ -44,7 +44,7 @@ std::uint64_t refine_one(const Topology& topo, SwitchId sw,
     const topo::Circuit& circuit = topo.circuits()[static_cast<std::size_t>(c)];
     const SwitchId other = circuit.a == sw ? circuit.b : circuit.a;
     scratch.push_back(util::hash_combine(
-        edge_sigs[static_cast<std::size_t>(c)],
+        circuit_colors[static_cast<std::size_t>(c)],
         prev[static_cast<std::size_t>(other)]));
   }
   std::sort(scratch.begin(), scratch.end());
@@ -59,25 +59,21 @@ std::size_t distinct_colors(const std::vector<std::uint64_t>& colors) {
   return seen.size();
 }
 
-/// Full refinement to the fixed point; returns the fixed-point coloring.
-/// The class count is strictly increasing, so at most |S| rounds. Colors are
-/// hashes — two switches share a color iff they are 1-WL equivalent (up to
-/// a 2^-64 collision, the same bet the planner's state hashing makes).
-std::vector<std::uint64_t> run_refinement(
-    const Topology& topo, const std::vector<std::uint64_t>& edge_sigs) {
+}  // namespace
+
+std::vector<std::uint64_t> refine_colors(
+    const Topology& topo, std::vector<std::uint64_t> seeds,
+    const std::vector<std::uint64_t>& circuit_colors) {
   const std::size_t n = topo.num_switches();
-  std::vector<std::uint64_t> prev(n);
-  for (const topo::Switch& s : topo.switches()) {
-    prev[static_cast<std::size_t>(s.id)] = initial_color(s);
-  }
+  std::vector<std::uint64_t> prev = std::move(seeds);
   std::size_t num_colors = distinct_colors(prev);
 
   std::vector<std::uint64_t> next(n);
   std::vector<std::uint64_t> scratch;
   while (true) {
     for (std::size_t i = 0; i < n; ++i) {
-      next[i] = refine_one(topo, static_cast<SwitchId>(i), edge_sigs, prev,
-                           scratch);
+      next[i] = refine_one(topo, static_cast<SwitchId>(i), circuit_colors,
+                           prev, scratch);
     }
     const std::size_t next_colors = distinct_colors(next);
     if (next_colors == num_colors) return next;  // fixed point
@@ -86,9 +82,7 @@ std::vector<std::uint64_t> run_refinement(
   }
 }
 
-/// Dense class numbering by first occurrence in switch-id order — the same
-/// numbering the historical per-round renumbering produced.
-SymmetryPartition build_partition(const std::vector<std::uint64_t>& colors) {
+SymmetryPartition partition_of(const std::vector<std::uint64_t>& colors) {
   const std::size_t n = colors.size();
   SymmetryPartition partition;
   partition.class_of.assign(n, -1);
@@ -105,8 +99,6 @@ SymmetryPartition build_partition(const std::vector<std::uint64_t>& colors) {
   return partition;
 }
 
-}  // namespace
-
 std::size_t SymmetryPartition::largest_block() const {
   std::size_t largest = 0;
   for (const auto& block : blocks) largest = std::max(largest, block.size());
@@ -121,11 +113,15 @@ SymmetryPartition::size_histogram() const {
 }
 
 SymmetryPartition compute_symmetry(const Topology& topo) {
+  std::vector<std::uint64_t> seeds(topo.num_switches());
+  for (const topo::Switch& s : topo.switches()) {
+    seeds[static_cast<std::size_t>(s.id)] = initial_color(s);
+  }
   std::vector<std::uint64_t> edge_sigs(topo.num_circuits());
   for (std::size_t c = 0; c < topo.num_circuits(); ++c) {
     edge_sigs[c] = edge_signature(topo.circuits()[c]);
   }
-  return build_partition(run_refinement(topo, edge_sigs));
+  return partition_of(refine_colors(topo, std::move(seeds), edge_sigs));
 }
 
 bool equivalent(const SymmetryPartition& partition, SwitchId a, SwitchId b) {

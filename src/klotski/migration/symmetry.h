@@ -17,6 +17,12 @@
 // Colors are raw 64-bit hashes throughout refinement (no per-round dense
 // renumbering). Classes are renumbered densely (first occurrence in
 // switch-id order) only when the final partition is built.
+//
+// The refinement loop is shared: compute_symmetry seeds it with what a
+// constraint sees on a switch in its current state, and a planner's search
+// scope (core/search_scope.h) seeds it with what the whole search can do
+// to a switch — its original state and block ops — to get the partition
+// its demand and port checks route on.
 #pragma once
 
 #include <cstdint>
@@ -41,6 +47,21 @@ struct SymmetryPartition {
   /// Histogram: count of blocks per block size.
   std::vector<std::pair<std::size_t, std::size_t>> size_histogram() const;
 };
+
+/// Refines per-switch seed colors to the 1-WL fixed point. Each round
+/// replaces a switch's color with a hash of its color and the sorted
+/// multiset of (circuit color, neighbor color) over its incident circuits,
+/// until the number of distinct colors stops growing (at most |S| rounds).
+/// Switches end with equal colors iff color refinement cannot tell them
+/// apart, up to a 2^-64 hash collision; a caller that needs certainty
+/// verifies the result (traffic::Quotient::build does).
+std::vector<std::uint64_t> refine_colors(
+    const topo::Topology& topo, std::vector<std::uint64_t> seeds,
+    const std::vector<std::uint64_t>& circuit_colors);
+
+/// The classes of a coloring, numbered densely by first occurrence in
+/// switch-id order.
+SymmetryPartition partition_of(const std::vector<std::uint64_t>& colors);
 
 /// Computes the symmetry partition of the current element states.
 /// Runs O(iterations * (|S| + |C|) log) with at most |S| refinement rounds.

@@ -1,5 +1,6 @@
 #include "klotski/npd/npd_convert.h"
 
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <unordered_map>
@@ -51,15 +52,21 @@ topo::Topology topology_from_json(const json::Value& value) {
     const std::string name = v.at("name").as_string();
     topo::Location loc;
     if (const Value* l = v.as_object().find("loc")) {
-      loc.dc = static_cast<std::int16_t>(l->get_int("dc", -1));
-      loc.pod = static_cast<std::int16_t>(l->get_int("pod", -1));
-      loc.plane = static_cast<std::int16_t>(l->get_int("plane", -1));
-      loc.grid = static_cast<std::int16_t>(l->get_int("grid", -1));
+      // -1 is "not applicable" (topo::Location); anything else indexes.
+      const auto coordinate = [&](const char* key) {
+        return static_cast<std::int16_t>(l->get_int_in(
+            key, -1, -1, std::numeric_limits<std::int16_t>::max()));
+      };
+      loc.dc = coordinate("dc");
+      loc.pod = coordinate("pod");
+      loc.plane = coordinate("plane");
+      loc.grid = coordinate("grid");
     }
     const topo::SwitchId id = topo.add_switch(
         topo::switch_role_from_string(v.at("role").as_string()),
         topo::generation_from_string(v.get_string("gen", "V1")), loc,
-        static_cast<std::int32_t>(v.get_int("max_ports", 64)),
+        static_cast<std::int32_t>(v.get_int_in(
+            "max_ports", 64, 0, std::numeric_limits<std::int32_t>::max())),
         topo::element_state_from_string(v.get_string("state", "active")),
         name);
     if (!by_name.emplace(name, id).second) {

@@ -1,5 +1,6 @@
 #include "klotski/npd/npd_io.h"
 
+#include <limits>
 #include <stdexcept>
 #include <unordered_set>
 
@@ -13,6 +14,13 @@ using json::Value;
 
 [[noreturn]] void fail(const std::string& message) {
   throw std::invalid_argument("npd: " + message);
+}
+
+/// Reads an int field, refusing negative values and values beyond int with
+/// an error naming the field (a bare cast would wrap 2^32 + 3 to 3).
+int get_count(const Value& v, const char* key, int fallback) {
+  return static_cast<int>(
+      v.get_int_in(key, fallback, 0, std::numeric_limits<int>::max()));
 }
 
 /// Rejects keys outside `allowed` so that typos are loud.
@@ -33,14 +41,11 @@ topo::FabricParams fabric_from_json(const Value& v) {
              {"pods", "rsws_per_pod", "planes", "ssws_per_plane",
               "rsw_fsw_links"});
   topo::FabricParams fab;
-  fab.pods = static_cast<int>(v.get_int("pods", fab.pods));
-  fab.rsws_per_pod =
-      static_cast<int>(v.get_int("rsws_per_pod", fab.rsws_per_pod));
-  fab.planes = static_cast<int>(v.get_int("planes", fab.planes));
-  fab.ssws_per_plane =
-      static_cast<int>(v.get_int("ssws_per_plane", fab.ssws_per_plane));
-  fab.rsw_fsw_links =
-      static_cast<int>(v.get_int("rsw_fsw_links", fab.rsw_fsw_links));
+  fab.pods = get_count(v, "pods", fab.pods);
+  fab.rsws_per_pod = get_count(v, "rsws_per_pod", fab.rsws_per_pod);
+  fab.planes = get_count(v, "planes", fab.planes);
+  fab.ssws_per_plane = get_count(v, "ssws_per_plane", fab.ssws_per_plane);
+  fab.rsw_fsw_links = get_count(v, "rsw_fsw_links", fab.rsw_fsw_links);
   return fab;
 }
 
@@ -68,7 +73,8 @@ topo::MeshPattern mesh_from_string(const std::string& text) {
 std::vector<int> strides_from_json(const Value& v, const char* key) {
   std::vector<int> strides;
   for (const Value& s : v.as_array()) {
-    strides.push_back(static_cast<int>(s.as_int()));
+    strides.push_back(static_cast<int>(
+        s.as_int_in(key, 0, std::numeric_limits<int>::max())));
   }
   if (strides.empty()) fail(std::string(key) + " must not be empty");
   return strides;
@@ -89,7 +95,7 @@ NpdDocument from_json(const Value& root) {
               "demand"});
   NpdDocument doc;
   doc.name = root.get_string("name", doc.name);
-  doc.version = static_cast<int>(root.get_int("version", doc.version));
+  doc.version = get_count(root, "version", doc.version);
   doc.family =
       topo::family_from_string(root.get_string("family", "clos"));
   topo::RegionParams& rp = doc.region;
@@ -99,17 +105,17 @@ NpdDocument from_json(const Value& root) {
                {"switches", "degree", "extra_links", "max_chord_span",
                 "cap_tbps", "seed", "port_slack"});
     topo::FlatParams& fp = doc.flat;
-    fp.switches = static_cast<int>(flat->get_int("switches", fp.switches));
-    fp.degree = static_cast<int>(flat->get_int("degree", fp.degree));
-    fp.extra_links =
-        static_cast<int>(flat->get_int("extra_links", fp.extra_links));
-    fp.max_chord_span =
-        static_cast<int>(flat->get_int("max_chord_span", fp.max_chord_span));
+    fp.switches = get_count(*flat, "switches", fp.switches);
+    fp.degree = get_count(*flat, "degree", fp.degree);
+    fp.extra_links = get_count(*flat, "extra_links", fp.extra_links);
+    fp.max_chord_span = get_count(*flat, "max_chord_span", fp.max_chord_span);
     fp.cap_tbps = flat->get_double("cap_tbps", fp.cap_tbps);
-    fp.seed = static_cast<std::uint64_t>(
-        flat->get_int("seed", static_cast<std::int64_t>(fp.seed)));
-    fp.port_slack =
-        static_cast<int>(flat->get_int("port_slack", fp.port_slack));
+    // Written as int64 (to_json casts), so every uint64 seed round-trips.
+    fp.seed = static_cast<std::uint64_t>(flat->get_int_in(
+        "seed", static_cast<std::int64_t>(fp.seed),
+        std::numeric_limits<std::int64_t>::min(),
+        std::numeric_limits<std::int64_t>::max()));
+    fp.port_slack = get_count(*flat, "port_slack", fp.port_slack);
   }
 
   if (const Value* reconf = root.as_object().find("reconf")) {
@@ -117,7 +123,7 @@ NpdDocument from_json(const Value& root) {
                {"switches", "v1_strides", "v2_strides", "cap_tbps",
                 "port_slack"});
     topo::ReconfParams& cp = doc.reconf;
-    cp.switches = static_cast<int>(reconf->get_int("switches", cp.switches));
+    cp.switches = get_count(*reconf, "switches", cp.switches);
     if (const Value* v1 = reconf->as_object().find("v1_strides")) {
       cp.v1_strides = strides_from_json(*v1, "reconf.v1_strides");
     }
@@ -125,13 +131,12 @@ NpdDocument from_json(const Value& root) {
       cp.v2_strides = strides_from_json(*v2, "reconf.v2_strides");
     }
     cp.cap_tbps = reconf->get_double("cap_tbps", cp.cap_tbps);
-    cp.port_slack =
-        static_cast<int>(reconf->get_int("port_slack", cp.port_slack));
+    cp.port_slack = get_count(*reconf, "port_slack", cp.port_slack);
   }
 
   if (const Value* fabric = root.as_object().find("fabric")) {
     check_keys(*fabric, "fabric", {"dcs", "buildings"});
-    rp.dcs = static_cast<int>(fabric->get_int("dcs", rp.dcs));
+    rp.dcs = get_count(*fabric, "dcs", rp.dcs);
     if (const Value* buildings = fabric->as_object().find("buildings")) {
       rp.fabrics.clear();
       for (const Value& b : buildings->as_array()) {
@@ -145,11 +150,10 @@ NpdDocument from_json(const Value& root) {
     check_keys(*hgrid, "hgrid",
                {"grids", "fadus_per_grid_per_dc", "fauus_per_grid",
                 "generation", "mesh"});
-    rp.grids = static_cast<int>(hgrid->get_int("grids", rp.grids));
-    rp.fadus_per_grid_per_dc = static_cast<int>(
-        hgrid->get_int("fadus_per_grid_per_dc", rp.fadus_per_grid_per_dc));
-    rp.fauus_per_grid = static_cast<int>(
-        hgrid->get_int("fauus_per_grid", rp.fauus_per_grid));
+    rp.grids = get_count(*hgrid, "grids", rp.grids);
+    rp.fadus_per_grid_per_dc =
+        get_count(*hgrid, "fadus_per_grid_per_dc", rp.fadus_per_grid_per_dc);
+    rp.fauus_per_grid = get_count(*hgrid, "fauus_per_grid", rp.fauus_per_grid);
     rp.hgrid_gen = topo::generation_from_string(
         hgrid->get_string("generation", "V1"));
     rp.mesh = mesh_from_string(hgrid->get_string("mesh", "plane-aligned"));
@@ -160,15 +164,15 @@ NpdDocument from_json(const Value& root) {
   }
   if (const Value* eb = root.as_object().find("eb")) {
     check_keys(*eb, "eb", {"count"});
-    rp.ebs = static_cast<int>(eb->get_int("count", rp.ebs));
+    rp.ebs = get_count(*eb, "count", rp.ebs);
   }
   if (const Value* dr = root.as_object().find("dr")) {
     check_keys(*dr, "dr", {"count"});
-    rp.drs = static_cast<int>(dr->get_int("count", rp.drs));
+    rp.drs = get_count(*dr, "count", rp.drs);
   }
   if (const Value* bb = root.as_object().find("bb")) {
     check_keys(*bb, "bb", {"ebbs"});
-    rp.ebbs = static_cast<int>(bb->get_int("ebbs", rp.ebbs));
+    rp.ebbs = get_count(*bb, "ebbs", rp.ebbs);
   }
 
   if (const Value* hw = root.as_object().find("hardware")) {
@@ -189,16 +193,11 @@ NpdDocument from_json(const Value& root) {
     if (const Value* slack = hw->as_object().find("port_slack")) {
       check_keys(*slack, "hardware.port_slack",
                  {"fabric", "ssw", "agg", "eb", "ebb"});
-      rp.port_slack_fabric = static_cast<int>(
-          slack->get_int("fabric", rp.port_slack_fabric));
-      rp.port_slack_ssw =
-          static_cast<int>(slack->get_int("ssw", rp.port_slack_ssw));
-      rp.port_slack_agg =
-          static_cast<int>(slack->get_int("agg", rp.port_slack_agg));
-      rp.port_slack_eb =
-          static_cast<int>(slack->get_int("eb", rp.port_slack_eb));
-      rp.port_slack_ebb =
-          static_cast<int>(slack->get_int("ebb", rp.port_slack_ebb));
+      rp.port_slack_fabric = get_count(*slack, "fabric", rp.port_slack_fabric);
+      rp.port_slack_ssw = get_count(*slack, "ssw", rp.port_slack_ssw);
+      rp.port_slack_agg = get_count(*slack, "agg", rp.port_slack_agg);
+      rp.port_slack_eb = get_count(*slack, "eb", rp.port_slack_eb);
+      rp.port_slack_ebb = get_count(*slack, "ebb", rp.port_slack_ebb);
     }
   }
 
@@ -219,41 +218,39 @@ NpdDocument from_json(const Value& root) {
     policy.use_operation_blocks =
         mig->get_bool("use_operation_blocks", policy.use_operation_blocks);
 
-    doc.hgrid.v2_grids =
-        static_cast<int>(mig->get_int("v2_grids", doc.hgrid.v2_grids));
-    doc.hgrid.v2_fadus_per_grid_per_dc = static_cast<int>(mig->get_int(
-        "v2_fadus_per_grid_per_dc", doc.hgrid.v2_fadus_per_grid_per_dc));
-    doc.hgrid.v2_fauus_per_grid = static_cast<int>(
-        mig->get_int("v2_fauus_per_grid", doc.hgrid.v2_fauus_per_grid));
-    doc.hgrid.fadu_chunks_per_grid_dc = static_cast<int>(mig->get_int(
-        "fadu_chunks_per_grid_dc", doc.hgrid.fadu_chunks_per_grid_dc));
-    doc.hgrid.fauu_chunks_per_grid = static_cast<int>(
-        mig->get_int("fauu_chunks_per_grid", doc.hgrid.fauu_chunks_per_grid));
+    doc.hgrid.v2_grids = get_count(*mig, "v2_grids", doc.hgrid.v2_grids);
+    doc.hgrid.v2_fadus_per_grid_per_dc = get_count(
+        *mig, "v2_fadus_per_grid_per_dc", doc.hgrid.v2_fadus_per_grid_per_dc);
+    doc.hgrid.v2_fauus_per_grid =
+        get_count(*mig, "v2_fauus_per_grid", doc.hgrid.v2_fauus_per_grid);
+    doc.hgrid.fadu_chunks_per_grid_dc = get_count(
+        *mig, "fadu_chunks_per_grid_dc", doc.hgrid.fadu_chunks_per_grid_dc);
+    doc.hgrid.fauu_chunks_per_grid =
+        get_count(*mig, "fauu_chunks_per_grid", doc.hgrid.fauu_chunks_per_grid);
     doc.hgrid.policy = policy;
 
-    doc.ssw.dc = static_cast<int>(mig->get_int("dc", doc.ssw.dc));
+    doc.ssw.dc = get_count(*mig, "dc", doc.ssw.dc);
     doc.ssw.v2_capacity_factor =
         mig->get_double("v2_capacity_factor", doc.ssw.v2_capacity_factor);
-    doc.ssw.blocks_per_plane = static_cast<int>(
-        mig->get_int("blocks_per_plane", doc.ssw.blocks_per_plane));
+    doc.ssw.blocks_per_plane =
+        get_count(*mig, "blocks_per_plane", doc.ssw.blocks_per_plane);
     doc.ssw.policy = policy;
 
-    doc.dmag.ma_per_eb =
-        static_cast<int>(mig->get_int("ma_per_eb", doc.dmag.ma_per_eb));
+    doc.dmag.ma_per_eb = get_count(*mig, "ma_per_eb", doc.dmag.ma_per_eb);
     doc.dmag.policy = policy;
 
     doc.flat_mig.upgrade_fraction =
         mig->get_double("upgrade_fraction", doc.flat_mig.upgrade_fraction);
     doc.flat_mig.v2_capacity_factor = mig->get_double(
         "v2_capacity_factor", doc.flat_mig.v2_capacity_factor);
-    doc.flat_mig.switch_chunks = static_cast<int>(
-        mig->get_int("switch_chunks", doc.flat_mig.switch_chunks));
+    doc.flat_mig.switch_chunks =
+        get_count(*mig, "switch_chunks", doc.flat_mig.switch_chunks);
     doc.flat_mig.origin_utilization_cap = mig->get_double(
         "origin_utilization_cap", doc.flat_mig.origin_utilization_cap);
     doc.flat_mig.policy = policy;
 
-    doc.reconf_mig.chunks_per_stride = static_cast<int>(
-        mig->get_int("chunks_per_stride", doc.reconf_mig.chunks_per_stride));
+    doc.reconf_mig.chunks_per_stride =
+        get_count(*mig, "chunks_per_stride", doc.reconf_mig.chunks_per_stride);
     doc.reconf_mig.origin_utilization_cap = mig->get_double(
         "origin_utilization_cap", doc.reconf_mig.origin_utilization_cap);
     doc.reconf_mig.policy = policy;
@@ -273,8 +270,8 @@ NpdDocument from_json(const Value& root) {
         demand->get_double("intra_dc_frac", doc.demand.intra_dc_frac);
     doc.demand.mesh_group_frac =
         demand->get_double("mesh_group_frac", doc.demand.mesh_group_frac);
-    doc.demand.mesh_groups = static_cast<int>(
-        demand->get_int("mesh_groups", doc.demand.mesh_groups));
+    doc.demand.mesh_groups =
+        get_count(*demand, "mesh_groups", doc.demand.mesh_groups);
   }
 
   return doc;

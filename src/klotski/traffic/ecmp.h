@@ -133,6 +133,13 @@ class EcmpRouter {
     return touched_circuits_;
   }
 
+  /// Demand indices of one target-set group.
+  using Group = std::vector<std::uint32_t>;
+
+  /// Groups demand indices by identical target sets, first-occurrence order
+  /// (the grouping assign_all routes in; QuotientRouter binds the same).
+  static std::vector<Group> group_by_targets(const DemandSet& demands);
+
   /// Demand groups routed by assign_all, summed over calls: every group of
   /// every successful call, and the groups up to and including the first
   /// failing one otherwise, whether or not a group reused its DAG. A
@@ -148,9 +155,6 @@ class EcmpRouter {
     std::uint32_t slot;
     double value;
   };
-
-  /// Demand indices of one target-set group.
-  using Group = std::vector<std::uint32_t>;
 
   /// Flat CSR arc record: everything BFS + propagation need, contiguous.
   /// For switch s, its arcs are arcs_[offsets_[s]..offsets_[s+1]).
@@ -217,9 +221,6 @@ class EcmpRouter {
   /// Propagates scratch volume down the current shortest-path DAG, appending
   /// (slot, value) entries to `out` (each slot at most once).
   void propagate(Scratch& s, std::vector<LoadEntry>& out) const;
-
-  /// Groups demand indices by identical target sets, first-occurrence order.
-  static std::vector<Group> group_by_targets(const DemandSet& demands);
 
   /// BFS (or the slot's kept DAG) + inject + propagate for one group of
   /// `demands` into `out` (cleared first). Thread-safe for distinct slots

@@ -39,6 +39,16 @@ TEST_P(ShippedNpdFiles, ParsesRoundTripsAndPlans) {
   EXPECT_TRUE(pipeline::audit_plan(task, *bundle.checker, result.plan).ok);
 }
 
+// Range-checked integer reads must not refuse a shipped document, and the
+// document must come back from dump_npd exactly as it was read.
+TEST_P(ShippedNpdFiles, ReadsAndDumpsUnchanged) {
+  const NpdDocument doc =
+      parse_npd(util::read_file(npd_path(GetParam())));
+  const std::string dumped = dump_npd(doc);
+  EXPECT_EQ(dump_npd(parse_npd(dumped)), dumped) << GetParam();
+  EXPECT_EQ(to_json(parse_npd(dumped)), to_json(doc)) << GetParam();
+}
+
 INSTANTIATE_TEST_SUITE_P(Files, ShippedNpdFiles,
                          ::testing::Values("region-b-hgrid.npd.json",
                                            "region-c-ssw-forklift.npd.json",
@@ -54,6 +64,39 @@ INSTANTIATE_TEST_SUITE_P(Files, ShippedNpdFiles,
                            }
                            return name;
                          });
+
+/// The shipped HGRID document with one integer field's value replaced.
+std::string hgrid_with(const std::string& key, const std::string& value) {
+  std::string text = util::read_file(npd_path("region-b-hgrid.npd.json"));
+  const std::string needle = "\"" + key + "\": ";
+  const std::size_t at = text.find(needle);
+  EXPECT_NE(at, std::string::npos) << key;
+  const std::size_t begin = at + needle.size();
+  const std::size_t end = text.find_first_of(",\n}", begin);
+  return text.replace(begin, end - begin, value);
+}
+
+std::string refusal(const std::string& text) {
+  try {
+    parse_npd(text);
+  } catch (const std::exception& e) {
+    return e.what();
+  }
+  return "";
+}
+
+// 2^32 + 3 used to wrap to 3 through a bare int cast and plan as pods: 3.
+TEST(ShippedNpdRanges, OutOfRangeCountIsRefusedNamingTheField) {
+  const std::string message = refusal(hgrid_with("pods", "4294967299"));
+  EXPECT_NE(message.find("pods"), std::string::npos) << message;
+  EXPECT_EQ(parse_npd(hgrid_with("pods", "3")).region.fabrics.front().pods,
+            3);
+}
+
+TEST(ShippedNpdRanges, NegativeCountIsRefusedNamingTheField) {
+  const std::string message = refusal(hgrid_with("grids", "-2"));
+  EXPECT_NE(message.find("grids"), std::string::npos) << message;
+}
 
 }  // namespace
 }  // namespace klotski::npd

@@ -281,5 +281,49 @@ TEST(NpdConvert, RejectsDuplicateSwitchNames) {
   EXPECT_THROW(topology_from_json(json::parse(text)), std::invalid_argument);
 }
 
+TEST(NpdConvert, OutOfRangeIntegersAreRefusedNamingTheField) {
+  const auto refusal = [](const char* text) -> std::string {
+    try {
+      topology_from_json(json::parse(text));
+    } catch (const json::JsonError& e) {
+      return e.what();
+    }
+    return "";
+  };
+  // int16 coordinates: 65536 + 3 would wrap to 3.
+  EXPECT_NE(refusal(R"({"switches": [{"name": "a", "role": "RSW",
+                        "loc": {"pod": 65539}}], "circuits": []})")
+                .find("pod"),
+            std::string::npos);
+  EXPECT_NE(refusal(R"({"switches": [{"name": "a", "role": "RSW",
+                        "loc": {"dc": -2}}], "circuits": []})")
+                .find("dc"),
+            std::string::npos);
+  EXPECT_NE(refusal(R"({"switches": [{"name": "a", "role": "RSW",
+                        "max_ports": -1}], "circuits": []})")
+                .find("max_ports"),
+            std::string::npos);
+  EXPECT_EQ(refusal(R"({"switches": [{"name": "a", "role": "RSW",
+                        "loc": {"dc": -1, "pod": 7}}], "circuits": []})"),
+            "");
+}
+
+TEST(NpdIo, OutOfRangeStrideIsRefusedNamingTheField) {
+  NpdDocument doc;
+  doc.family = topo::TopologyFamily::kReconf;
+  doc.migration = MigrationKind::kReconfRewire;
+  json::Value root = to_json(doc);
+  root.as_object()["reconf"].as_object()["v1_strides"] =
+      json::Value(json::Array{json::Value(std::int64_t{4294967297})});
+  try {
+    from_json(root);
+    ADD_FAILURE() << "stride 2^32 + 1 was accepted";
+  } catch (const json::JsonError& e) {
+    EXPECT_NE(std::string(e.what()).find("reconf.v1_strides"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 }  // namespace
 }  // namespace klotski::npd

@@ -1,9 +1,11 @@
 // Golden-plan regression corpus: for Clos presets A-C plus the flat and
-// reconf preset-A cases (all reduced scale) the default pipeline
+// reconf preset-A cases (all reduced scale), and full-scale Clos D (the
+// instance perfbench's plan-cold workload plans), the default pipeline
 // (klotski_synth | klotski_plan --planner=astar) must reproduce the
-// committed plan JSON byte-for-byte. Any intentional change to the
-// planner, the checker, the preset parameters, or the JSON encoder shows
-// up as a readable diff; regenerate with scripts/regen_golden.sh.
+// committed plan JSON byte-for-byte, stats counters included. Any
+// intentional change to the planner, the checker, the preset parameters,
+// or the JSON encoder shows up as a readable diff; regenerate with
+// scripts/regen_golden.sh.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -21,9 +23,12 @@ namespace {
 // The cases sit in a static table rather than in stack temporaries: gtest
 // prints a parameter without a PrintTo as its raw bytes, ctest folds that
 // dump into the test name, and static storage zeroes the padding after
-// `family` that the name would otherwise read as stack garbage.
+// `family` that the name would otherwise read as stack garbage. The
+// one-byte `full_scale` sits in that padding, so adding it changed neither
+// the struct's size nor the reduced cases' names.
 struct GoldenCase {
   topo::TopologyFamily family;
+  bool full_scale;  // false: reduced scale
   topo::PresetId preset;
   const char* label;  // test-name suffix
   const char* file;   // golden file name under tests/golden/
@@ -32,11 +37,12 @@ struct GoldenCase {
 class GoldenPlan : public ::testing::TestWithParam<GoldenCase> {};
 
 /// The exact document klotski_synth emits for
-///   --family=<F> --preset=<X> --scale=reduced
+///   --family=<F> --preset=<X> --scale=<S>
 /// including the serialize/parse round trip the file I/O performs.
 npd::NpdDocument golden_document(const GoldenCase& gc) {
   const npd::NpdDocument doc = pipeline::synth_document(
-      gc.family, gc.preset, topo::PresetScale::kReduced,
+      gc.family, gc.preset,
+      gc.full_scale ? topo::PresetScale::kFull : topo::PresetScale::kReduced,
       npd::default_migration(gc.family));
   return npd::parse_npd(npd::dump_npd(doc));
 }
@@ -73,13 +79,18 @@ TEST_P(GoldenPlan, DefaultPipelineOutputIsByteExact) {
 }
 
 constexpr GoldenCase kGoldenCases[] = {
-    {topo::TopologyFamily::kClos, topo::PresetId::kA, "ClosA", "plan-a.json"},
-    {topo::TopologyFamily::kClos, topo::PresetId::kB, "ClosB", "plan-b.json"},
-    {topo::TopologyFamily::kClos, topo::PresetId::kC, "ClosC", "plan-c.json"},
-    {topo::TopologyFamily::kFlat, topo::PresetId::kA, "FlatA",
+    {topo::TopologyFamily::kClos, false, topo::PresetId::kA, "ClosA",
+     "plan-a.json"},
+    {topo::TopologyFamily::kClos, false, topo::PresetId::kB, "ClosB",
+     "plan-b.json"},
+    {topo::TopologyFamily::kClos, false, topo::PresetId::kC, "ClosC",
+     "plan-c.json"},
+    {topo::TopologyFamily::kFlat, false, topo::PresetId::kA, "FlatA",
      "plan-flat.json"},
-    {topo::TopologyFamily::kReconf, topo::PresetId::kA, "ReconfA",
+    {topo::TopologyFamily::kReconf, false, topo::PresetId::kA, "ReconfA",
      "plan-reconf.json"},
+    {topo::TopologyFamily::kClos, true, topo::PresetId::kD, "ClosDFull",
+     "plan-d-full.json"},
 };
 
 INSTANTIATE_TEST_SUITE_P(

@@ -14,7 +14,8 @@
 //                  must match exactly between the two files (the
 //                  thread-invariance contract)
 //   --counters     comma-separated counter names for --expect-same
-//                  (default: the evaluator.* thread-invariant set)
+//                  (default: the evaluator.* and quotient.* thread-invariant
+//                  set)
 //
 // Always checked on --metrics:
 //   * schema == "klotski.metrics.v1"
@@ -23,6 +24,10 @@
 //   * replan.warm_wins + replan.fallback_full == replan.warm_attempts
 //     (when any of the three is present — every warm-repair attempt either
 //     wins or falls back to a full replan, never both or neither)
+//   * quotient.checks + quotient.fallback_guard_band +
+//     quotient.fallback_not_applicable == quotient.scoped_checks (when any
+//     of the four is present — every demand check inside a search scope is
+//     answered on the quotient or routed on the fabric, exactly once)
 //
 // Exit status: 0 all checks passed, 1 a check failed, 2 usage/input error.
 #include <iostream>
@@ -104,6 +109,29 @@ int run(const klotski::util::Flags& flags) {
                 << " full fallbacks == " << attempts << " warm attempts\n";
     }
 
+    // Search-scope accounting: where every scoped demand check went.
+    if (has_counter(metrics, "quotient.scoped_checks") ||
+        has_counter(metrics, "quotient.checks") ||
+        has_counter(metrics, "quotient.fallback_guard_band") ||
+        has_counter(metrics, "quotient.fallback_not_applicable")) {
+      const long long scoped = counter_value(metrics, "quotient.scoped_checks");
+      const long long quotient = counter_value(metrics, "quotient.checks");
+      const long long guard =
+          counter_value(metrics, "quotient.fallback_guard_band");
+      const long long not_applicable =
+          counter_value(metrics, "quotient.fallback_not_applicable");
+      if (quotient + guard + not_applicable != scoped) {
+        std::cerr << "FAIL: quotient.checks (" << quotient
+                  << ") + fallback_guard_band (" << guard
+                  << ") + fallback_not_applicable (" << not_applicable
+                  << ") != scoped_checks (" << scoped << ")\n";
+        return 1;
+      }
+      std::cout << "ok: " << quotient << " quotient checks + " << guard
+                << " guard-band + " << not_applicable
+                << " fabric fallbacks == " << scoped << " scoped checks\n";
+    }
+
     const std::string trace_path = flags.get_string("trace", "");
     if (!trace_path.empty()) {
       const Value trace = json::parse(util::read_file(trace_path));
@@ -138,7 +166,11 @@ int run(const klotski::util::Flags& flags) {
           flags.get_string("counters",
                            "evaluator.evaluations,evaluator.sat_cache_hits,"
                            "evaluator.sat_cache_misses,evaluator.delta_applies,"
-                           "evaluator.full_replays,planner.states_expanded"),
+                           "evaluator.full_replays,planner.states_expanded,"
+                           "quotient.scopes,quotient.classes,quotient.arcs,"
+                           "quotient.refused,quotient.scoped_checks,"
+                           "quotient.checks,quotient.fallback_guard_band,"
+                           "quotient.fallback_not_applicable"),
           ',');
       bool same = true;
       for (const std::string& name : names) {
