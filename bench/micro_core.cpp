@@ -29,7 +29,7 @@ void BM_EcmpAssignOneDemand(benchmark::State& state) {
   traffic::LoadVector loads;
   const traffic::Demand& demand = mig.task.demands.front();
   for (auto _ : state) {
-    loads.assign(mig.task.topo->num_circuits() * 2, 0.0);
+    loads.assign(mig.task.topo->num_circuits() * 2, 0);
     benchmark::DoNotOptimize(router.assign(demand, loads));
   }
   state.SetItemsProcessed(state.iterations() *
@@ -228,7 +228,7 @@ void BM_AssignAllDemands(benchmark::State& state) {
     // Defeat the liveness-refresh version gate so every iteration also pays
     // the full liveness rebuild.
     mig.task.topo->bump_state_version();
-    loads.assign(mig.task.topo->num_circuits() * 2, 0.0);
+    loads.assign(mig.task.topo->num_circuits() * 2, 0);
     benchmark::DoNotOptimize(router.assign_all(mig.task.demands, loads));
   }
   state.SetItemsProcessed(
@@ -248,10 +248,10 @@ topo::CircuitId find_flippable_circuit(topo::Topology& topo,
   for (const topo::Circuit& c : topo.circuits()) {
     if (!topo.circuit_carries_traffic(c.id)) continue;
     topo.set_circuit_state(c.id, topo::ElementState::kDrained);
-    loads.assign(topo.num_circuits() * 2, 0.0);
+    loads.assign(topo.num_circuits() * 2, 0);
     const bool ok = router.assign_all(demands, loads);
     topo.set_circuit_state(c.id, topo::ElementState::kActive);
-    loads.assign(topo.num_circuits() * 2, 0.0);
+    loads.assign(topo.num_circuits() * 2, 0);
     router.assign_all(demands, loads);
     if (ok) return c.id;
   }
@@ -266,7 +266,7 @@ void BM_AssignAllDirtyGroups(benchmark::State& state) {
   topo::Topology topo = *mig.task.topo;  // private copy: benches share the case
   traffic::EcmpRouter router(topo);
   traffic::LoadVector loads;
-  loads.assign(topo.num_circuits() * 2, 0.0);
+  loads.assign(topo.num_circuits() * 2, 0);
   router.assign_all(mig.task.demands, loads);
 
   const topo::CircuitId flip =
@@ -280,7 +280,7 @@ void BM_AssignAllDirtyGroups(benchmark::State& state) {
     drained = !drained;
     topo.set_circuit_state(flip, drained ? topo::ElementState::kDrained
                                          : topo::ElementState::kActive);
-    loads.assign(topo.num_circuits() * 2, 0.0);
+    loads.assign(topo.num_circuits() * 2, 0);
     benchmark::DoNotOptimize(router.assign_all(mig.task.demands, loads));
   }
   state.SetItemsProcessed(state.iterations() *
@@ -295,7 +295,7 @@ void BM_AssignAllSwitchDirtyWalk(benchmark::State& state) {
   topo::Topology topo = *mig.task.topo;
   traffic::EcmpRouter router(topo);
   traffic::LoadVector loads;
-  loads.assign(topo.num_circuits() * 2, 0.0);
+  loads.assign(topo.num_circuits() * 2, 0);
   router.assign_all(mig.task.demands, loads);
 
   // A switch whose drain keeps every demand routable (same search as the
@@ -304,10 +304,10 @@ void BM_AssignAllSwitchDirtyWalk(benchmark::State& state) {
   for (const topo::Switch& s : topo.switches()) {
     if (!s.active()) continue;
     topo.set_switch_state(s.id, topo::ElementState::kDrained);
-    loads.assign(topo.num_circuits() * 2, 0.0);
+    loads.assign(topo.num_circuits() * 2, 0);
     const bool ok = router.assign_all(mig.task.demands, loads);
     topo.set_switch_state(s.id, topo::ElementState::kActive);
-    loads.assign(topo.num_circuits() * 2, 0.0);
+    loads.assign(topo.num_circuits() * 2, 0);
     router.assign_all(mig.task.demands, loads);
     if (ok) {
       flip = s.id;
@@ -323,7 +323,7 @@ void BM_AssignAllSwitchDirtyWalk(benchmark::State& state) {
     drained = !drained;
     topo.set_switch_state(flip, drained ? topo::ElementState::kDrained
                                         : topo::ElementState::kActive);
-    loads.assign(topo.num_circuits() * 2, 0.0);
+    loads.assign(topo.num_circuits() * 2, 0);
     benchmark::DoNotOptimize(router.assign_all(mig.task.demands, loads));
   }
   state.SetItemsProcessed(state.iterations() *
@@ -353,7 +353,7 @@ void BM_BfsEpochReset(benchmark::State& state) {
   demand.volume_tbps = 1.0;
 
   traffic::EcmpRouter router(topo);
-  traffic::LoadVector loads(topo.num_circuits() * 2, 0.0);
+  traffic::LoadVector loads(topo.num_circuits() * 2, 0);
   for (auto _ : state) {
     // Loads accumulate across iterations; the cost measured is the per-call
     // scratch reset + two-switch BFS, not the (unused) load values.
@@ -368,7 +368,7 @@ void BM_WorstCircuitScan(benchmark::State& state) {
   migration::MigrationCase& mig = shared_case();
   traffic::EcmpRouter router(*mig.task.topo);
   traffic::LoadVector loads;
-  loads.assign(mig.task.topo->num_circuits() * 2, 0.0);
+  loads.assign(mig.task.topo->num_circuits() * 2, 0);
   router.assign_all(mig.task.demands, loads);
   for (auto _ : state) {
     benchmark::DoNotOptimize(traffic::max_utilization(*mig.task.topo, loads));

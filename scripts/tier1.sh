@@ -141,9 +141,10 @@ KLOTSKI_CHAOS_SEEDS=10 ./build-tsan/tests/test_sim \
   --gtest_filter='ChaosInvariants.SweepVerdictsAreIdenticalAcrossThreadCounts'
 # What-if sweep worker pool: workers claim trajectory indices from one
 # atomic counter and store outcomes by index — TSan checks that the only
-# sharing really is that counter plus the indexed slots.
+# sharing really is that counter plus the indexed slots, and the error
+# slot that a throwing worker fills before the pool joins.
 ./build-tsan/tests/test_whatif \
-  --gtest_filter='WhatIf.ReportIsInvariantToThreadCount'
+  --gtest_filter='WhatIf.ReportIsInvariantToThreadCount:WhatIf.DemandsPastTheFixedPointRangeAreRefusedFromAnyWorker'
 # Plan service under TSan: sharded single-flight cache, worker pool, drain,
 # both transports' connection threads, the periodic reaper, and the
 # disconnect-cancel path all exercise cross-thread handoffs.
@@ -171,6 +172,8 @@ KLOTSKI_CHAOS_SEEDS=10 ./build-asan/tests/test_sim
 # per-bundle arrays through arc records built from an unverified partition
 # until Quotient::build accepts it, and the oracle suite corrupts partitions
 # on purpose — an out-of-range class or slot reads garbage in a plain run.
+# The suite compares every bundle's fixed-point load with its circuits'
+# fabric loads by equality, so a wrong bundle or direction index fails it.
 ./build-asan/tests/test_core --gtest_filter='QuotientOracle.*'
 # What-if engine under ASan: every trajectory rebuilds a private case,
 # mutates its demand volumes in place, and walks cumulative phase states —
@@ -193,9 +196,11 @@ KLOTSKI_CHAOS_SEEDS=10 ./build-asan/tests/test_sim
 # Observability smoke: plan a small preset with --metrics-out/--trace-out at
 # --threads=1 and --threads=4 with each planner, check both artifacts
 # re-parse with the in-tree JSON parser, that sat_cache_hits +
-# sat_cache_misses == evaluations and quotient checks + fallbacks ==
-# scoped checks, and that the evaluator and quotient counters are
-# thread-invariant (the threads only split the work inside each check).
+# sat_cache_misses == evaluations and quotient.checks +
+# quotient.fallback_not_applicable == quotient.scoped_checks (a Clos search
+# answers every scoped check on the quotient; no check is routed twice),
+# and that the evaluator and quotient counters are thread-invariant (the
+# threads only split the work inside each check).
 OBS_TMP="$(mktemp -d)"
 trap 'rm -rf "${OBS_TMP}"' EXIT
 ./build/tools/klotski_synth --preset=A --scale=reduced \

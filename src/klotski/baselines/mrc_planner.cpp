@@ -84,7 +84,7 @@ Plan MrcPlanner::plan(migration::MigrationTask& task,
 
   traffic::LoadVector loads;
   auto min_residual = [&]() -> double {
-    loads.assign(topo.num_circuits() * 2, 0.0);
+    loads.assign(topo.num_circuits() * 2, 0);
     for (const traffic::Demand& d : task.demands) {
       if (!router.assign(d, loads)) {
         return -std::numeric_limits<double>::infinity();
@@ -93,10 +93,11 @@ Plan MrcPlanner::plan(migration::MigrationTask& task,
     double min_resid = std::numeric_limits<double>::infinity();
     for (const topo::Circuit& c : topo.circuits()) {
       if (!topo.circuit_carries_traffic(c.id)) continue;
-      const double load =
+      const traffic::Load load =
           std::max(loads[static_cast<std::size_t>(c.id) * 2],
                    loads[static_cast<std::size_t>(c.id) * 2 + 1]);
-      min_resid = std::min(min_resid, 1.0 - load / c.capacity_tbps);
+      min_resid = std::min(
+          min_resid, 1.0 - traffic::utilization(load, c.capacity_tbps, 1.0));
     }
     return min_resid;
   };

@@ -1,7 +1,6 @@
 #include "klotski/constraints/demand_checker.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "klotski/obs/metrics.h"
 #include "klotski/util/string_util.h"
@@ -11,12 +10,11 @@ namespace klotski::constraints {
 namespace {
 
 /// Where the checks of a search scope went. A logical tally, invariant
-/// under the router's worker count: quotient + guard_band + not_applicable
-/// == scoped (klotski_metrics_check asserts it).
+/// under the router's worker count: quotient + not_applicable == scoped
+/// (klotski_metrics_check asserts it).
 struct ScopeCounters {
   obs::Counter& scoped;
   obs::Counter& quotient;
-  obs::Counter& guard_band;
   obs::Counter& not_applicable;
 
   static ScopeCounters& get() {
@@ -24,7 +22,6 @@ struct ScopeCounters {
     static ScopeCounters counters{
         reg.counter("quotient.scoped_checks"),
         reg.counter("quotient.checks"),
-        reg.counter("quotient.fallback_guard_band"),
         reg.counter("quotient.fallback_not_applicable")};
     return counters;
   }
@@ -69,16 +66,12 @@ Verdict DemandChecker::check(const topo::Topology& topo) {
     counters.not_applicable.inc();
     return check_fabric(topo);
   }
-  if (std::optional<Verdict> verdict = check_quotient(topo)) {
-    counters.quotient.inc();
-    return *std::move(verdict);
-  }
-  counters.guard_band.inc();
-  return check_fabric(topo);
+  counters.quotient.inc();
+  return check_quotient(topo);
 }
 
 Verdict DemandChecker::check_fabric(const topo::Topology& topo) {
-  loads_.assign(topo.num_circuits() * 2, 0.0);
+  loads_.assign(topo.num_circuits() * 2, 0);
   last_max_utilization_ = 0.0;
 
   std::string failed_demand;
@@ -109,16 +102,19 @@ Verdict DemandChecker::check_fabric(const topo::Topology& topo) {
   // non-zero load: the verdict is the full scan's, including which
   // over-theta circuit is reported first.
   for (const topo::CircuitId id : router_.touched_circuits()) {
-    const double util = utilization(topo.circuit(id));
-    if (util <= 0.0) continue;
+    const topo::Circuit& c = topo.circuit(id);
+    const traffic::Load load =
+        std::max(loads_[static_cast<std::size_t>(id) * 2],
+                 loads_[static_cast<std::size_t>(id) * 2 + 1]);
+    const double factor = funnel_factor(c);
+    const double util = traffic::utilization(load, c.capacity_tbps, factor);
     last_max_utilization_ = std::max(last_max_utilization_, util);
     if (util > params_.max_utilization) return over_theta(topo, id, util);
   }
   return Verdict::ok();
 }
 
-std::optional<Verdict> DemandChecker::check_quotient(
-    const topo::Topology& topo) {
+Verdict DemandChecker::check_quotient(const topo::Topology& topo) {
   last_max_utilization_ = 0.0;
   std::string failed_demand;
   if (!quotient_router_->assign_all(router_.split_mode(), &failed_demand)) {
@@ -142,28 +138,31 @@ std::optional<Verdict> DemandChecker::check_quotient(
 
   // The full peak, and the first over-theta bundle: bundles are numbered
   // in the order of their smallest circuit id, and the fabric scan reports
-  // the smallest over-theta circuit id first.
-  const std::vector<double>& loads = quotient_router_->loads();
+  // the smallest over-theta circuit id first. A bundle's load, capacity and
+  // funneling factor are each member circuit's, so the fabric's scan
+  // decides every member as this one decides the bundle.
+  const std::vector<traffic::Load>& loads = quotient_router_->loads();
   const double theta = params_.max_utilization;
   double peak = 0.0;
   std::size_t worst = q.num_bundles();
   double worst_util = 0.0;
   for (std::size_t b = 0; b < q.num_bundles(); ++b) {
-    const double load = std::max(loads[2 * b], loads[2 * b + 1]);
-    if (load <= 0.0) continue;
+    const traffic::Load load = std::max(loads[2 * b], loads[2 * b + 1]);
+    if (load == 0) continue;
     const traffic::Quotient::Bundle& bundle = q.bundles()[b];
-    double util = load / bundle.capacity_tbps;
-    if (funnel && (class_funneled_[static_cast<std::size_t>(bundle.x)] ||
-                   class_funneled_[static_cast<std::size_t>(bundle.y)])) {
-      util *= 1.0 + params_.funneling_margin;
-    }
+    const double factor =
+        funnel && (class_funneled_[static_cast<std::size_t>(bundle.x)] ||
+                   class_funneled_[static_cast<std::size_t>(bundle.y)])
+            ? 1.0 + params_.funneling_margin
+            : 1.0;
+    const double util =
+        traffic::utilization(load, bundle.capacity_tbps, factor);
     peak = std::max(peak, util);
-    if (util > theta && worst == q.num_bundles()) {
+    if (worst == q.num_bundles() && util > theta) {
       worst = b;
       worst_util = util;
     }
   }
-  if (std::abs(peak - theta) <= kGuardBand * theta) return std::nullopt;
   last_max_utilization_ = peak;
   if (worst == q.num_bundles()) return Verdict::ok();
   return over_theta(topo, q.bundles()[worst].rep, worst_util);
@@ -179,17 +178,12 @@ Verdict DemandChecker::over_theta(const topo::Topology& topo,
       util::format_double(params_.max_utilization * 100.0, 1) + "%");
 }
 
-double DemandChecker::utilization(const topo::Circuit& c) const {
-  const double load = std::max(loads_[static_cast<std::size_t>(c.id) * 2],
-                               loads_[static_cast<std::size_t>(c.id) * 2 + 1]);
-  if (load <= 0.0) return 0.0;
-  double util = load / c.capacity_tbps;
-  if (params_.funneling_margin > 0.0 &&
-      (funneled_[static_cast<std::size_t>(c.a)] ||
-       funneled_[static_cast<std::size_t>(c.b)])) {
-    util *= 1.0 + params_.funneling_margin;
-  }
-  return util;
+double DemandChecker::funnel_factor(const topo::Circuit& c) const {
+  return params_.funneling_margin > 0.0 &&
+                 (funneled_[static_cast<std::size_t>(c.a)] ||
+                  funneled_[static_cast<std::size_t>(c.b)])
+             ? 1.0 + params_.funneling_margin
+             : 1.0;
 }
 
 double DemandChecker::peak_utilization(const topo::Topology& topo) const {
@@ -197,7 +191,12 @@ double DemandChecker::peak_utilization(const topo::Topology& topo) const {
   // unroutable check reads 0.
   double peak = 0.0;
   for (const topo::CircuitId id : router_.touched_circuits()) {
-    peak = std::max(peak, utilization(topo.circuit(id)));
+    const topo::Circuit& c = topo.circuit(id);
+    const traffic::Load load =
+        std::max(loads_[static_cast<std::size_t>(id) * 2],
+                 loads_[static_cast<std::size_t>(id) * 2 + 1]);
+    peak = std::max(peak, traffic::utilization(load, c.capacity_tbps,
+                                               funnel_factor(c)));
   }
   return peak;
 }

@@ -17,17 +17,17 @@
 // In a search scope with a quotient whose classes every demand's source
 // and target lists cover uniformly, a check routes on the quotient instead
 // (traffic::QuotientRouter) and scans utilization per bundle. Its verdict
-// is the fabric's: unroutability is combinatorial, and a peak utilization
-// within a relative kGuardBand of theta — where float summation order
-// could decide the verdict — is routed again on the fabric router
-// (DESIGN.md §3 "Quotient checks"). A theta failure then names the
-// smallest-id circuit of an over-theta bundle. Nothing is cached between
-// checks: set_demands and set_max_utilization take effect on the next one.
+// is the fabric's: unroutability is combinatorial, every bundle's
+// fixed-point load equals each member circuit's fabric load, and both
+// scans compare traffic::utilization() of that integer with theta
+// (DESIGN.md §3 "Fixed-point loads"). A theta failure names the
+// smallest-id circuit of the first over-theta bundle, which is the
+// fabric's first over-theta circuit. Nothing is cached between checks:
+// set_demands and set_max_utilization take effect on the next one.
 #pragma once
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "klotski/constraints/checker.h"
@@ -52,11 +52,6 @@ class DemandChecker : public Checker {
   DemandChecker(traffic::EcmpRouter& router, traffic::DemandSet demands,
                 DemandCheckerParams params = {});
 
-  /// Relative distance from theta within which a quotient peak is routed
-  /// again on the fabric. Both routers compute the same real-valued loads
-  /// to within ~1e-12 relative; DESIGN.md §3 derives the bound.
-  static constexpr double kGuardBand = 1e-9;
-
   Verdict check(const topo::Topology& topo) override;
   std::string name() const override { return "demands"; }
 
@@ -71,7 +66,8 @@ class DemandChecker : public Checker {
   /// Peak utilization seen by the most recent check (diagnostics). The
   /// fabric scan stops at the first circuit over theta, so after a theta
   /// failure this is that circuit's utilization or a higher one seen
-  /// before it; a check answered on the quotient records its full peak.
+  /// before it; a check answered on the quotient records its full peak,
+  /// which equals the fabric's peak_utilization().
   double last_max_utilization() const { return last_max_utilization_; }
 
   /// The true peak utilization of the most recent fabric check's loads,
@@ -83,16 +79,14 @@ class DemandChecker : public Checker {
 
  private:
   Verdict check_fabric(const topo::Topology& topo);
-  /// The quotient's verdict, or nullopt when the peak lies in the guard
-  /// band and the fabric must decide.
-  std::optional<Verdict> check_quotient(const topo::Topology& topo);
+  Verdict check_quotient(const topo::Topology& topo);
   /// Binds demands_ to the scope's quotient, or leaves the checker on the
   /// fabric when there is none or the demands split a class.
   void bind_quotient();
 
-  /// Utilization of circuit `c` under loads_, inflated by the funneling
-  /// margin when an endpoint is funneled.
-  double utilization(const topo::Circuit& c) const;
+  /// 1 + the funneling margin when circuit `c` has a funneled endpoint
+  /// under funneled_, else 1.
+  double funnel_factor(const topo::Circuit& c) const;
   Verdict over_theta(const topo::Topology& topo, topo::CircuitId id,
                      double util) const;
 

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 
 namespace klotski::json {
 
@@ -130,6 +131,11 @@ std::int64_t Value::get_int_in(const std::string& key, std::int64_t fallback,
                                std::int64_t min, std::int64_t max) const {
   const Value* v = as_object().find(key);
   return v == nullptr ? fallback : v->as_int_in(key, min, max);
+}
+
+int Value::get_count(const std::string& key, int fallback) const {
+  return static_cast<int>(
+      get_int_in(key, fallback, 0, std::numeric_limits<int>::max()));
 }
 
 double Value::get_double(const std::string& key, double fallback) const {

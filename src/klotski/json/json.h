@@ -95,6 +95,9 @@ class Value {
   /// get_int() with the range check of as_int_in(); the error names `key`.
   std::int64_t get_int_in(const std::string& key, std::int64_t fallback,
                           std::int64_t min, std::int64_t max) const;
+  /// get_int_in() over [0, INT_MAX], narrowed to int: a count field. A bare
+  /// cast would wrap 2^32 + 3 to 3.
+  int get_count(const std::string& key, int fallback) const;
   double get_double(const std::string& key, double fallback) const;
   std::string get_string(const std::string& key,
                          const std::string& fallback) const;

@@ -5,6 +5,8 @@
 #include <string>
 #include <unordered_map>
 
+#include "klotski/traffic/load.h"
+
 namespace klotski::npd {
 
 using json::Array;
@@ -85,8 +87,11 @@ topo::Topology topology_from_json(const json::Value& value) {
           "topology_from_json: circuit references unknown switch '" +
           (ia == by_name.end() ? a : b) + "'");
     }
+    const double capacity = traffic::checked_capacity(
+        v.at("capacity_tbps").as_double(),
+        "topology_from_json: circuit " + a + " - " + b + " capacity_tbps");
     topo.add_circuit(
-        ia->second, ib->second, v.at("capacity_tbps").as_double(),
+        ia->second, ib->second, capacity,
         topo::element_state_from_string(v.get_string("state", "active")));
   }
   return topo;

@@ -4,6 +4,8 @@
 #include <stdexcept>
 #include <unordered_set>
 
+#include "klotski/traffic/load.h"
+
 namespace klotski::npd {
 
 namespace {
@@ -16,11 +18,17 @@ using json::Value;
   throw std::invalid_argument("npd: " + message);
 }
 
-/// Reads an int field, refusing negative values and values beyond int with
-/// an error naming the field (a bare cast would wrap 2^32 + 3 to 3).
-int get_count(const Value& v, const char* key, int fallback) {
-  return static_cast<int>(
-      v.get_int_in(key, fallback, 0, std::numeric_limits<int>::max()));
+/// Reads a capacity in Tbps, refusing one outside the fixed-point range of
+/// the routers (traffic::checked_capacity) with an error naming
+/// `section`.`key`.
+double get_capacity(const Value& v, const std::string& section,
+                    const char* key, double fallback) {
+  try {
+    return traffic::checked_capacity(v.get_double(key, fallback),
+                                     section + "." + key);
+  } catch (const std::invalid_argument& e) {
+    fail(e.what());
+  }
 }
 
 /// Rejects keys outside `allowed` so that typos are loud.
@@ -41,11 +49,11 @@ topo::FabricParams fabric_from_json(const Value& v) {
              {"pods", "rsws_per_pod", "planes", "ssws_per_plane",
               "rsw_fsw_links"});
   topo::FabricParams fab;
-  fab.pods = get_count(v, "pods", fab.pods);
-  fab.rsws_per_pod = get_count(v, "rsws_per_pod", fab.rsws_per_pod);
-  fab.planes = get_count(v, "planes", fab.planes);
-  fab.ssws_per_plane = get_count(v, "ssws_per_plane", fab.ssws_per_plane);
-  fab.rsw_fsw_links = get_count(v, "rsw_fsw_links", fab.rsw_fsw_links);
+  fab.pods = v.get_count("pods", fab.pods);
+  fab.rsws_per_pod = v.get_count("rsws_per_pod", fab.rsws_per_pod);
+  fab.planes = v.get_count("planes", fab.planes);
+  fab.ssws_per_plane = v.get_count("ssws_per_plane", fab.ssws_per_plane);
+  fab.rsw_fsw_links = v.get_count("rsw_fsw_links", fab.rsw_fsw_links);
   return fab;
 }
 
@@ -95,7 +103,7 @@ NpdDocument from_json(const Value& root) {
               "demand"});
   NpdDocument doc;
   doc.name = root.get_string("name", doc.name);
-  doc.version = get_count(root, "version", doc.version);
+  doc.version = root.get_count("version", doc.version);
   doc.family =
       topo::family_from_string(root.get_string("family", "clos"));
   topo::RegionParams& rp = doc.region;
@@ -105,17 +113,17 @@ NpdDocument from_json(const Value& root) {
                {"switches", "degree", "extra_links", "max_chord_span",
                 "cap_tbps", "seed", "port_slack"});
     topo::FlatParams& fp = doc.flat;
-    fp.switches = get_count(*flat, "switches", fp.switches);
-    fp.degree = get_count(*flat, "degree", fp.degree);
-    fp.extra_links = get_count(*flat, "extra_links", fp.extra_links);
-    fp.max_chord_span = get_count(*flat, "max_chord_span", fp.max_chord_span);
-    fp.cap_tbps = flat->get_double("cap_tbps", fp.cap_tbps);
+    fp.switches = flat->get_count("switches", fp.switches);
+    fp.degree = flat->get_count("degree", fp.degree);
+    fp.extra_links = flat->get_count("extra_links", fp.extra_links);
+    fp.max_chord_span = flat->get_count("max_chord_span", fp.max_chord_span);
+    fp.cap_tbps = get_capacity(*flat, "flat", "cap_tbps", fp.cap_tbps);
     // Written as int64 (to_json casts), so every uint64 seed round-trips.
     fp.seed = static_cast<std::uint64_t>(flat->get_int_in(
         "seed", static_cast<std::int64_t>(fp.seed),
         std::numeric_limits<std::int64_t>::min(),
         std::numeric_limits<std::int64_t>::max()));
-    fp.port_slack = get_count(*flat, "port_slack", fp.port_slack);
+    fp.port_slack = flat->get_count("port_slack", fp.port_slack);
   }
 
   if (const Value* reconf = root.as_object().find("reconf")) {
@@ -123,20 +131,20 @@ NpdDocument from_json(const Value& root) {
                {"switches", "v1_strides", "v2_strides", "cap_tbps",
                 "port_slack"});
     topo::ReconfParams& cp = doc.reconf;
-    cp.switches = get_count(*reconf, "switches", cp.switches);
+    cp.switches = reconf->get_count("switches", cp.switches);
     if (const Value* v1 = reconf->as_object().find("v1_strides")) {
       cp.v1_strides = strides_from_json(*v1, "reconf.v1_strides");
     }
     if (const Value* v2 = reconf->as_object().find("v2_strides")) {
       cp.v2_strides = strides_from_json(*v2, "reconf.v2_strides");
     }
-    cp.cap_tbps = reconf->get_double("cap_tbps", cp.cap_tbps);
-    cp.port_slack = get_count(*reconf, "port_slack", cp.port_slack);
+    cp.cap_tbps = get_capacity(*reconf, "reconf", "cap_tbps", cp.cap_tbps);
+    cp.port_slack = reconf->get_count("port_slack", cp.port_slack);
   }
 
   if (const Value* fabric = root.as_object().find("fabric")) {
     check_keys(*fabric, "fabric", {"dcs", "buildings"});
-    rp.dcs = get_count(*fabric, "dcs", rp.dcs);
+    rp.dcs = fabric->get_count("dcs", rp.dcs);
     if (const Value* buildings = fabric->as_object().find("buildings")) {
       rp.fabrics.clear();
       for (const Value& b : buildings->as_array()) {
@@ -150,10 +158,10 @@ NpdDocument from_json(const Value& root) {
     check_keys(*hgrid, "hgrid",
                {"grids", "fadus_per_grid_per_dc", "fauus_per_grid",
                 "generation", "mesh"});
-    rp.grids = get_count(*hgrid, "grids", rp.grids);
+    rp.grids = hgrid->get_count("grids", rp.grids);
     rp.fadus_per_grid_per_dc =
-        get_count(*hgrid, "fadus_per_grid_per_dc", rp.fadus_per_grid_per_dc);
-    rp.fauus_per_grid = get_count(*hgrid, "fauus_per_grid", rp.fauus_per_grid);
+        hgrid->get_count("fadus_per_grid_per_dc", rp.fadus_per_grid_per_dc);
+    rp.fauus_per_grid = hgrid->get_count("fauus_per_grid", rp.fauus_per_grid);
     rp.hgrid_gen = topo::generation_from_string(
         hgrid->get_string("generation", "V1"));
     rp.mesh = mesh_from_string(hgrid->get_string("mesh", "plane-aligned"));
@@ -164,15 +172,15 @@ NpdDocument from_json(const Value& root) {
   }
   if (const Value* eb = root.as_object().find("eb")) {
     check_keys(*eb, "eb", {"count"});
-    rp.ebs = get_count(*eb, "count", rp.ebs);
+    rp.ebs = eb->get_count("count", rp.ebs);
   }
   if (const Value* dr = root.as_object().find("dr")) {
     check_keys(*dr, "dr", {"count"});
-    rp.drs = get_count(*dr, "count", rp.drs);
+    rp.drs = dr->get_count("count", rp.drs);
   }
   if (const Value* bb = root.as_object().find("bb")) {
     check_keys(*bb, "bb", {"ebbs"});
-    rp.ebbs = get_count(*bb, "ebbs", rp.ebbs);
+    rp.ebbs = bb->get_count("ebbs", rp.ebbs);
   }
 
   if (const Value* hw = root.as_object().find("hardware")) {
@@ -181,23 +189,26 @@ NpdDocument from_json(const Value& root) {
       check_keys(*caps, "hardware.capacities",
                  {"rsw_fsw", "fsw_ssw", "ssw_fadu", "fadu_fauu", "fauu_eb",
                   "fauu_dr", "eb_ebb", "dr_ebb"});
-      rp.cap_rsw_fsw = caps->get_double("rsw_fsw", rp.cap_rsw_fsw);
-      rp.cap_fsw_ssw = caps->get_double("fsw_ssw", rp.cap_fsw_ssw);
-      rp.cap_ssw_fadu = caps->get_double("ssw_fadu", rp.cap_ssw_fadu);
-      rp.cap_fadu_fauu = caps->get_double("fadu_fauu", rp.cap_fadu_fauu);
-      rp.cap_fauu_eb = caps->get_double("fauu_eb", rp.cap_fauu_eb);
-      rp.cap_fauu_dr = caps->get_double("fauu_dr", rp.cap_fauu_dr);
-      rp.cap_eb_ebb = caps->get_double("eb_ebb", rp.cap_eb_ebb);
-      rp.cap_dr_ebb = caps->get_double("dr_ebb", rp.cap_dr_ebb);
+      const std::string section = "hardware.capacities";
+      rp.cap_rsw_fsw = get_capacity(*caps, section, "rsw_fsw", rp.cap_rsw_fsw);
+      rp.cap_fsw_ssw = get_capacity(*caps, section, "fsw_ssw", rp.cap_fsw_ssw);
+      rp.cap_ssw_fadu =
+          get_capacity(*caps, section, "ssw_fadu", rp.cap_ssw_fadu);
+      rp.cap_fadu_fauu =
+          get_capacity(*caps, section, "fadu_fauu", rp.cap_fadu_fauu);
+      rp.cap_fauu_eb = get_capacity(*caps, section, "fauu_eb", rp.cap_fauu_eb);
+      rp.cap_fauu_dr = get_capacity(*caps, section, "fauu_dr", rp.cap_fauu_dr);
+      rp.cap_eb_ebb = get_capacity(*caps, section, "eb_ebb", rp.cap_eb_ebb);
+      rp.cap_dr_ebb = get_capacity(*caps, section, "dr_ebb", rp.cap_dr_ebb);
     }
     if (const Value* slack = hw->as_object().find("port_slack")) {
       check_keys(*slack, "hardware.port_slack",
                  {"fabric", "ssw", "agg", "eb", "ebb"});
-      rp.port_slack_fabric = get_count(*slack, "fabric", rp.port_slack_fabric);
-      rp.port_slack_ssw = get_count(*slack, "ssw", rp.port_slack_ssw);
-      rp.port_slack_agg = get_count(*slack, "agg", rp.port_slack_agg);
-      rp.port_slack_eb = get_count(*slack, "eb", rp.port_slack_eb);
-      rp.port_slack_ebb = get_count(*slack, "ebb", rp.port_slack_ebb);
+      rp.port_slack_fabric = slack->get_count("fabric", rp.port_slack_fabric);
+      rp.port_slack_ssw = slack->get_count("ssw", rp.port_slack_ssw);
+      rp.port_slack_agg = slack->get_count("agg", rp.port_slack_agg);
+      rp.port_slack_eb = slack->get_count("eb", rp.port_slack_eb);
+      rp.port_slack_ebb = slack->get_count("ebb", rp.port_slack_ebb);
     }
   }
 
@@ -218,25 +229,25 @@ NpdDocument from_json(const Value& root) {
     policy.use_operation_blocks =
         mig->get_bool("use_operation_blocks", policy.use_operation_blocks);
 
-    doc.hgrid.v2_grids = get_count(*mig, "v2_grids", doc.hgrid.v2_grids);
-    doc.hgrid.v2_fadus_per_grid_per_dc = get_count(
-        *mig, "v2_fadus_per_grid_per_dc", doc.hgrid.v2_fadus_per_grid_per_dc);
+    doc.hgrid.v2_grids = mig->get_count("v2_grids", doc.hgrid.v2_grids);
+    doc.hgrid.v2_fadus_per_grid_per_dc = mig->get_count(
+        "v2_fadus_per_grid_per_dc", doc.hgrid.v2_fadus_per_grid_per_dc);
     doc.hgrid.v2_fauus_per_grid =
-        get_count(*mig, "v2_fauus_per_grid", doc.hgrid.v2_fauus_per_grid);
-    doc.hgrid.fadu_chunks_per_grid_dc = get_count(
-        *mig, "fadu_chunks_per_grid_dc", doc.hgrid.fadu_chunks_per_grid_dc);
+        mig->get_count("v2_fauus_per_grid", doc.hgrid.v2_fauus_per_grid);
+    doc.hgrid.fadu_chunks_per_grid_dc = mig->get_count(
+        "fadu_chunks_per_grid_dc", doc.hgrid.fadu_chunks_per_grid_dc);
     doc.hgrid.fauu_chunks_per_grid =
-        get_count(*mig, "fauu_chunks_per_grid", doc.hgrid.fauu_chunks_per_grid);
+        mig->get_count("fauu_chunks_per_grid", doc.hgrid.fauu_chunks_per_grid);
     doc.hgrid.policy = policy;
 
-    doc.ssw.dc = get_count(*mig, "dc", doc.ssw.dc);
+    doc.ssw.dc = mig->get_count("dc", doc.ssw.dc);
     doc.ssw.v2_capacity_factor =
         mig->get_double("v2_capacity_factor", doc.ssw.v2_capacity_factor);
     doc.ssw.blocks_per_plane =
-        get_count(*mig, "blocks_per_plane", doc.ssw.blocks_per_plane);
+        mig->get_count("blocks_per_plane", doc.ssw.blocks_per_plane);
     doc.ssw.policy = policy;
 
-    doc.dmag.ma_per_eb = get_count(*mig, "ma_per_eb", doc.dmag.ma_per_eb);
+    doc.dmag.ma_per_eb = mig->get_count("ma_per_eb", doc.dmag.ma_per_eb);
     doc.dmag.policy = policy;
 
     doc.flat_mig.upgrade_fraction =
@@ -244,13 +255,13 @@ NpdDocument from_json(const Value& root) {
     doc.flat_mig.v2_capacity_factor = mig->get_double(
         "v2_capacity_factor", doc.flat_mig.v2_capacity_factor);
     doc.flat_mig.switch_chunks =
-        get_count(*mig, "switch_chunks", doc.flat_mig.switch_chunks);
+        mig->get_count("switch_chunks", doc.flat_mig.switch_chunks);
     doc.flat_mig.origin_utilization_cap = mig->get_double(
         "origin_utilization_cap", doc.flat_mig.origin_utilization_cap);
     doc.flat_mig.policy = policy;
 
     doc.reconf_mig.chunks_per_stride =
-        get_count(*mig, "chunks_per_stride", doc.reconf_mig.chunks_per_stride);
+        mig->get_count("chunks_per_stride", doc.reconf_mig.chunks_per_stride);
     doc.reconf_mig.origin_utilization_cap = mig->get_double(
         "origin_utilization_cap", doc.reconf_mig.origin_utilization_cap);
     doc.reconf_mig.policy = policy;
@@ -271,7 +282,7 @@ NpdDocument from_json(const Value& root) {
     doc.demand.mesh_group_frac =
         demand->get_double("mesh_group_frac", doc.demand.mesh_group_frac);
     doc.demand.mesh_groups =
-        get_count(*demand, "mesh_groups", doc.demand.mesh_groups);
+        demand->get_count("mesh_groups", doc.demand.mesh_groups);
   }
 
   return doc;

@@ -1,6 +1,7 @@
 #include "klotski/serve/service.h"
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -22,6 +23,13 @@
 namespace klotski::serve {
 
 namespace {
+
+/// A seed parameter in [0, INT64_MAX]: a negative one would wrap to a
+/// huge uint64 seed.
+std::uint64_t get_seed(const json::Value& params, const char* key) {
+  return static_cast<std::uint64_t>(params.get_int_in(
+      key, 0, 0, std::numeric_limits<std::int64_t>::max()));
+}
 
 /// Shared tuning knobs of plan/audit/replan requests, with the same
 /// defaults as the klotski_plan flags.
@@ -86,13 +94,12 @@ migration::MigrationCase case_from_params(const json::Value& params) {
 /// daemon supplies its own budget and the cache key stays portable.
 whatif::WhatIfParams whatif_params_from(const json::Value& params) {
   whatif::WhatIfParams out;
-  out.trajectories = static_cast<int>(params.get_int("trajectories", 100));
-  out.seed = static_cast<std::uint64_t>(params.get_int("seed", 0));
+  out.trajectories = params.get_count("trajectories", 100);
+  out.seed = get_seed(params, "seed");
   out.growth_min = params.get_double("growth_min", 0.0);
   out.growth_max = params.get_double("growth_max", 0.004);
-  out.surges = static_cast<int>(params.get_int("surges", 1));
-  out.forecast_errors =
-      static_cast<int>(params.get_int("forecast_errors", 1));
+  out.surges = params.get_count("surges", 1);
+  out.forecast_errors = params.get_count("forecast_errors", 1);
   out.surge_factor_min = params.get_double("surge_factor_min", 0.8);
   out.surge_factor_max = params.get_double("surge_factor_max", 1.5);
   out.bias_factor_min = params.get_double("bias_factor_min", 0.85);
@@ -333,30 +340,22 @@ Response PlanService::run_chaos(const Request& request,
   chaos.planner = params.get_string("planner", "astar");
   chaos.checker.demand.max_utilization = params.get_double("theta", 0.75);
   chaos.growth_per_step = params.get_double("growth", 0.002);
-  chaos.max_replans =
-      static_cast<int>(params.get_int("max_replans", 0));
-  chaos.max_phase_retries =
-      static_cast<int>(params.get_int("retries", 6));
+  chaos.max_replans = params.get_count("max_replans", 0);
+  chaos.max_phase_retries = params.get_count("retries", 6);
   chaos.checkpoint_self_test = params.get_bool("resume_check", true);
   chaos.warm_repair = !params.get_bool("no_warm_repair", false);
   chaos.repair_cost_slack = params.get_double("repair_cost_slack", 1.25);
   // Fault-script knobs, same names and defaults as klotski_chaos — the
   // remote mode (klotski_chaos --connect) forwards its flags verbatim.
-  chaos.faults.circuit_degrades =
-      static_cast<int>(params.get_int("degrades", 2));
-  chaos.faults.circuit_failures =
-      static_cast<int>(params.get_int("circuit_failures", 1));
-  chaos.faults.switch_drains =
-      static_cast<int>(params.get_int("drains", 1));
-  chaos.faults.step_failures =
-      static_cast<int>(params.get_int("step_failures", 2));
-  chaos.faults.demand_events = static_cast<int>(params.get_int("surges", 1));
-  chaos.faults.forecast_errors =
-      static_cast<int>(params.get_int("forecast_errors", 1));
+  chaos.faults.circuit_degrades = params.get_count("degrades", 2);
+  chaos.faults.circuit_failures = params.get_count("circuit_failures", 1);
+  chaos.faults.switch_drains = params.get_count("drains", 1);
+  chaos.faults.step_failures = params.get_count("step_failures", 2);
+  chaos.faults.demand_events = params.get_count("surges", 1);
+  chaos.faults.forecast_errors = params.get_count("forecast_errors", 1);
 
-  const std::uint64_t first_seed =
-      static_cast<std::uint64_t>(params.get_int("first_seed", 0));
-  const int num_seeds = static_cast<int>(params.get_int("seeds", 5));
+  const std::uint64_t first_seed = get_seed(params, "first_seed");
+  const int num_seeds = params.get_count("seeds", 5);
   if (num_seeds < 1) {
     throw std::invalid_argument("params.seeds must be >= 1");
   }
@@ -428,16 +427,16 @@ Response PlanService::run_replan(const Request& request,
   options.planner_options.deadline_seconds = knobs.deadline;
   options.demand_change_threshold =
       params.get_double("demand_change_threshold", 0.10);
-  options.max_phase_retries =
-      static_cast<int>(params.get_int("max_phase_retries", 3));
-  options.max_replans = static_cast<int>(params.get_int("max_replans", 0));
+  options.max_phase_retries = params.get_count("max_phase_retries", 3);
+  options.max_replans = params.get_count("max_replans", 0);
   options.fallback_planner = params.get_string("fallback", "mrc");
   options.warm_repair = !params.get_bool("no_warm_repair", false);
   options.repair_cost_slack =
       params.get_double("repair_cost_slack", 1.25);
   if (const json::Value* failing = params.as_object().find("failing_phases")) {
     for (const json::Value& phase : failing->as_array()) {
-      options.failing_phases.push_back(static_cast<int>(phase.as_int()));
+      options.failing_phases.push_back(static_cast<int>(phase.as_int_in(
+          "failing_phases[]", 0, std::numeric_limits<int>::max())));
     }
   }
 

@@ -3,6 +3,8 @@
 #include <stdexcept>
 #include <unordered_map>
 
+#include "klotski/traffic/load.h"
+
 namespace klotski::traffic {
 
 using json::Array;
@@ -64,11 +66,9 @@ DemandSet demands_from_json(const topo::Topology& topo,
     Demand d;
     d.name = v.at("name").as_string();
     d.kind = demand_kind_from_string(v.at("kind").as_string());
-    d.volume_tbps = v.at("volume_tbps").as_double();
-    if (d.volume_tbps <= 0.0) {
-      throw std::invalid_argument("demands_from_json: demand '" + d.name +
-                                  "' has non-positive volume");
-    }
+    d.volume_tbps =
+        checked_volume(v.at("volume_tbps").as_double(),
+                       "demands_from_json: demand '" + d.name + "' volume_tbps");
     for (const Value& s : v.at("sources").as_array()) {
       d.sources.push_back(resolve(s.as_string()));
     }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
+#include <stdexcept>
 #include <unordered_map>
 
 namespace klotski::traffic {
@@ -14,6 +15,15 @@ using topo::Topology;
 namespace {
 
 constexpr std::size_t word_count(std::size_t bits) { return (bits + 63) / 64; }
+
+/// loads[slot] += value. The caller's vector may already hold other calls'
+/// loads, so the sum is checked here rather than by demand_loads.
+void add_load(LoadVector& loads, std::uint32_t slot, Load value) {
+  if (__builtin_add_overflow(loads[slot], value, &loads[slot])) {
+    throw std::invalid_argument(
+        "summed loads exceed the fixed-point range of 32768 Tbps");
+  }
+}
 
 }  // namespace
 
@@ -47,12 +57,13 @@ EcmpRouter::EcmpRouter(const topo::Topology& topo, SplitMode mode)
     const auto word = static_cast<std::uint32_t>(cid >> 6);
     const std::uint64_t mask = std::uint64_t{1} << (cid & 63);
     // Direction slot convention: 2c is a -> b, 2c + 1 is b -> a.
+    const std::uint64_t weight =
+        capacity_weight(c.capacity_tbps, static_cast<std::uint32_t>(cid));
     arcs_[cursor[static_cast<std::size_t>(c.a)]++] =
-        Arc{c.b, static_cast<std::uint32_t>(cid * 2), word, 0, mask,
-            c.capacity_tbps};
+        Arc{c.b, static_cast<std::uint32_t>(cid * 2), word, 0, mask, weight};
     arcs_[cursor[static_cast<std::size_t>(c.b)]++] =
         Arc{c.a, static_cast<std::uint32_t>(cid * 2 + 1), word, 0, mask,
-            c.capacity_tbps};
+            weight};
   }
 
   alive_words_.assign(word_count(topo.num_circuits()), 0);
@@ -67,7 +78,7 @@ void EcmpRouter::Scratch::init(std::size_t num_switches) {
   epoch = 0;
   visit_order.clear();
   visit_order.reserve(num_switches);
-  volume.assign(num_switches, 0.0);
+  volume.assign(num_switches, 0);
 }
 
 void EcmpRouter::Scratch::begin_bfs() {
@@ -109,9 +120,9 @@ void EcmpRouter::refresh_alive() {
     // (bump_state_version resets journal coverage), so re-inline the split
     // weights while we are touching every arc's circuit anyway.
     for (Arc& arc : arcs_) {
-      arc.capacity_tbps =
-          topo_.circuit(static_cast<CircuitId>(arc.fwd_slot >> 1))
-              .capacity_tbps;
+      const std::uint32_t c = arc.fwd_slot >> 1;
+      arc.weight = capacity_weight(
+          topo_.circuit(static_cast<CircuitId>(c)).capacity_tbps, c);
     }
   }
   alive_valid_ = true;
@@ -128,7 +139,7 @@ std::size_t EcmpRouter::bfs_from_targets(Scratch& s,
     if (s.stamp[ti] != s.epoch) {
       s.stamp[ti] = s.epoch;
       s.dist[ti] = 0;
-      s.volume[ti] = 0.0;  // lazy zero: only visited switches pay
+      s.volume[ti] = 0;  // lazy zero: only visited switches pay
       s.visit_order.push_back(t);
     }
   }
@@ -148,7 +159,7 @@ std::size_t EcmpRouter::bfs_from_targets(Scratch& s,
       if (s.stamp[ni] != s.epoch) {
         s.stamp[ni] = s.epoch;
         s.dist[ni] = du + 1;
-        s.volume[ni] = 0.0;
+        s.volume[ni] = 0;
         s.visit_order.push_back(arc.neighbor);
       }
     }
@@ -156,28 +167,21 @@ std::size_t EcmpRouter::bfs_from_targets(Scratch& s,
   return s.visit_order.size();
 }
 
-bool EcmpRouter::inject_sources(Scratch& s,
-                                const std::vector<const Demand*>& demands,
-                                const Demand** failed) const {
-  for (const Demand* demand : demands) {
-    // Count active sources and check reachability first (Eq. 4).
-    std::size_t active_sources = 0;
-    for (const SwitchId src : demand->sources) {
-      if (!topo_.sw(src).active()) continue;
-      if (!s.reached(src)) {
-        if (failed != nullptr) *failed = demand;
-        return false;
-      }
-      ++active_sources;
-    }
-    if (active_sources == 0) continue;  // vacuously satisfied, no load
+bool EcmpRouter::inject_sources(Scratch& s, const Demand& demand,
+                                Load volume) const {
+  // Count active sources and check reachability first (Eq. 4).
+  std::size_t active_sources = 0;
+  for (const SwitchId src : demand.sources) {
+    if (!topo_.sw(src).active()) continue;
+    if (!s.reached(src)) return false;
+    ++active_sources;
+  }
+  if (active_sources == 0) return true;  // vacuously satisfied, no load
 
-    const double per_source =
-        demand->volume_tbps / static_cast<double>(active_sources);
-    for (const SwitchId src : demand->sources) {
-      if (topo_.sw(src).active() && s.reached(src)) {
-        s.volume[static_cast<std::size_t>(src)] += per_source;
-      }
+  const Load per_source = ceil_div(volume, active_sources);
+  for (const SwitchId src : demand.sources) {
+    if (topo_.sw(src).active()) {
+      s.volume[static_cast<std::size_t>(src)] += per_source;
     }
   }
   return true;
@@ -190,19 +194,18 @@ void EcmpRouter::propagate(Scratch& s, std::vector<LoadEntry>& out) const {
   // slot is appended at most once: the arc u -> n is a DAG edge only when
   // dist[n] == dist[u] - 1, which the reverse direction cannot satisfy, and
   // each directed arc is scanned exactly once.
+  const bool equal = mode_ == SplitMode::kEqualSplit;
   for (std::size_t idx = s.visit_order.size(); idx-- > 0;) {
     const SwitchId u = s.visit_order[idx];
-    const double vol = s.volume[static_cast<std::size_t>(u)];
-    if (vol <= 0.0) continue;
+    const Load vol = s.volume[static_cast<std::size_t>(u)];
+    if (vol == 0) continue;
     const std::int32_t du = s.dist[static_cast<std::size_t>(u)];
     if (du == 0) continue;  // absorbed at a target
 
-    // Single scan: collect the equal-cost next hops and their total split
-    // weight (hop count for plain ECMP, summed capacity for weighted ECMP).
-    // An alive arc from a reached switch always has a reached neighbor (BFS
-    // relaxed it under the same liveness words), so dist reads are valid.
+    // Single scan: collect the equal-cost next hops. An alive arc from a
+    // reached switch always has a reached neighbor (BFS relaxed it under
+    // the same liveness words), so dist reads are valid.
     s.next_hops.clear();
-    double total_weight = 0.0;
     const std::uint32_t end = offsets_[static_cast<std::size_t>(u) + 1];
     for (std::uint32_t i = offsets_[static_cast<std::size_t>(u)]; i < end;
          ++i) {
@@ -211,16 +214,23 @@ void EcmpRouter::propagate(Scratch& s, std::vector<LoadEntry>& out) const {
       assert(s.reached(arc.neighbor));
       if (s.dist[static_cast<std::size_t>(arc.neighbor)] != du - 1) continue;
       s.next_hops.push_back(i);
-      total_weight +=
-          mode_ == SplitMode::kEqualSplit ? 1.0 : arc.capacity_tbps;
     }
-    assert(total_weight > 0.0 && "reached switch must have a next hop");
+    assert(!s.next_hops.empty() && "reached switch must have a next hop");
 
+    if (equal) {
+      const Load share = ceil_div(vol, s.next_hops.size());
+      for (const std::uint32_t i : s.next_hops) {
+        const Arc& arc = arcs_[i];
+        out.push_back(LoadEntry{arc.fwd_slot, share});
+        s.volume[static_cast<std::size_t>(arc.neighbor)] += share;
+      }
+      continue;
+    }
+    WideLoad total_weight = 0;
+    for (const std::uint32_t i : s.next_hops) total_weight += arcs_[i].weight;
     for (const std::uint32_t i : s.next_hops) {
       const Arc& arc = arcs_[i];
-      const double weight =
-          mode_ == SplitMode::kEqualSplit ? 1.0 : arc.capacity_tbps;
-      const double share = vol * weight / total_weight;
+      const Load share = weighted_share(vol, arc.weight, total_weight);
       out.push_back(LoadEntry{arc.fwd_slot, share});
       s.volume[static_cast<std::size_t>(arc.neighbor)] += share;
     }
@@ -228,18 +238,17 @@ void EcmpRouter::propagate(Scratch& s, std::vector<LoadEntry>& out) const {
 }
 
 bool EcmpRouter::assign(const Demand& demand, LoadVector& loads) {
-  loads.resize(topo_.num_circuits() * 2, 0.0);
+  loads.resize(topo_.num_circuits() * 2, 0);
   touched_circuits_.clear();
 
+  demand_loads({&demand, 1}, 1, arcs_.size(), volumes_);
   refresh_alive();
   if (scratch_.dist.size() != num_switches_) scratch_.init(num_switches_);
   if (bfs_from_targets(scratch_, demand) == 0) return false;
-
-  const std::vector<const Demand*> group = {&demand};
-  if (!inject_sources(scratch_, group, nullptr)) return false;
+  if (!inject_sources(scratch_, demand, volumes_[0])) return false;
   entries_scratch_.clear();
   propagate(scratch_, entries_scratch_);
-  for (const LoadEntry& e : entries_scratch_) loads[e.slot] += e.value;
+  for (const LoadEntry& e : entries_scratch_) add_load(loads, e.slot, e.value);
   return true;
 }
 
@@ -287,17 +296,16 @@ bool EcmpRouter::run_group(GroupSlot& slot, const DemandSet& demands,
   m_group_recomputes_.inc();  // physical count (includes parallel overshoot)
   out.clear();
   Scratch& s = slot.scratch;
-  // All demands of a group share one target set, hence one BFS. ECMP load
-  // is linear in injected volume over a fixed shortest-path DAG, so one
-  // merged propagation equals the sum of per-demand assignments — and the
-  // DAG this slot computed last is exact again while neither the liveness
-  // nor the target set moved.
+  // All demands of a group share one target set, hence one BFS and one
+  // merged propagation of their summed volumes; the DAG this slot computed
+  // last is exact again while neither the liveness nor the target set
+  // moved.
   const Demand& representative = demands[group.front()];
   if (slot.has_dag && slot.version == alive_version_ &&
       slot.targets == representative.targets) {
     m_dag_reuses_.inc();
     for (const SwitchId u : s.visit_order) {
-      s.volume[static_cast<std::size_t>(u)] = 0.0;
+      s.volume[static_cast<std::size_t>(u)] = 0;
     }
   } else {
     if (s.dist.size() != num_switches_) s.init(num_switches_);
@@ -310,12 +318,11 @@ bool EcmpRouter::run_group(GroupSlot& slot, const DemandSet& demands,
     if (failed_demand != nullptr) *failed_demand = representative.name;
     return false;
   }
-  s.group_ptrs.clear();
-  for (const std::uint32_t i : group) s.group_ptrs.push_back(&demands[i]);
-  const Demand* failed = nullptr;
-  if (!inject_sources(s, s.group_ptrs, &failed)) {
-    if (failed_demand != nullptr) *failed_demand = failed->name;
-    return false;
+  for (const std::uint32_t i : group) {
+    if (!inject_sources(s, demands[i], volumes_[i])) {
+      if (failed_demand != nullptr) *failed_demand = demands[i].name;
+      return false;
+    }
   }
   propagate(s, out);
   return true;
@@ -324,7 +331,7 @@ bool EcmpRouter::run_group(GroupSlot& slot, const DemandSet& demands,
 void EcmpRouter::add_group(const std::vector<LoadEntry>& entries,
                            LoadVector& loads) {
   for (const LoadEntry& e : entries) {
-    loads[e.slot] += e.value;
+    add_load(loads, e.slot, e.value);
     const std::uint32_t c = e.slot >> 1;
     touched_words_[c >> 6] |= std::uint64_t{1} << (c & 63);
   }
@@ -349,15 +356,13 @@ void EcmpRouter::collect_touched() {
 
 bool EcmpRouter::assign_all(const DemandSet& demands, LoadVector& loads,
                             std::string* failed_demand) {
-  loads.resize(topo_.num_circuits() * 2, 0.0);
+  loads.resize(topo_.num_circuits() * 2, 0);
   touched_circuits_.clear();
-  refresh_alive();
   const std::vector<Group> groups = group_by_targets(demands);
+  demand_loads(demands, groups.size(), arcs_.size(), volumes_);
+  refresh_alive();
   if (slots_.size() < groups.size()) slots_.resize(groups.size());
 
-  // Group i's loads are added in group order whichever thread routed it:
-  // within one group each slot appears at most once, so the per-slot
-  // addition sequence is the same serial or pooled — bit-identical loads.
   const auto fail = [&] {
     std::fill(touched_words_.begin(), touched_words_.end(), 0);
     return false;
@@ -372,9 +377,9 @@ bool EcmpRouter::assign_all(const DemandSet& demands, LoadVector& loads,
       add_group(entries_scratch_, loads);
     }
   } else {
-    // Route every group on the pool, then replay the serial loop in group
-    // order on this thread: the reported failure and the logical counter
-    // stop at the first failing group, as the serial loop does.
+    // Route every group on the pool, then scan the groups in order on this
+    // thread: the reported failure and the logical counter stop at the
+    // first failing group, as the serial loop does.
     run_jobs_parallel(demands, groups);
     for (std::size_t g = 0; g < groups.size(); ++g) {
       ++group_recomputes_;
@@ -478,10 +483,10 @@ WorstCircuit worst_circuit(const topo::Topology& topo,
   WorstCircuit worst;
   const std::size_t n = std::min(loads.size() / 2, topo.num_circuits());
   for (std::size_t c = 0; c < n; ++c) {
-    const double load = std::max(loads[c * 2], loads[c * 2 + 1]);
-    if (load <= 0.0) continue;
-    const double util = load / topo.circuit(static_cast<CircuitId>(c))
-                                   .capacity_tbps;
+    const Load load = std::max(loads[c * 2], loads[c * 2 + 1]);
+    if (load <= 0) continue;
+    const double util = utilization(
+        load, topo.circuit(static_cast<CircuitId>(c)).capacity_tbps, 1.0);
     if (util > worst.utilization) {
       worst.utilization = util;
       worst.circuit = static_cast<CircuitId>(c);

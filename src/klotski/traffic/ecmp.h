@@ -8,7 +8,8 @@
 // distance k-1). The demand volume is injected equally across active source
 // switches and propagated down the DAG, split equally across a switch's
 // outgoing DAG circuits — ECMP is deliberately capacity-blind, exactly the
-// property behind the HGRID V1/V2 outage described in §7.1.
+// property behind the HGRID V1/V2 outage described in §7.1. Volumes and
+// loads are fixed-point integers (load.h); every share rounds up.
 //
 // One assignment is Theta(|S| + |C|), matching the satisfiability-check
 // cost in Theorems 1 and 2. Every assign_all groups the demands by target
@@ -26,23 +27,26 @@
 //  * Per-group DAG reuse — group g always routes in its own scratch, so the
 //    scratch still holds g's distances and visit order at the next call.
 //    While the liveness version and g's target set are unchanged, the next
-//    call skips the BFS and only re-injects and re-propagates (ECMP loads
-//    are linear in the injected volume over a fixed DAG). The what-if walk
-//    checks one phase topology under many demand sets and hits every time;
-//    a planner changes the topology before every check and never does.
+//    call skips the BFS and only re-injects and re-propagates. The what-if
+//    walk checks one phase topology under many demand sets and hits every
+//    time; a planner changes the topology before every check and never
+//    does.
 //  * Flat arc records — the CSR arc inlines the neighbor, the directional
-//    load slot, the liveness word/mask, and the circuit capacity, so BFS and
-//    propagation read one contiguous stream instead of chasing Circuit
-//    records through the topology.
+//    load slot, the liveness word/mask, and the circuit's split weight, so
+//    BFS and propagation read one contiguous stream instead of chasing
+//    Circuit records through the topology.
+//  * One division per switch — under plain ECMP every next hop of a switch
+//    gets the same share, so propagation divides once per switch, not once
+//    per arc.
 //  * Sparse group loads — a group's load contribution is a list of
 //    (slot, value) pairs in propagation order (each slot is written at most
-//    once per group), summed into the caller's vector in group order, which
-//    also yields the ascending touched-circuit list for utilization scans.
+//    once per group), added into the caller's vector, which also yields the
+//    ascending touched-circuit list for utilization scans.
 //  * Intra-check parallelism — with set_num_workers(n > 1), the groups of
 //    one assign_all route concurrently on a private worker pool (each in
-//    its own group slot) and are summed in group order on the calling
-//    thread, which keeps the result bit-identical to the serial engine,
-//    logical counters included.
+//    its own group slot). Integer sums do not depend on order, so the loads
+//    are the serial engine's; the calling thread scans the groups in order
+//    so the reported failure and the logical counters are too.
 #pragma once
 
 #include <atomic>
@@ -56,12 +60,9 @@
 #include "klotski/obs/metrics.h"
 #include "klotski/topo/topology.h"
 #include "klotski/traffic/demand.h"
+#include "klotski/traffic/load.h"
 
 namespace klotski::traffic {
-
-/// Per-circuit directional loads: index 2*c   = load from circuit(c).a to .b,
-///                                index 2*c+1 = load from .b to .a (Tbps).
-using LoadVector = std::vector<double>;
 
 /// How a switch splits traffic over its equal-cost next hops.
 ///
@@ -96,29 +97,31 @@ class EcmpRouter {
 
   /// Intra-check worker pool size for assign_all: n > 1 spawns n worker
   /// threads that route the demand groups of one call concurrently.
-  /// Results are bit-identical to the serial engine (same loads, same
-  /// failure, same logical counters); only wall-clock and the physical obs
-  /// counters change. n <= 1 joins the pool and restores the fully serial
-  /// path. Not thread-safe against concurrent assign calls.
+  /// Results equal the serial engine's (same loads, same failure, same
+  /// logical counters); only wall-clock and the physical obs counters
+  /// change. n <= 1 joins the pool and restores the fully serial path. Not
+  /// thread-safe against concurrent assign calls.
   void set_num_workers(int n);
   int num_workers() const { return static_cast<int>(threads_.size()); }
 
   /// Adds this demand's circuit loads into `loads` (resized if needed).
   /// Returns false — without touching `loads` beyond possible resizing —
   /// when the demand is unroutable: no active target, or some active source
-  /// cannot reach any target.
+  /// cannot reach any target. Throws std::invalid_argument when the volume
+  /// is out of range (demand_loads) or a load of `loads` would leave int64.
   bool assign(const Demand& demand, LoadVector& loads);
 
   /// Assigns a whole demand set: groups the demands by target set
   /// (first-occurrence order), routes every group — demands with identical
-  /// target sets share one BFS and one load propagation, which is exact
-  /// because ECMP is linear in the injected volume for a fixed DAG — and
-  /// adds the groups' loads into `loads` (resized if needed) in group order.
-  /// Of `demands` only each group's target set is kept (by value, as the
-  /// key of its DAG), so the caller may edit the set freely between calls.
-  /// Returns false on the first unroutable demand in
-  /// group order, reporting its name via `failed_demand` when non-null;
-  /// `loads` then holds an unspecified partial sum. This is the
+  /// target sets share one BFS and one merged propagation — and adds the
+  /// groups' loads into `loads` (resized if needed). Of `demands` only each
+  /// group's target set is kept (by value, as the key of its DAG), so the
+  /// caller may edit the set freely between calls. Returns false on the
+  /// first unroutable demand in group order, reporting its name via
+  /// `failed_demand` when non-null; `loads` then holds an unspecified
+  /// partial sum. Throws std::invalid_argument, before routing, when the
+  /// set leaves the fixed-point range (demand_loads), and when a load of
+  /// `loads` would leave int64. This is the
   /// satisfiability-check hot path at O(10,000)-switch scale.
   bool assign_all(const DemandSet& demands, LoadVector& loads,
                   std::string* failed_demand = nullptr);
@@ -153,8 +156,9 @@ class EcmpRouter {
   /// its entry list — no dense scatter needed until summation.
   struct LoadEntry {
     std::uint32_t slot;
-    double value;
+    Load value;
   };
+  static_assert(sizeof(LoadEntry) == 16, "LoadEntry is two words");
 
   /// Flat CSR arc record: everything BFS + propagation need, contiguous.
   /// For switch s, its arcs are arcs_[offsets_[s]..offsets_[s+1]).
@@ -164,7 +168,7 @@ class EcmpRouter {
     std::uint32_t alive_word;  // index into alive_words_
     std::uint32_t pad_ = 0;
     std::uint64_t alive_mask;  // single-bit mask within alive_word
-    double capacity_tbps;      // split weight for kCapacityWeighted
+    std::uint64_t weight;      // kCapacityWeighted split weight (Mbps)
   };
   static_assert(sizeof(topo::SwitchId) == 4, "Arc layout assumes 32-bit ids");
 
@@ -177,9 +181,8 @@ class EcmpRouter {
     std::vector<std::uint32_t> stamp;
     std::uint32_t epoch = 0;
     std::vector<topo::SwitchId> visit_order;  // ascending distance
-    std::vector<double> volume;               // per-switch pending volume
+    std::vector<Load> volume;                 // per-switch pending volume
     std::vector<std::uint32_t> next_hops;     // per-switch DAG arc scratch
-    std::vector<const Demand*> group_ptrs;
 
     void init(std::size_t num_switches);
     /// Starts a BFS generation; handles the (rare) epoch wrap.
@@ -212,19 +215,19 @@ class EcmpRouter {
   /// (0 if no active target).
   std::size_t bfs_from_targets(Scratch& s, const Demand& demand) const;
 
-  /// Injects every demand's volume at its active sources; returns false when
-  /// a demand has an active source the current BFS did not reach, reporting
-  /// the demand via `failed`.
-  bool inject_sources(Scratch& s, const std::vector<const Demand*>& demands,
-                      const Demand** failed) const;
+  /// Injects `volume` (load units) equally at the demand's active sources,
+  /// each share rounded up; returns false when an active source is one the
+  /// current BFS did not reach.
+  bool inject_sources(Scratch& s, const Demand& demand, Load volume) const;
 
   /// Propagates scratch volume down the current shortest-path DAG, appending
-  /// (slot, value) entries to `out` (each slot at most once).
+  /// (slot, value) entries to `out` (each slot at most once). Every share
+  /// rounds up.
   void propagate(Scratch& s, std::vector<LoadEntry>& out) const;
 
   /// BFS (or the slot's kept DAG) + inject + propagate for one group of
-  /// `demands` into `out` (cleared first). Thread-safe for distinct slots
-  /// and outputs.
+  /// `demands` (load units in volumes_) into `out` (cleared first).
+  /// Thread-safe for distinct slots and outputs.
   bool run_group(GroupSlot& slot, const DemandSet& demands, const Group& group,
                  std::vector<LoadEntry>& out,
                  std::string* failed_demand) const;
@@ -272,6 +275,7 @@ class EcmpRouter {
   Scratch scratch_;  // assign()'s scratch, sized on first use
   std::vector<LoadEntry> entries_scratch_;  // assign()'s and the serial loop's
   std::vector<GroupSlot> slots_;  // slot g: routing state of group g
+  std::vector<Load> volumes_;     // assign_all: each demand's load units
   std::vector<std::uint64_t> alive_words_;  // bit c = circuit c carries traffic
   bool alive_valid_ = false;
   std::uint64_t alive_version_ = 0;
@@ -309,9 +313,9 @@ class EcmpRouter {
 };
 
 /// Maximum utilization over circuits given directional loads; utilization of
-/// a circuit is max(direction loads) / capacity. Returns 0 for an empty
-/// topology. Circuits not carrying traffic but with non-zero load would be a
-/// router bug; they are ignored here.
+/// a circuit is max(direction loads) / capacity (traffic::utilization).
+/// Returns 0 for an empty topology. Circuits not carrying traffic but with
+/// non-zero load would be a router bug; they are ignored here.
 double max_utilization(const topo::Topology& topo, const LoadVector& loads);
 
 /// Worst circuit (id, utilization); id = kInvalidCircuit when no circuit is

@@ -66,7 +66,8 @@ std::optional<Quotient> Quotient::build(
   // Bundles in first-occurrence order, so a bundle's rep is its smallest
   // circuit id. A kind fixes the capacity; checking it keeps the split
   // weights exact whatever the caller's kinds say.
-  std::vector<std::uint32_t> bundle_of(m);
+  std::vector<std::uint32_t>& bundle_of = q.bundle_of_;
+  bundle_of.resize(m);
   std::vector<std::uint32_t> bundle_circuits;
   std::unordered_map<BundleKey, std::uint32_t, BundleKeyHash> index;
   index.reserve(m);
@@ -130,15 +131,16 @@ std::optional<Quotient> Quotient::build(
       // Every bundle circuit has one endpoint in each class of an
       // inter-class bundle, so a neighbor member terminates circuits / size
       // of them — an integer, since the partition passed the check above.
-      const double there =
+      const std::uint32_t there =
           neighbor == static_cast<std::int32_t>(cls)
               ? here
-              : static_cast<double>(bundle_circuits[b] /
-                                    q.size_[static_cast<std::size_t>(
-                                        neighbor)]);
-      q.arcs_.push_back(Arc{neighbor, 2 * b + (forward ? 0u : 1u), b,
-                            static_cast<double>(here), there,
-                            bundle.capacity_tbps});
+              : bundle_circuits[b] /
+                    q.size_[static_cast<std::size_t>(neighbor)];
+      q.arcs_.push_back(Arc{neighbor, 2 * b + (forward ? 0u : 1u), b, here,
+                            there,
+                            capacity_weight(bundle.capacity_tbps,
+                                            static_cast<std::uint32_t>(
+                                                bundle.rep))});
     }
     q.offsets_[cls + 1] = static_cast<std::uint32_t>(q.arcs_.size());
   }
@@ -191,8 +193,15 @@ bool QuotientRouter::uniform_classes(const std::vector<SwitchId>& members,
 
 bool QuotientRouter::bind(const DemandSet& demands) {
   groups_.clear();
+  const std::vector<EcmpRouter::Group> groups =
+      EcmpRouter::group_by_targets(demands);
+  // The fabric's range check: member volumes and circuit loads here equal
+  // the fabric's, so its bound covers them.
+  std::vector<Load> volumes;
+  demand_loads(demands, groups.size(), 2 * q_.topology().num_circuits(),
+               volumes);
   std::vector<SourceClass> classes;
-  for (const EcmpRouter::Group& group : EcmpRouter::group_by_targets(demands)) {
+  for (const EcmpRouter::Group& group : groups) {
     BoundGroup bound;
     if (!uniform_classes(demands[group.front()].targets, classes)) {
       groups_.clear();
@@ -201,7 +210,7 @@ bool QuotientRouter::bind(const DemandSet& demands) {
     for (const SourceClass& sc : classes) bound.targets.push_back(sc.cls);
     for (const std::uint32_t i : group) {
       const Demand& d = demands[i];
-      BoundDemand bd{&d.name, d.volume_tbps, {}};
+      BoundDemand bd{&d.name, volumes[i], {}};
       if (!uniform_classes(d.sources, bd.sources)) {
         groups_.clear();
         return false;
@@ -217,7 +226,7 @@ bool QuotientRouter::assign_all(SplitMode mode, std::string* failed_demand) {
   const topo::Topology& topo = q_.topology();
   const std::size_t k = q_.num_classes();
   const std::vector<Quotient::Arc>& arcs = q_.arcs();
-  loads_.assign(2 * q_.num_bundles(), 0.0);
+  loads_.assign(2 * q_.num_bundles(), 0);
   active_.resize(k);
   volume_.resize(k);
   for (std::size_t cls = 0; cls < k; ++cls) {
@@ -240,7 +249,7 @@ bool QuotientRouter::assign_all(SplitMode mode, std::string* failed_demand) {
     for (const std::int32_t t : group.targets) {
       if (!active_[static_cast<std::size_t>(t)]) continue;
       dist_[static_cast<std::size_t>(t)] = 0;
-      volume_[static_cast<std::size_t>(t)] = 0.0;
+      volume_[static_cast<std::size_t>(t)] = 0;
       visit_order_.push_back(t);
     }
     if (visit_order_.empty()) return fail(*group.demands.front().name);
@@ -253,26 +262,25 @@ bool QuotientRouter::assign_all(SplitMode mode, std::string* failed_demand) {
         const auto ni = static_cast<std::size_t>(arc.neighbor);
         if (dist_[ni] < 0) {
           dist_[ni] = du + 1;
-          volume_[ni] = 0.0;
+          volume_[ni] = 0;
           visit_order_.push_back(arc.neighbor);
         }
       }
     }
 
     // Injection, demand by demand as EcmpRouter::inject_sources does: the
-    // per-source share divides by the same integer source count, so a
-    // member's injected volume is the fabric's.
+    // per-source share is the same rounded-up quotient of the same integer
+    // source count, so a member's injected volume is the fabric's.
     for (const BoundDemand& d : group.demands) {
-      std::size_t active_sources = 0;
+      std::uint64_t active_sources = 0;
       for (const SourceClass& sc : d.sources) {
         const auto cls = static_cast<std::size_t>(sc.cls);
         if (!active_[cls]) continue;
         if (dist_[cls] < 0) return fail(*d.name);
-        active_sources += std::size_t{sc.count} * q_.class_size(sc.cls);
+        active_sources += std::uint64_t{sc.count} * q_.class_size(sc.cls);
       }
       if (active_sources == 0) continue;
-      const double per_source =
-          d.volume_tbps / static_cast<double>(active_sources);
+      const Load per_source = ceil_div(d.volume, active_sources);
       for (const SourceClass& sc : d.sources) {
         const auto cls = static_cast<std::size_t>(sc.cls);
         if (!active_[cls]) continue;
@@ -281,31 +289,37 @@ bool QuotientRouter::assign_all(SplitMode mode, std::string* failed_demand) {
     }
 
     // Propagation in decreasing distance. A member splits its volume over
-    // its equal-cost next hops — `here` circuits per arc — and a neighbor
-    // member receives the share of each of its `there` circuits back.
+    // its equal-cost next hops — `here` circuits per arc, each share
+    // rounded up as the fabric rounds it — and a neighbor member receives
+    // the share of each of its `there` circuits back.
     for (std::size_t idx = visit_order_.size(); idx-- > 0;) {
       const std::int32_t u = visit_order_[idx];
-      const double vol = volume_[static_cast<std::size_t>(u)];
-      if (vol <= 0.0) continue;
+      const Load vol = volume_[static_cast<std::size_t>(u)];
+      if (vol == 0) continue;
       const std::int32_t du = dist_[static_cast<std::size_t>(u)];
       if (du == 0) continue;
       next_hops_.clear();
-      double total_weight = 0.0;
+      std::uint64_t hops = 0;
       for (std::uint32_t i = q_.arc_begin(u); i < q_.arc_begin(u + 1); ++i) {
         const Quotient::Arc& arc = arcs[i];
         if (!alive_[arc.bundle]) continue;
         if (dist_[static_cast<std::size_t>(arc.neighbor)] != du - 1) continue;
         next_hops_.push_back(i);
-        total_weight += mode == SplitMode::kEqualSplit
-                            ? arc.here
-                            : arc.here * arc.capacity_tbps;
+        hops += arc.here;
       }
-      assert(total_weight > 0.0 && "reached class must have a next hop");
+      assert(hops > 0 && "reached class must have a next hop");
+      WideLoad total_weight = 0;
+      if (mode != SplitMode::kEqualSplit) {
+        for (const std::uint32_t i : next_hops_) {
+          total_weight += static_cast<WideLoad>(arcs[i].here) * arcs[i].weight;
+        }
+      }
+      const Load equal_share = ceil_div(vol, hops);
       for (const std::uint32_t i : next_hops_) {
         const Quotient::Arc& arc = arcs[i];
-        const double weight =
-            mode == SplitMode::kEqualSplit ? 1.0 : arc.capacity_tbps;
-        const double share = vol * weight / total_weight;
+        const Load share = mode == SplitMode::kEqualSplit
+                               ? equal_share
+                               : weighted_share(vol, arc.weight, total_weight);
         loads_[arc.slot] += share;
         volume_[static_cast<std::size_t>(arc.neighbor)] += share * arc.there;
       }

@@ -19,7 +19,10 @@
 // a bundle carries the same directional load. QuotientRouter routes on that
 // graph: BFS, injection and propagation over classes, per-circuit loads per
 // bundle direction, with the bundle multiplicities standing in for the
-// parallel circuits of the fabric.
+// parallel circuits of the fabric. Loads are the fixed-point integers of
+// load.h, so a bundle's load equals each member circuit's fabric load
+// exactly: where the fabric adds a share m times the quotient adds
+// m × share, and integer sums do not depend on order.
 //
 // Both the router's per-check work and its result are O(classes + arcs) —
 // 193 classes and 1,428 arcs for the 1,308 switches and 44,864 directed
@@ -57,9 +60,9 @@ class Quotient {
     std::int32_t neighbor;  // class at the far end
     std::uint32_t slot;     // 2 * bundle + direction (this class -> neighbor)
     std::uint32_t bundle;
-    double here;   // bundle circuits at one member of this class
-    double there;  // bundle circuits at one member of the neighbor class
-    double capacity_tbps;
+    std::uint32_t here;     // bundle circuits at one member of this class
+    std::uint32_t there;    // bundle circuits at one member of the neighbor
+    std::uint64_t weight;   // WCMP split weight per circuit (Mbps)
   };
 
   /// Builds and verifies the quotient of `topo` (which must outlive it).
@@ -91,6 +94,9 @@ class Quotient {
   }
   /// Numbered in ascending order of their smallest circuit id.
   const std::vector<Bundle>& bundles() const { return bundles_; }
+  std::uint32_t bundle_of(topo::CircuitId c) const {
+    return bundle_of_[static_cast<std::size_t>(c)];
+  }
 
   /// Arcs out of class `cls`: arcs()[arc_begin(cls) .. arc_begin(cls + 1)).
   std::uint32_t arc_begin(std::int32_t cls) const {
@@ -106,7 +112,8 @@ class Quotient {
   std::vector<topo::SwitchId> rep_;
   std::vector<std::uint32_t> size_;
   std::vector<Bundle> bundles_;
-  std::vector<std::uint32_t> offsets_;  // CSR over classes
+  std::vector<std::uint32_t> bundle_of_;  // per circuit
+  std::vector<std::uint32_t> offsets_;    // CSR over classes
   std::vector<Arc> arcs_;
 };
 
@@ -119,7 +126,8 @@ class QuotientRouter {
   /// Binds a demand set. Returns false, leaving nothing bound, when some
   /// demand's source or target list is not uniform over the classes: every
   /// member of a class must occur in it equally often, or the members would
-  /// not carry equal volumes.
+  /// not carry equal volumes. Throws std::invalid_argument when the set
+  /// leaves the fixed-point range, as EcmpRouter::assign_all does.
   bool bind(const DemandSet& demands);
 
   /// Routes the bound demands on the current element states, grouped by
@@ -129,8 +137,9 @@ class QuotientRouter {
   /// order, naming it via `failed_demand` when non-null.
   bool assign_all(SplitMode mode, std::string* failed_demand = nullptr);
 
-  /// Index 2 * bundle + direction.
-  const std::vector<double>& loads() const { return loads_; }
+  /// Index 2 * bundle + direction: the load of every circuit of the bundle
+  /// in that direction, equal to the fabric router's.
+  const std::vector<Load>& loads() const { return loads_; }
 
  private:
   /// One source class of a demand: `count` occurrences per member.
@@ -140,7 +149,7 @@ class QuotientRouter {
   };
   struct BoundDemand {
     const std::string* name;
-    double volume_tbps;
+    Load volume;
     std::vector<SourceClass> sources;
   };
   struct BoundGroup {
@@ -156,12 +165,12 @@ class QuotientRouter {
 
   const Quotient& q_;
   std::vector<BoundGroup> groups_;
-  std::vector<double> loads_;
+  std::vector<Load> loads_;
   // Per-check scratch.
   std::vector<std::uint8_t> active_;  // per class
   std::vector<std::uint8_t> alive_;   // per bundle
   std::vector<std::int32_t> dist_;    // per class, -1 = unreached
-  std::vector<double> volume_;        // per class, per member
+  std::vector<Load> volume_;          // per class, per member
   std::vector<std::int32_t> visit_order_;
   std::vector<std::uint32_t> next_hops_;
   // uniform_classes scratch, zero between calls.

@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <exception>
+#include <mutex>
+#include <optional>
 #include <stdexcept>
 #include <thread>
 #include <utility>
@@ -283,14 +286,35 @@ WhatIfReport run_whatif(const CaseFactory& factory, const core::Plan& plan,
   std::atomic<int> next{0};
   static obs::Counter& trajectories_counter =
       obs::Registry::global().counter("whatif.trajectories");
-  const auto work = [&](Validator& v) {
-    for (;;) {
-      if (stop != nullptr && stop->load(std::memory_order_relaxed)) return;
-      const int begin = next.fetch_add(chunk);
-      if (begin >= num_trajectories) return;
-      const int end = std::min(num_trajectories, begin + chunk);
-      walk_chunk(params, begin, end, v, phases, outcomes);
-      trajectories_counter.inc(end - begin);
+  // A throwing walk (a forecast whose demands leave the routers'
+  // fixed-point range) stops every worker at its next chunk. Once all have
+  // joined, the error of the lowest failing chunk is rethrown. Every chunk
+  // below it was claimed earlier and walked to its end, so which error
+  // surfaces does not depend on thread timing.
+  std::atomic<bool> failed{false};
+  std::mutex error_mu;
+  int error_begin = num_trajectories;
+  std::exception_ptr error;
+  const auto work = [&](std::optional<Validator>& v) {
+    int begin = -1;  // -1 while the validator is being built
+    try {
+      v.emplace(factory, worker_config);
+      for (;;) {
+        if (failed.load(std::memory_order_relaxed)) return;
+        if (stop != nullptr && stop->load(std::memory_order_relaxed)) return;
+        begin = next.fetch_add(chunk);
+        if (begin >= num_trajectories) return;
+        const int end = std::min(num_trajectories, begin + chunk);
+        walk_chunk(params, begin, end, *v, phases, outcomes);
+        trajectories_counter.inc(end - begin);
+      }
+    } catch (...) {
+      const std::lock_guard<std::mutex> lock(error_mu);
+      if (begin < error_begin) {
+        error_begin = begin;
+        error = std::current_exception();
+      }
+      failed.store(true, std::memory_order_relaxed);
     }
   };
   // Worker 0 runs on this thread and its validator outlives the pool: the
@@ -300,13 +324,14 @@ WhatIfReport run_whatif(const CaseFactory& factory, const core::Plan& plan,
   workers.reserve(static_cast<std::size_t>(budget.outer - 1));
   for (int i = 1; i < budget.outer; ++i) {
     workers.emplace_back([&] {
-      Validator v(factory, worker_config);
+      std::optional<Validator> v;
       work(v);
     });
   }
-  Validator first(factory, worker_config);
+  std::optional<Validator> first;
   work(first);
   for (std::thread& w : workers) w.join();
+  if (error) std::rethrow_exception(error);
 
   // Serial aggregation in index order: every fold over doubles happens in
   // the same sequence at any thread count.
@@ -319,7 +344,7 @@ WhatIfReport run_whatif(const CaseFactory& factory, const core::Plan& plan,
     PhaseStats row;
     row.phase = static_cast<int>(p);
     row.action =
-        first.mig.task.action_types[static_cast<std::size_t>(phases[p].type)]
+        first->mig.task.action_types[static_cast<std::size_t>(phases[p].type)]
             .label;
     row.blocks = static_cast<int>(phases[p].block_indices.size());
     row.worst_utilization = 0.0;
@@ -373,7 +398,7 @@ WhatIfReport run_whatif(const CaseFactory& factory, const core::Plan& plan,
 
   // Delta materialization back from the walk's last phase is bit-identical
   // to a replay from the original state.
-  margin_pass(first, params, phases, report);
+  margin_pass(*first, params, phases, report);
   return report;
 }
 

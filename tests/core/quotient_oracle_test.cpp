@@ -6,17 +6,18 @@
 //  * Every check the A* planner makes on the golden cases (Clos A-C, flat
 //    and reconf A, reduced) and on full-scale Clos C, through a composite
 //    that asks both bundles.
-//  * Seeded count-vector walks, 200 states per family, comparing the
-//    demand, port and composite verdicts and the quotient's peak
-//    utilization against the fabric's, for both split modes, funneling
-//    margins 0 and 0.1, and a task with one capacity-edited circuit.
+//  * Seeded count-vector walks, 200 states per family, comparing with
+//    equality, never within a tolerance: every bundle's fixed-point load
+//    against each member circuit's fabric load, the demand checkers' peak
+//    utilizations and violation strings, and the port and composite
+//    verdicts, for both split modes, funneling margins 0 and 0.1, and a
+//    task with one capacity-edited circuit.
 //  * Edge cases: flat and reconf have discrete partitions and stay on the
 //    fabric; a corrupted partition is refused by Quotient::build; a demand
 //    whose endpoint list splits a class is routed on the fabric.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cmath>
 #include <string>
 
 #include "klotski/constraints/demand_checker.h"
@@ -43,19 +44,16 @@ using topo::TopologyFamily;
 struct Tally {
   long long scoped = 0;
   long long quotient = 0;
-  long long guard_band = 0;
   long long not_applicable = 0;
 
   static Tally now() {
     obs::Registry& reg = obs::Registry::global();
     return Tally{reg.counter("quotient.scoped_checks").value(),
                  reg.counter("quotient.checks").value(),
-                 reg.counter("quotient.fallback_guard_band").value(),
                  reg.counter("quotient.fallback_not_applicable").value()};
   }
   Tally since(const Tally& before) const {
     return Tally{scoped - before.scoped, quotient - before.quotient,
-                 guard_band - before.guard_band,
                  not_applicable - before.not_applicable};
   }
 };
@@ -98,7 +96,8 @@ class OracleComposite : public constraints::CompositeChecker {
     Verdict verdict = scoped_.checker->check(topo);
     const Verdict oracle = fabric_.checker->check(topo);
     ++checks;
-    if (verdict.satisfied != oracle.satisfied) {
+    if (verdict.satisfied != oracle.satisfied ||
+        verdict.violation != oracle.violation) {
       ++mismatches;
       ADD_FAILURE() << "scoped: " << verdict.violation
                     << " | fabric: " << oracle.violation;
@@ -140,11 +139,9 @@ void plan_with_oracle(const PlannerCase& pc) {
   EXPECT_EQ(oracle.mismatches, 0);
   EXPECT_EQ(oracle.had_quotient, pc.expect_quotient);
   EXPECT_EQ(plan.stats.sat_checks, oracle.checks);
-  EXPECT_EQ(tally.quotient + tally.guard_band + tally.not_applicable,
-            tally.scoped);
+  EXPECT_EQ(tally.quotient + tally.not_applicable, tally.scoped);
   if (pc.expect_quotient) {
-    EXPECT_GT(tally.quotient, 0);
-    EXPECT_EQ(tally.not_applicable, 0);
+    EXPECT_EQ(tally.quotient, tally.scoped);
   } else {
     EXPECT_EQ(tally.quotient, 0);
     EXPECT_EQ(tally.not_applicable, tally.scoped);
@@ -173,6 +170,32 @@ TEST_F(QuotientOracle, EveryGoldenPlannerCheckMatchesTheFabric) {
 TEST_F(QuotientOracle, EveryFullScaleClosCPlannerCheckMatchesTheFabric) {
   plan_with_oracle(PlannerCase{TopologyFamily::kClos, PresetId::kC,
                                PresetScale::kFull, true});
+}
+
+/// Routes the task's demands on the quotient and on the fabric and expects
+/// every circuit's fabric load, in both directions, to equal its bundle's.
+void expect_bundle_loads_equal(const traffic::Quotient& q,
+                               const traffic::DemandSet& demands,
+                               traffic::SplitMode mode, int step) {
+  const topo::Topology& topo = q.topology();
+  traffic::QuotientRouter quotient_router(q);
+  ASSERT_TRUE(quotient_router.bind(demands));
+  traffic::EcmpRouter fabric_router(topo, mode);
+  traffic::LoadVector loads;
+  const bool routable = fabric_router.assign_all(demands, loads);
+  ASSERT_EQ(quotient_router.assign_all(mode), routable) << "step " << step;
+  if (!routable) return;
+  for (const topo::Circuit& c : topo.circuits()) {
+    const std::uint32_t b = q.bundle_of(c.id);
+    // Slot 2c runs a -> b; the bundle's direction 0 runs x -> y.
+    const bool forward = q.class_of(c.a) == q.bundles()[b].x;
+    const auto slot = static_cast<std::size_t>(c.id) * 2;
+    ASSERT_EQ(loads[slot], quotient_router.loads()[2 * b + (forward ? 0 : 1)])
+        << "step " << step << " circuit " << c.id;
+    ASSERT_EQ(loads[slot + 1],
+              quotient_router.loads()[2 * b + (forward ? 1 : 0)])
+        << "step " << step << " circuit " << c.id;
+  }
 }
 
 /// Materializes seeded count vectors inside a search scope and compares
@@ -206,20 +229,19 @@ Tally walk(migration::MigrationCase& mig, const CheckerConfig& config,
       const long long quotient_before = Tally::now().quotient;
       const Verdict demand = demand_checker(scoped).check(topo);
       const bool on_quotient = Tally::now().quotient > quotient_before;
+      EXPECT_EQ(on_quotient, expect_quotient) << "step " << step;
       const Verdict demand_oracle = demand_checker(fabric).check(topo);
-      EXPECT_EQ(demand.satisfied, demand_oracle.satisfied)
-          << "step " << step << ": " << demand.violation << " | "
-          << demand_oracle.violation;
-      if (on_quotient && demand.violation.find("no path") ==
-                             std::string::npos) {
-        const double peak = demand_checker(scoped).last_max_utilization();
-        const double oracle_peak =
-            demand_checker(fabric).peak_utilization(topo);
-        EXPECT_LE(std::abs(peak - oracle_peak),
-                  1e-12 * std::max(1.0, oracle_peak))
-            << "step " << step;
-      } else if (!demand.satisfied) {
-        EXPECT_EQ(demand.violation, demand_oracle.violation);
+      EXPECT_EQ(demand.satisfied, demand_oracle.satisfied) << "step " << step;
+      EXPECT_EQ(demand.violation, demand_oracle.violation)
+          << "step " << step;
+      if (on_quotient) {
+        expect_bundle_loads_equal(*scope.quotient(), mig.task.demands,
+                                  config.routing, step);
+        if (demand.violation.find("no path") == std::string::npos) {
+          EXPECT_EQ(demand_checker(scoped).last_max_utilization(),
+                    demand_checker(fabric).peak_utilization(topo))
+              << "step " << step;
+        }
       }
       EXPECT_EQ(port_checker(scoped).check(topo).violation,
                 port_checker(fabric).check(topo).violation)
@@ -255,8 +277,7 @@ TEST_F(QuotientOracle, RandomWalksMatchTheFabricInBothSplitModes) {
         // Port failures short-circuit the composite before the demand
         // checker, so scoped checks exceed the walk's explicit ones.
         EXPECT_GE(tally.scoped, 200);
-        EXPECT_EQ(tally.quotient + tally.guard_band + tally.not_applicable,
-                  tally.scoped);
+        EXPECT_EQ(tally.quotient + tally.not_applicable, tally.scoped);
         if (clos) {
           EXPECT_GT(tally.quotient, 0);
         } else {
@@ -391,9 +412,7 @@ TEST_F(QuotientOracle, DemandSplittingAClassIsRoutedOnTheFabric) {
   demand_checker(scoped).set_demands(mig.task.demands);
   const Tally before = Tally::now();
   demand_checker(scoped).check(topo);
-  EXPECT_EQ(Tally::now().since(before).quotient +
-                Tally::now().since(before).guard_band,
-            1);
+  EXPECT_EQ(Tally::now().since(before).quotient, 1);
   mig.task.reset_to_original();
 }
 

@@ -101,7 +101,7 @@ TEST(CacheEquivalence, AssignAllMatchesPerDemandOnIntermediateStates) {
 
     traffic::LoadVector merged;
     const bool merged_ok = router.assign_all(task.demands, merged);
-    traffic::LoadVector separate(task.topo->num_circuits() * 2, 0.0);
+    traffic::LoadVector separate(task.topo->num_circuits() * 2, 0);
     bool separate_ok = true;
     for (const traffic::Demand& d : task.demands) {
       separate_ok = separate_ok && router.assign(d, separate);
@@ -109,7 +109,8 @@ TEST(CacheEquivalence, AssignAllMatchesPerDemandOnIntermediateStates) {
     ASSERT_EQ(merged_ok, separate_ok) << "trial " << trial;
     if (!merged_ok) continue;
     for (std::size_t i = 0; i < merged.size(); ++i) {
-      ASSERT_NEAR(merged[i], separate[i], 1e-9)
+      ASSERT_NEAR(traffic::to_tbps(merged[i]), traffic::to_tbps(separate[i]),
+                  1e-9)
           << "trial " << trial << " slot " << i;
     }
   }

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "klotski/npd/npd_convert.h"
 #include "klotski/npd/npd_io.h"
 #include "klotski/topo/presets.h"
@@ -322,6 +324,56 @@ TEST(NpdIo, OutOfRangeStrideIsRefusedNamingTheField) {
     EXPECT_NE(std::string(e.what()).find("reconf.v1_strides"),
               std::string::npos)
         << e.what();
+  }
+}
+
+TEST(NpdIo, CapacitiesOutsideTheFixedPointRangeAreRefusedNamingTheField) {
+  const json::Value base = to_json(sample_doc());
+  const auto refusal = [](const json::Value& root) -> std::string {
+    try {
+      from_json(root);
+    } catch (const std::invalid_argument& e) {
+      return e.what();
+    }
+    return "";
+  };
+  for (const double bad : {1e300, std::numeric_limits<double>::infinity(),
+                           0.0, -1.0, 1e-9}) {
+    json::Value root = base;
+    json::Object& hw = root.as_object()["hardware"].as_object();
+    hw["capacities"].as_object()["fsw_ssw"] = json::Value(bad);
+    EXPECT_NE(refusal(root).find("hardware.capacities.fsw_ssw"),
+              std::string::npos)
+        << bad;
+  }
+  NpdDocument flat;
+  flat.family = topo::TopologyFamily::kFlat;
+  flat.migration = MigrationKind::kFlatForklift;
+  json::Value flat_root = to_json(flat);
+  flat_root.as_object()["flat"].as_object()["cap_tbps"] = json::Value(1e300);
+  EXPECT_NE(refusal(flat_root).find("flat.cap_tbps"), std::string::npos);
+  // Capacities inside the range still load.
+  json::Value root = base;
+  root.as_object()["hardware"].as_object()["capacities"].as_object()
+      ["fsw_ssw"] = json::Value(32768.0);
+  EXPECT_EQ(refusal(root), "");
+}
+
+TEST(NpdConvert, CapacitiesOutsideTheFixedPointRangeAreRefused) {
+  for (const char* capacity : {"1e300", "0", "-3"}) {
+    const std::string text =
+        std::string(R"({"switches": [{"name": "a", "role": "RSW"},
+                                    {"name": "b", "role": "FSW"}],
+                       "circuits": [{"a": "a", "b": "b", "capacity_tbps": )") +
+        capacity + "}]}";
+    try {
+      topology_from_json(json::parse(text));
+      ADD_FAILURE() << "capacity " << capacity << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("a - b capacity_tbps"),
+                std::string::npos)
+          << e.what();
+    }
   }
 }
 

@@ -32,6 +32,7 @@
 #include "klotski/serve/server.h"
 #include "klotski/serve/service.h"
 #include "klotski/topo/presets.h"
+#include "klotski/traffic/demand_io.h"
 
 namespace klotski::serve {
 namespace {
@@ -565,6 +566,99 @@ TEST(PlanServiceWhatIf, MalformedParamsBecomeErrorResponses) {
   req.params = json::Value(std::move(params));
   const Response resp = service.execute(req, stop);
   EXPECT_EQ(resp.status, "error");
+}
+
+/// A sweep whose growth leaves the routers' fixed-point range is answered
+/// with an error naming the volume, from a two-worker sweep as from one.
+TEST(PlanServiceWhatIf, GrowthPastTheFixedPointRangeIsAnError) {
+  PlanService::Options options = service_options();
+  options.threads = 2;
+  PlanService service(options);
+  std::atomic<bool> stop{false};
+  const Response planned = service.execute(plan_request(), stop);
+  ASSERT_TRUE(planned.ok()) << planned.error;
+
+  Request req;
+  req.method = "whatif";
+  json::Object params;
+  params["npd"] = preset_npd_json();
+  params["plan"] = planned.result.at("plan");
+  params["trajectories"] = 8;
+  params["growth_min"] = 1e6;
+  params["growth_max"] = 1e6;
+  req.params = json::Value(std::move(params));
+  const Response resp = service.execute(req, stop);
+  EXPECT_EQ(resp.status, "error");
+  EXPECT_NE(resp.error.find("volume_tbps"), std::string::npos) << resp.error;
+}
+
+// --- request parameter ranges --------------------------------------------
+
+/// Integer params narrow to int (counts) or uint64 (seeds). A value a bare
+/// cast would wrap — 2^32 + 1 to 1, -1 to 2^64 - 1 — is an error naming
+/// the field, never a request for something else.
+TEST(PlanServiceParams, OutOfRangeIntegersAreRefusedNamingTheField) {
+  PlanService service(service_options());
+  std::atomic<bool> stop{false};
+  const std::int64_t wraps_to_one = (std::int64_t{1} << 32) + 1;
+  struct Case {
+    const char* method;
+    const char* field;
+    bool seed;  // any non-negative int64 is a valid seed
+  };
+  const Case cases[] = {
+      {"whatif", "trajectories", false},  {"whatif", "seed", true},
+      {"whatif", "surges", false},        {"whatif", "forecast_errors", false},
+      {"chaos", "max_replans", false},    {"chaos", "retries", false},
+      {"chaos", "degrades", false},       {"chaos", "circuit_failures", false},
+      {"chaos", "drains", false},         {"chaos", "step_failures", false},
+      {"chaos", "surges", false},         {"chaos", "forecast_errors", false},
+      {"chaos", "first_seed", true},      {"chaos", "seeds", false},
+      {"replan", "max_phase_retries", false},
+      {"replan", "max_replans", false},   {"replan", "failing_phases", false},
+  };
+  for (const Case& c : cases) {
+    for (const std::int64_t value : {wraps_to_one, std::int64_t{-1}}) {
+      if (c.seed && value > 0) continue;
+      Request req;
+      req.method = c.method;
+      json::Object params;
+      params["npd"] = preset_npd_json();
+      if (std::string(c.field) == "failing_phases") {
+        params[c.field] = json::Value(json::Array{json::Value(value)});
+      } else {
+        params[c.field] = json::Value(value);
+      }
+      req.params = json::Value(std::move(params));
+      const Response resp = service.execute(req, stop);
+      EXPECT_EQ(resp.status, "error") << c.method << " " << c.field << " = "
+                                      << value;
+      EXPECT_NE(resp.error.find(c.field), std::string::npos)
+          << c.method << " " << c.field << " = " << value << ": "
+          << resp.error;
+    }
+  }
+}
+
+/// Demand overrides are untrusted volumes: one the routers' fixed-point
+/// range cannot hold is refused naming the demand and volume_tbps.
+TEST(PlanServiceParams, OutOfRangeDemandVolumesAreRefused) {
+  PlanService service(service_options());
+  std::atomic<bool> stop{false};
+  const json::Value npd = preset_npd_json();
+  const migration::MigrationCase mig = npd::build_case(npd::from_json(npd));
+  for (const double volume : {1e300, 32768.0, -1.0}) {
+    json::Value demands =
+        traffic::demands_to_json(*mig.task.topo, mig.task.demands);
+    demands.as_object()["demands"].as_array()[0].as_object()["volume_tbps"] =
+        json::Value(volume);
+    Request req = plan_request();
+    req.params.as_object()["demands"] = demands;
+    const Response resp = service.execute(req, stop);
+    EXPECT_EQ(resp.status, "error") << volume;
+    EXPECT_NE(resp.error.find("volume_tbps"), std::string::npos)
+        << resp.error;
+  }
 }
 
 // --- replan resume tokens ------------------------------------------------

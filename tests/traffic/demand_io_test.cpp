@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "../test_helpers.h"
 #include "klotski/traffic/demand_io.h"
 #include "klotski/traffic/generator.h"
+#include "klotski/traffic/load.h"
 
 namespace klotski::traffic {
 namespace {
@@ -68,6 +71,36 @@ TEST(DemandIo, NonPositiveVolumeRejected) {
     "sources": ["eb0"], "targets": ["ebb0"]}]})";
   EXPECT_THROW(demands_from_json(region.topo, json::parse(text)),
                std::invalid_argument);
+}
+
+TEST(DemandIo, VolumesOutsideTheFixedPointRangeAreRejected) {
+  const topo::Region region =
+      topo::build_preset(topo::PresetId::kA, topo::PresetScale::kFull);
+  // 1e300 parses as a number; inf cannot be spelled in JSON text, but a
+  // caller handing over a built document can carry one.
+  for (const double volume :
+       {1e300, 32768.0, std::numeric_limits<double>::infinity(),
+        std::numeric_limits<double>::quiet_NaN(), -2.0}) {
+    json::Value doc = json::parse(R"({"demands": [{
+      "name": "huge", "kind": "egress", "volume_tbps": 1.0,
+      "sources": ["eb0"], "targets": ["ebb0"]}]})");
+    doc.as_object()["demands"].as_array()[0].as_object()["volume_tbps"] =
+        json::Value(volume);
+    try {
+      demands_from_json(region.topo, doc);
+      ADD_FAILURE() << "volume " << volume << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("'huge' volume_tbps"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  // The largest volume below the range still converts.
+  const DemandSet ok = demands_from_json(
+      region.topo, json::parse(R"({"demands": [{
+      "name": "big", "kind": "egress", "volume_tbps": 32767.5,
+      "sources": ["eb0"], "targets": ["ebb0"]}]})"));
+  EXPECT_EQ(demand_load(ok[0]), static_cast<Load>(32767.5 * 0x1p48));
 }
 
 TEST(DemandIo, EmptyEndpointsRejected) {

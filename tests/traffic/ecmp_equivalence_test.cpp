@@ -2,7 +2,8 @@
 //
 // A long-lived router (epoch-stamped scratch, word-packed liveness
 // refreshed by journal replay) and the intra-check parallel mode both
-// promise *bit-identical* results to a from-scratch evaluation. These tests
+// promise results equal to a from-scratch evaluation: the same fixed-point
+// integers, compared with ==, never within a tolerance. These tests
 // drive a Table-3 preset through hundreds of random drain / undrain / add /
 // remove mutations and hold them to that promise:
 //  * after every mutation, the long-lived router must produce exactly the
@@ -113,7 +114,7 @@ void run_fresh_router_equivalence(migration::MigrationCase mig,
     ASSERT_EQ(want.loads.size(), got.loads.size());
     for (std::size_t i = 0; i < want.loads.size(); ++i) {
       // EXPECT_EQ, not NEAR: only the liveness words carry over between
-      // calls, and the groups are summed in the same order.
+      // calls, and integer loads do not depend on summation order.
       ASSERT_EQ(want.loads[i], got.loads[i])
           << "step " << step << " slot " << i;
     }
@@ -123,7 +124,7 @@ void run_fresh_router_equivalence(migration::MigrationCase mig,
     // circuits with a non-zero load in either direction.
     std::vector<topo::CircuitId> loaded;
     for (std::size_t c = 0; c < got.loads.size() / 2; ++c) {
-      if (got.loads[c * 2] != 0.0 || got.loads[c * 2 + 1] != 0.0) {
+      if (got.loads[c * 2] != 0 || got.loads[c * 2 + 1] != 0) {
         loaded.push_back(static_cast<topo::CircuitId>(c));
       }
     }
@@ -184,8 +185,13 @@ TEST(EcmpEquivalence, InPlaceDemandEditsMatchAFreshRouter) {
   for (traffic::Demand& d : demands) d.volume_tbps *= 2.0;
   const AssignResult doubled = route_like_fresh("volumes doubled in place");
   ASSERT_TRUE(doubled.ok);
-  EXPECT_DOUBLE_EQ(2.0 * traffic::max_utilization(topo, before.loads),
-                   traffic::max_utilization(topo, doubled.loads));
+  // Loads scale with the volumes up to share rounding: ceil(2x) <= 2 ceil(x)
+  // at every rounding, so no doubled load exceeds twice the old one.
+  for (std::size_t i = 0; i < before.loads.size(); ++i) {
+    ASSERT_LE(doubled.loads[i], 2 * before.loads[i]) << "slot " << i;
+  }
+  EXPECT_NEAR(2.0 * traffic::max_utilization(topo, before.loads),
+              traffic::max_utilization(topo, doubled.loads), 1e-12);
 
   // Move the first demand into the next group's target set: the grouping
   // itself changes under the same object.

@@ -16,10 +16,10 @@ TEST(Ecmp, DiamondSplitsEqually) {
   LoadVector loads;
   ASSERT_TRUE(router.assign(d.demand(1.0), loads));
   // 0.5 on each branch, in the s->t direction only.
-  EXPECT_DOUBLE_EQ(loads[static_cast<std::size_t>(d.c_sm1) * 2], 0.5);
-  EXPECT_DOUBLE_EQ(loads[static_cast<std::size_t>(d.c_sm2) * 2], 0.5);
-  EXPECT_DOUBLE_EQ(loads[static_cast<std::size_t>(d.c_m1t) * 2], 0.5);
-  EXPECT_DOUBLE_EQ(loads[static_cast<std::size_t>(d.c_m1t) * 2 + 1], 0.0);
+  EXPECT_DOUBLE_EQ(to_tbps(loads[static_cast<std::size_t>(d.c_sm1) * 2]), 0.5);
+  EXPECT_DOUBLE_EQ(to_tbps(loads[static_cast<std::size_t>(d.c_sm2) * 2]), 0.5);
+  EXPECT_DOUBLE_EQ(to_tbps(loads[static_cast<std::size_t>(d.c_m1t) * 2]), 0.5);
+  EXPECT_DOUBLE_EQ(to_tbps(loads[static_cast<std::size_t>(d.c_m1t) * 2 + 1]), 0.0);
 }
 
 TEST(Ecmp, DrainedBranchGetsNoTraffic) {
@@ -28,8 +28,8 @@ TEST(Ecmp, DrainedBranchGetsNoTraffic) {
   EcmpRouter router(d.topo);
   LoadVector loads;
   ASSERT_TRUE(router.assign(d.demand(1.0), loads));
-  EXPECT_DOUBLE_EQ(loads[static_cast<std::size_t>(d.c_sm1) * 2], 1.0);
-  EXPECT_DOUBLE_EQ(loads[static_cast<std::size_t>(d.c_sm2) * 2], 0.0);
+  EXPECT_DOUBLE_EQ(to_tbps(loads[static_cast<std::size_t>(d.c_sm1) * 2]), 1.0);
+  EXPECT_DOUBLE_EQ(to_tbps(loads[static_cast<std::size_t>(d.c_sm2) * 2]), 0.0);
 }
 
 TEST(Ecmp, DrainedCircuitGetsNoTraffic) {
@@ -38,7 +38,7 @@ TEST(Ecmp, DrainedCircuitGetsNoTraffic) {
   EcmpRouter router(d.topo);
   LoadVector loads;
   ASSERT_TRUE(router.assign(d.demand(1.0), loads));
-  EXPECT_DOUBLE_EQ(loads[static_cast<std::size_t>(d.c_sm1) * 2], 1.0);
+  EXPECT_DOUBLE_EQ(to_tbps(loads[static_cast<std::size_t>(d.c_sm1) * 2]), 1.0);
 }
 
 TEST(Ecmp, UnreachableSourceFailsAssignment) {
@@ -67,7 +67,7 @@ TEST(Ecmp, InactiveSourceIsSkipped) {
   LoadVector loads;
   ASSERT_TRUE(router.assign(demand, loads));
   // All volume is injected at m1 now.
-  EXPECT_DOUBLE_EQ(loads[static_cast<std::size_t>(d.c_m1t) * 2], 1.0);
+  EXPECT_DOUBLE_EQ(to_tbps(loads[static_cast<std::size_t>(d.c_m1t) * 2]), 1.0);
 }
 
 TEST(Ecmp, AllSourcesInactiveIsVacuouslySatisfied) {
@@ -76,7 +76,7 @@ TEST(Ecmp, AllSourcesInactiveIsVacuouslySatisfied) {
   EcmpRouter router(d.topo);
   LoadVector loads;
   ASSERT_TRUE(router.assign(d.demand(1.0), loads));
-  EXPECT_DOUBLE_EQ(loads[static_cast<std::size_t>(d.c_m1t) * 2], 0.0);
+  EXPECT_DOUBLE_EQ(to_tbps(loads[static_cast<std::size_t>(d.c_m1t) * 2]), 0.0);
 }
 
 TEST(Ecmp, SourceAtTargetAbsorbedImmediately) {
@@ -86,7 +86,7 @@ TEST(Ecmp, SourceAtTargetAbsorbedImmediately) {
   EcmpRouter router(d.topo);
   LoadVector loads;
   ASSERT_TRUE(router.assign(demand, loads));
-  for (const double load : loads) EXPECT_DOUBLE_EQ(load, 0.0);
+  for (const Load load : loads) EXPECT_EQ(load, 0);
 }
 
 TEST(Ecmp, MultipleAssignsAccumulate) {
@@ -95,7 +95,7 @@ TEST(Ecmp, MultipleAssignsAccumulate) {
   LoadVector loads;
   ASSERT_TRUE(router.assign(d.demand(1.0), loads));
   ASSERT_TRUE(router.assign(d.demand(1.0), loads));
-  EXPECT_DOUBLE_EQ(loads[static_cast<std::size_t>(d.c_sm1) * 2], 1.0);
+  EXPECT_DOUBLE_EQ(to_tbps(loads[static_cast<std::size_t>(d.c_sm1) * 2]), 1.0);
 }
 
 TEST(Ecmp, ShortestPathOnly) {
@@ -129,8 +129,8 @@ TEST(Ecmp, ShortestPathOnly) {
   EcmpRouter router(t);
   LoadVector loads;
   ASSERT_TRUE(router.assign(demand, loads));
-  EXPECT_DOUBLE_EQ(loads[static_cast<std::size_t>(c_at) * 2], 1.0);
-  EXPECT_DOUBLE_EQ(loads[static_cast<std::size_t>(c_sb) * 2], 0.0);
+  EXPECT_DOUBLE_EQ(to_tbps(loads[static_cast<std::size_t>(c_at) * 2]), 1.0);
+  EXPECT_DOUBLE_EQ(to_tbps(loads[static_cast<std::size_t>(c_sb) * 2]), 0.0);
 }
 
 TEST(Ecmp, WorstCircuitReportsHighestUtilization) {
@@ -147,7 +147,7 @@ TEST(Ecmp, WorstCircuitReportsHighestUtilization) {
 
 TEST(Ecmp, EmptyLoadsHaveZeroUtilization) {
   Diamond d;
-  const LoadVector loads(d.topo.num_circuits() * 2, 0.0);
+  const LoadVector loads(d.topo.num_circuits() * 2, 0);
   EXPECT_DOUBLE_EQ(max_utilization(d.topo, loads), 0.0);
   EXPECT_EQ(worst_circuit(d.topo, loads).circuit, topo::kInvalidCircuit);
 }
@@ -188,15 +188,16 @@ TEST_P(EcmpConservation, InjectedVolumeIsAbsorbed) {
     if (!router.assign(demand, loads)) continue;  // disconnected is OK here
 
     // Non-negativity.
-    for (const double load : loads) EXPECT_GE(load, -1e-9);
+    for (const Load load : loads) EXPECT_GE(load, 0);
 
     // Conservation: total volume leaving the sources equals the demand
     // volume (if any source is active), and equals the volume arriving at
     // the targets.
     std::vector<double> net(region.topo.num_switches(), 0.0);
     for (const topo::Circuit& c : region.topo.circuits()) {
-      const double ab = loads[static_cast<std::size_t>(c.id) * 2];
-      const double ba = loads[static_cast<std::size_t>(c.id) * 2 + 1];
+      const double ab = to_tbps(loads[static_cast<std::size_t>(c.id) * 2]);
+      const double ba =
+          to_tbps(loads[static_cast<std::size_t>(c.id) * 2 + 1]);
       net[static_cast<std::size_t>(c.a)] += ab - ba;
       net[static_cast<std::size_t>(c.b)] += ba - ab;
     }

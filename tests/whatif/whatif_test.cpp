@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <stdexcept>
 #include <string>
 
 #include "klotski/constraints/demand_checker.h"
@@ -190,6 +191,34 @@ TEST(WhatIf, ReportIsInvariantToThreadCount) {
   const std::string parallel = whatif::report_text(
       whatif::run_whatif(factory, plan, params), params);
   EXPECT_EQ(serial, parallel);
+}
+
+// Growth that carries a forecast past the routers' fixed-point range
+// (2^15 Tbps) is refused with an error naming the volume. Both workers of
+// the pool throw; the sweep joins them and rethrows instead of
+// terminating, and the error is the lowest chunk's at any thread count.
+TEST(WhatIf, DemandsPastTheFixedPointRangeAreRefusedFromAnyWorker) {
+  const whatif::CaseFactory factory =
+      family_factory(topo::TopologyFamily::kClos);
+  const core::Plan plan = plan_family(factory());
+
+  whatif::WhatIfParams params;
+  params.trajectories = 8;
+  params.growth_min = 1e6;
+  params.growth_max = 1e6;
+  std::string errors[2];
+  for (const int threads : {1, 2}) {
+    params.threads = threads;
+    try {
+      whatif::run_whatif(factory, plan, params);
+      ADD_FAILURE() << "a sweep past the range ran at threads=" << threads;
+    } catch (const std::invalid_argument& e) {
+      errors[threads - 1] = e.what();
+    }
+    EXPECT_NE(errors[threads - 1].find("volume_tbps"), std::string::npos)
+        << errors[threads - 1];
+  }
+  EXPECT_EQ(errors[0], errors[1]);
 }
 
 TEST(WhatIf, AggressiveDemandKnobsSurfaceUnsafeFutures) {

@@ -24,10 +24,10 @@
 //   * replan.warm_wins + replan.fallback_full == replan.warm_attempts
 //     (when any of the three is present — every warm-repair attempt either
 //     wins or falls back to a full replan, never both or neither)
-//   * quotient.checks + quotient.fallback_guard_band +
-//     quotient.fallback_not_applicable == quotient.scoped_checks (when any
-//     of the four is present — every demand check inside a search scope is
-//     answered on the quotient or routed on the fabric, exactly once)
+//   * quotient.checks + quotient.fallback_not_applicable ==
+//     quotient.scoped_checks (when any of the three is present — every
+//     demand check inside a search scope is answered on the quotient or,
+//     when the quotient does not apply, routed on the fabric, exactly once)
 //
 // Exit status: 0 all checks passed, 1 a check failed, 2 usage/input error.
 #include <iostream>
@@ -112,24 +112,20 @@ int run(const klotski::util::Flags& flags) {
     // Search-scope accounting: where every scoped demand check went.
     if (has_counter(metrics, "quotient.scoped_checks") ||
         has_counter(metrics, "quotient.checks") ||
-        has_counter(metrics, "quotient.fallback_guard_band") ||
         has_counter(metrics, "quotient.fallback_not_applicable")) {
       const long long scoped = counter_value(metrics, "quotient.scoped_checks");
       const long long quotient = counter_value(metrics, "quotient.checks");
-      const long long guard =
-          counter_value(metrics, "quotient.fallback_guard_band");
       const long long not_applicable =
           counter_value(metrics, "quotient.fallback_not_applicable");
-      if (quotient + guard + not_applicable != scoped) {
+      if (quotient + not_applicable != scoped) {
         std::cerr << "FAIL: quotient.checks (" << quotient
-                  << ") + fallback_guard_band (" << guard
                   << ") + fallback_not_applicable (" << not_applicable
                   << ") != scoped_checks (" << scoped << ")\n";
         return 1;
       }
-      std::cout << "ok: " << quotient << " quotient checks + " << guard
-                << " guard-band + " << not_applicable
-                << " fabric fallbacks == " << scoped << " scoped checks\n";
+      std::cout << "ok: " << quotient << " quotient checks + "
+                << not_applicable << " fabric fallbacks == " << scoped
+                << " scoped checks\n";
     }
 
     const std::string trace_path = flags.get_string("trace", "");
@@ -169,8 +165,7 @@ int run(const klotski::util::Flags& flags) {
                            "evaluator.full_replays,planner.states_expanded,"
                            "quotient.scopes,quotient.classes,quotient.arcs,"
                            "quotient.refused,quotient.scoped_checks,"
-                           "quotient.checks,quotient.fallback_guard_band,"
-                           "quotient.fallback_not_applicable"),
+                           "quotient.checks,quotient.fallback_not_applicable"),
           ',');
       bool same = true;
       for (const std::string& name : names) {
