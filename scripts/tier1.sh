@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
-# Tier-1 verification: configure + build + full ctest suite, then the
-# threading tests again under ThreadSanitizer from a separate build tree
-# (KLOTSKI_SANITIZE=thread), so data races in the worker pools fail the
-# gate even when the plain run happens to pass.
+# Tier-1 verification: configure + build (warnings are errors) + full ctest
+# suite, then the threading tests again under ThreadSanitizer from a
+# separate build tree (KLOTSKI_SANITIZE=thread), so data races in the
+# worker pools fail the gate even when the plain run happens to pass.
 #
 # Usage: scripts/tier1.sh [jobs]
 set -euo pipefail
@@ -10,7 +10,7 @@ cd "$(dirname "$0")/.."
 
 JOBS="${1:-$(nproc)}"
 
-cmake -B build -S .
+cmake -B build -S . -DKLOTSKI_WERROR=ON
 cmake --build build -j"${JOBS}"
 (cd build && ctest --output-on-failure -j"${JOBS}")
 
@@ -126,15 +126,12 @@ wait "${WHATIF_SERVED_PID}" || {
 rm -rf "${WHATIF_TMP}" "${WHATIF_SOCK}"
 
 cmake -B build-tsan -S . -DKLOTSKI_SANITIZE=thread
-cmake --build build-tsan -j"${JOBS}" --target test_core test_obs test_traffic test_sim test_whatif test_serve
+cmake --build build-tsan -j"${JOBS}" --target test_obs test_sim test_whatif test_serve
 # Run the binaries directly: only these targets are built in the TSan tree,
 # and ctest would trip over the undiscovered sibling test targets.
-# The planners' one thread axis, the EcmpRouter worker pool inside each
-# satisfiability check: whole A* and DP runs at 4 router threads, then the
-# randomized router equivalence suite.
-./build-tsan/tests/test_core --gtest_filter='*ParallelPlannerDeterminism.*'
+# A satisfiability check runs on one thread; the pools below are the sweep
+# and daemon workers, plus the obs registry every thread writes to.
 ./build-tsan/tests/test_obs
-./build-tsan/tests/test_traffic --gtest_filter='EcmpParallel*'
 # Chaos sweep worker pool: per-seed isolation means the only shared state
 # is the verdict vector and the obs counters — TSan checks that claim.
 KLOTSKI_CHAOS_SEEDS=10 ./build-tsan/tests/test_sim \
@@ -155,8 +152,7 @@ KLOTSKI_CHAOS_SEEDS=10 ./build-tsan/tests/test_sim \
 # code where a stale-index bug reads garbage instead of crashing.
 cmake -B build-asan -S . -DKLOTSKI_SANITIZE=address
 cmake --build build-asan -j"${JOBS}" --target test_traffic test_sim test_core test_util test_migration test_whatif test_pipeline
-./build-asan/tests/test_traffic \
-  --gtest_filter='EcmpEquivalence.*:EcmpParallel*'
+./build-asan/tests/test_traffic --gtest_filter='EcmpEquivalence.*'
 # Chaos engine under ASan: fault scripts mutate live capacities, tear
 # blocks mid-apply, and resume from checkpoints — prime territory for
 # stale-pointer and overrun bugs that a plain run reads right through.
@@ -193,48 +189,46 @@ KLOTSKI_CHAOS_SEEDS=10 ./build-asan/tests/test_sim
 ./build-asan/tests/test_pipeline \
   --gtest_filter='ReplanCheckpoint*:Replan.CheckpointResume*:Replan.ResumeRejects*'
 
-# Observability smoke: plan a small preset with --metrics-out/--trace-out at
-# --threads=1 and --threads=4 with each planner, check both artifacts
-# re-parse with the in-tree JSON parser, that sat_cache_hits +
-# sat_cache_misses == evaluations and quotient.checks +
-# quotient.fallback_not_applicable == quotient.scoped_checks (a Clos search
-# answers every scoped check on the quotient; no check is routed twice),
-# and that the evaluator and quotient counters are thread-invariant (the
-# threads only split the work inside each check).
+# Observability smoke: plan a small preset with --metrics-out/--trace-out
+# with each planner, check both artifacts re-parse with the in-tree JSON
+# parser, that sat_cache_hits + sat_cache_misses == evaluations and that
+# quotient.checks + quotient.fallback_not_applicable ==
+# quotient.scoped_checks (a Clos search answers every scoped check on the
+# quotient; no check is routed twice).
 OBS_TMP="$(mktemp -d)"
 trap 'rm -rf "${OBS_TMP}"' EXIT
 ./build/tools/klotski_synth --preset=A --scale=reduced \
   --out="${OBS_TMP}/a.npd.json"
 for planner in astar dp; do
-  for threads in 1 4; do
-    ./build/tools/klotski_plan --npd="${OBS_TMP}/a.npd.json" \
-      --planner="${planner}" --threads="${threads}" \
-      --metrics-out="${OBS_TMP}/metrics-${planner}-t${threads}.json" \
-      --trace-out="${OBS_TMP}/trace-${planner}-t${threads}.json" \
-      --out="${OBS_TMP}/plan-${planner}-t${threads}.json"
-    ./build/tools/klotski_metrics_check \
-      --metrics="${OBS_TMP}/metrics-${planner}-t${threads}.json" \
-      --trace="${OBS_TMP}/trace-${planner}-t${threads}.json"
-  done
+  ./build/tools/klotski_plan --npd="${OBS_TMP}/a.npd.json" \
+    --planner="${planner}" \
+    --metrics-out="${OBS_TMP}/metrics-${planner}.json" \
+    --trace-out="${OBS_TMP}/trace-${planner}.json" \
+    --out="${OBS_TMP}/plan-${planner}.json"
   ./build/tools/klotski_metrics_check \
-    --metrics="${OBS_TMP}/metrics-${planner}-t1.json" \
-    --expect-same="${OBS_TMP}/metrics-${planner}-t4.json"
+    --metrics="${OBS_TMP}/metrics-${planner}.json" \
+    --trace="${OBS_TMP}/trace-${planner}.json"
 done
 # A numeric flag with trailing garbage must be a loud usage error (exit 2).
-if ./build/tools/klotski_plan --npd="${OBS_TMP}/a.npd.json" --threads=abc \
-    > /dev/null 2>&1; then
-  echo "tier1: FAIL — --threads=abc was not rejected" >&2
+rc=0
+./build/tools/klotski_plan --npd="${OBS_TMP}/a.npd.json" --schedule \
+  --crews=abc > /dev/null 2>&1 || rc=$?
+if [[ "${rc}" -ne 2 ]]; then
+  echo "tier1: FAIL — klotski_plan --crews=abc exited ${rc}, want 2" >&2
   exit 1
 fi
 # So must a flag the tool does not know, e.g. the retired --router-threads
-# (folded into --threads): exit 2, not a silent run on defaults.
-rc=0
-./build/tools/klotski_plan --npd="${OBS_TMP}/a.npd.json" --router-threads=2 \
-  > /dev/null 2>&1 || rc=$?
-if [[ "${rc}" -ne 2 ]]; then
-  echo "tier1: FAIL — klotski_plan --router-threads exited ${rc}, want 2" >&2
-  exit 1
-fi
+# and --threads (a check runs on one thread): exit 2, not a silent run on
+# defaults.
+for retired in --router-threads=2 --threads=2; do
+  rc=0
+  ./build/tools/klotski_plan --npd="${OBS_TMP}/a.npd.json" "${retired}" \
+    > /dev/null 2>&1 || rc=$?
+  if [[ "${rc}" -ne 2 ]]; then
+    echo "tier1: FAIL — klotski_plan ${retired} exited ${rc}, want 2" >&2
+    exit 1
+  fi
+done
 rc=0
 # A daemon that accepted the flag would serve forever; timeout turns that
 # into exit 124.

@@ -62,8 +62,7 @@ struct SearchProvenance {
 /// Publishes one run's stats into the global obs registry (no-op while
 /// metrics are disabled): planner.* and evaluator.* counters, the
 /// planner.frontier_peak gauge, and a planner.wall_seconds histogram
-/// sample. Called from every planner's finish path. The search is serial,
-/// so these counters are identical at any CheckerConfig::router_threads.
+/// sample. Called from every planner's finish path.
 void publish_planner_metrics(const std::string& planner,
                              const PlannerStats& stats,
                              const SearchProvenance* provenance = nullptr);

@@ -14,8 +14,7 @@
 //
 // Delta materialization is what keeps the ECMP router's liveness refresh
 // cheap: the few element flips land in the topology's change journal, and
-// the router replays only those bits before routing every demand group
-// (optionally spread over EcmpRouter::set_num_workers threads).
+// the router replays only those bits before routing every demand group.
 #pragma once
 
 #include <cstdint>

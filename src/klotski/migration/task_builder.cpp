@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <unordered_set>
@@ -104,6 +105,29 @@ MigrationCase build_hgrid_migration(const topo::RegionParams& region_params,
   const int v2_fauus = params.v2_fauus_per_grid > 0
                            ? params.v2_fauus_per_grid
                            : region_params.fauus_per_grid;
+  // The staged grids index Location::grid (int16) after the V1 grids, and
+  // the staged hardware is bounded like a region.
+  constexpr int kMaxGrids = std::numeric_limits<std::int16_t>::max();
+  if (v2_grids > kMaxGrids - v1_grids) {
+    throw std::invalid_argument(
+        "build_hgrid_migration: v2_grids must be <= " +
+        std::to_string(kMaxGrids - v1_grids) + " (grids + v2_grids <= " +
+        std::to_string(kMaxGrids) + ")");
+  }
+  topo::RegionTotal staged_switches("build_hgrid_migration", "switches");
+  staged_switches.add("v2_fadus_per_grid_per_dc",
+                      {v2_grids, region_params.dcs, v2_fadus});
+  staged_switches.add("v2_fauus_per_grid", {v2_grids, v2_fauus});
+  topo::RegionTotal staged_circuits("build_hgrid_migration", "circuits");
+  for (int dc = 0; dc < region_params.dcs; ++dc) {
+    staged_circuits.add("v2_fadus_per_grid_per_dc",
+                        {v2_grids, v2_fadus, region.fabric(dc).ssws_per_plane});
+  }
+  staged_circuits.add("v2_fauus_per_grid",
+                      {v2_grids, v2_fauus, region_params.dcs, v2_fadus});
+  staged_circuits.add("v2_fauus_per_grid",
+                      {v2_grids, v2_fauus,
+                       std::int64_t{region_params.ebs} + region_params.drs});
 
   // Stage the V2 grids as absent hardware wired to the same SSW planes and
   // the same EB/DR boundary.

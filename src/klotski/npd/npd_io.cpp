@@ -90,7 +90,7 @@ std::vector<int> strides_from_json(const Value& v, const char* key) {
 
 Value strides_to_json(const std::vector<int>& strides) {
   Array a;
-  for (const int s : strides) a.push_back(Value(static_cast<std::int64_t>(s)));
+  for (const int s : strides) a.emplace_back(static_cast<std::int64_t>(s));
   return Value(std::move(a));
 }
 

@@ -1,6 +1,6 @@
 // Thread-safe metrics registry: counters, gauges, and histograms backed by
 // atomics, so instrumented code can run unchanged on worker threads (the
-// ECMP router pool, the sweep pools, the daemon's job workers).
+// sweep pools, the daemon's job workers).
 //
 // Recording is gated on a process-global enabled flag (set by the tools'
 // --metrics-out flag, off by default): a disabled instrument is one relaxed

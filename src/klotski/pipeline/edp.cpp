@@ -29,7 +29,6 @@ CheckerBundle make_standard_checker(migration::MigrationTask& task,
   CheckerBundle bundle;
   bundle.router =
       std::make_unique<traffic::EcmpRouter>(*task.topo, config.routing);
-  bundle.router->set_num_workers(config.router_threads);
   bundle.checker = std::make_unique<constraints::CompositeChecker>();
   bundle.checker->add(std::make_unique<constraints::PortChecker>());
   if (config.space_power.max_present_per_grid > 0 ||

@@ -44,11 +44,6 @@ struct CheckerConfig {
   /// Plain ECMP by default; kCapacityWeighted models the §7.1 temporary
   /// routing configurations that balance traffic by circuit capacity.
   traffic::SplitMode routing = traffic::SplitMode::kEqualSplit;
-  /// Worker threads for the ECMP router, the planner's only thread axis:
-  /// > 1 routes the demand groups of one satisfiability check in
-  /// parallel. Loads, verdicts, plans and the
-  /// planner's counters stay bit-identical to serial.
-  int router_threads = 1;
 };
 
 CheckerBundle make_standard_checker(migration::MigrationTask& task,

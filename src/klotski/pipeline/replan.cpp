@@ -332,7 +332,7 @@ json::Value ReplanCheckpoint::to_json() const {
   root["executed_cost"] = executed_cost;
   root["state_version"] = static_cast<std::int64_t>(state_version);
   json::Array done_json;
-  for (const std::int32_t v : done) done_json.push_back(json::Value(v));
+  for (const std::int32_t v : done) done_json.emplace_back(v);
   root["done"] = json::Value(std::move(done_json));
   {
     json::Object plan;
@@ -341,8 +341,8 @@ json::Value ReplanCheckpoint::to_json() const {
     json::Array actions;
     for (const core::PlannedAction& a : plan_actions) {
       json::Array pair;
-      pair.push_back(json::Value(static_cast<std::int64_t>(a.type)));
-      pair.push_back(json::Value(static_cast<std::int64_t>(a.block_index)));
+      pair.emplace_back(static_cast<std::int64_t>(a.type));
+      pair.emplace_back(static_cast<std::int64_t>(a.block_index));
       actions.push_back(json::Value(std::move(pair)));
     }
     plan["actions"] = json::Value(std::move(actions));
@@ -357,7 +357,7 @@ json::Value ReplanCheckpoint::to_json() const {
     root["warm"] = json::Value(std::move(warm));
   }
   json::Array consumed;
-  for (const int v : consumed_failures) consumed.push_back(json::Value(v));
+  for (const int v : consumed_failures) consumed.emplace_back(v);
   root["consumed_failures"] = json::Value(std::move(consumed));
   return json::Value(std::move(root));
 }

@@ -56,15 +56,13 @@ PlanKnobs parse_knobs(const json::Value& params) {
   return knobs;
 }
 
-pipeline::CheckerConfig checker_config_for(const PlanKnobs& knobs,
-                                           int router_threads) {
+pipeline::CheckerConfig checker_config_for(const PlanKnobs& knobs) {
   pipeline::CheckerConfig config;
   config.demand.max_utilization = knobs.theta;
   config.demand.funneling_margin = knobs.funneling;
   if (knobs.routing == "wcmp") {
     config.routing = traffic::SplitMode::kCapacityWeighted;
   }
-  config.router_threads = router_threads;
   return config;
 }
 
@@ -105,8 +103,7 @@ whatif::WhatIfParams whatif_params_from(const json::Value& params) {
   out.bias_factor_min = params.get_double("bias_factor_min", 0.85);
   out.bias_factor_max = params.get_double("bias_factor_max", 1.2);
   out.margin_max = params.get_double("margin_max", 4.0);
-  const PlanKnobs knobs = parse_knobs(params);
-  out.checker = checker_config_for(knobs, 1);
+  out.checker = checker_config_for(parse_knobs(params));
   return out;
 }
 
@@ -222,8 +219,7 @@ std::string PlanService::compute_plan_text(const json::Value& params) {
   migration::MigrationCase mig = case_from_params(params);
   migration::MigrationTask& task = mig.task;
 
-  const pipeline::CheckerConfig checker_config =
-      checker_config_for(knobs, options_.threads);
+  const pipeline::CheckerConfig checker_config = checker_config_for(knobs);
 
   core::PlannerOptions planner_options;
   planner_options.alpha = knobs.alpha;
@@ -298,8 +294,8 @@ Response PlanService::run_audit(const Request& request) {
 
   const core::Plan plan =
       pipeline::plan_from_json(task, require_object(params, "plan"));
-  pipeline::CheckerBundle bundle = pipeline::make_standard_checker(
-      task, checker_config_for(knobs, options_.threads));
+  pipeline::CheckerBundle bundle =
+      pipeline::make_standard_checker(task, checker_config_for(knobs));
   const pipeline::AuditReport audit = pipeline::audit_plan(
       task, *bundle.checker, plan,
       params.get_bool("check_every_action", false));
@@ -422,7 +418,7 @@ Response PlanService::run_replan(const Request& request,
                                  params.get_double("growth", 0.002));
 
   pipeline::ReplanOptions options;
-  options.checker = checker_config_for(knobs, options_.threads);
+  options.checker = checker_config_for(knobs);
   options.planner_options.alpha = knobs.alpha;
   options.planner_options.deadline_seconds = knobs.deadline;
   options.demand_change_threshold =

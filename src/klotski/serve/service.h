@@ -3,8 +3,7 @@
 //
 // The plan method is content-addressed: the request is normalized (NPD
 // parsed and re-serialized so formatting and defaulted fields cannot change
-// the identity, tuning knobs defaulted, thread counts excluded — plans are
-// bit-identical at any thread count), hashed with json::content_hash, and
+// the identity, tuning knobs defaulted), hashed with json::content_hash, and
 // looked up in the PlanCache with single-flight semantics. The cached value
 // is the exact pretty-printed plan text klotski_plan would have written, so
 // a cache hit — or a waiter coalesced onto another request's flight — is
@@ -42,11 +41,10 @@ class PlanService {
  public:
   struct Options {
     PlanCache::Options cache;
-    /// Threads per request: plan, audit and replan hand them to the ECMP
-    /// router (CheckerConfig::router_threads), whatif to its trajectory
-    /// pool. Output is invariant to the count (the tier-1 determinism
-    /// contract), so it never participates in a cache key; the daemon sets
-    /// it to its per-worker share of --threads.
+    /// Sweep workers of each whatif job. Reports are invariant to the
+    /// count, so it never participates in a cache key; the daemon sets it
+    /// to its per-worker share of --threads. The other methods run on one
+    /// thread.
     int threads = 1;
   };
 

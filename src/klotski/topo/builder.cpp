@@ -1,5 +1,7 @@
 #include "klotski/topo/builder.h"
 
+#include <algorithm>
+#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -12,8 +14,8 @@ std::string name_of(const std::string& prefix, int index) {
 }
 
 void validate_params(const RegionParams& p) {
-  auto require = [](bool ok, const char* message) {
-    if (!ok) throw std::invalid_argument(std::string("build_region: ") + message);
+  auto require = [](bool ok, const std::string& message) {
+    if (!ok) throw std::invalid_argument("build_region: " + message);
   };
   require(p.dcs >= 1, "dcs must be >= 1");
   require(!p.fabrics.empty(), "at least one FabricParams entry is required");
@@ -42,9 +44,82 @@ void validate_params(const RegionParams& p) {
               p.port_slack_agg >= 0 && p.port_slack_eb >= 0 &&
               p.port_slack_ebb >= 0,
           "port slacks must all be >= 0");
+
+  // Location stores these indices as int16, with -1 for "unset".
+  constexpr int kMaxIndex = std::numeric_limits<std::int16_t>::max();
+  const auto require_index = [&](int count, const char* field) {
+    require(count <= kMaxIndex, std::string(field) + " must be <= " +
+                                    std::to_string(kMaxIndex));
+  };
+  require_index(p.dcs, "dcs");
+  require_index(p.grids, "grids");
+  for (const FabricParams& f : p.fabrics) {
+    require_index(f.pods, "pods");
+    require_index(f.planes, "planes");
+  }
+
+  // The totals build_region creates, switches first, from the same loops.
+  const auto fabric = [&](int dc) -> const FabricParams& {
+    return p.fabrics[std::min(static_cast<std::size_t>(dc),
+                              p.fabrics.size() - 1)];
+  };
+  RegionTotal switches("build_region", "switches");
+  for (int dc = 0; dc < p.dcs; ++dc) {
+    const FabricParams& f = fabric(dc);
+    switches.add("ssws_per_plane", {f.planes, f.ssws_per_plane});
+    switches.add("pods", {f.pods, f.planes});  // one FSW per plane and pod
+    switches.add("rsws_per_pod", {f.pods, f.rsws_per_pod});
+  }
+  switches.add("fadus_per_grid_per_dc",
+               {p.grids, p.dcs, p.fadus_per_grid_per_dc});
+  switches.add("fauus_per_grid", {p.grids, p.fauus_per_grid});
+  switches.add("ebs", {p.ebs});
+  switches.add("drs", {p.drs});
+  switches.add("ebbs", {p.ebbs});
+
+  RegionTotal circuits("build_region", "circuits");
+  for (int dc = 0; dc < p.dcs; ++dc) {
+    const FabricParams& f = fabric(dc);
+    circuits.add("ssws_per_plane", {f.pods, f.planes, f.ssws_per_plane});
+    circuits.add("rsw_fsw_links",
+                 {f.pods, f.rsws_per_pod, f.planes, f.rsw_fsw_links});
+    // A plane-aligned FADU meshes with one plane's SSWs; interleaved FADUs
+    // share every SSW of the DC between them.
+    if (p.mesh == MeshPattern::kPlaneAligned) {
+      circuits.add("fadus_per_grid_per_dc",
+                   {p.grids, p.fadus_per_grid_per_dc, f.ssws_per_plane});
+    } else {
+      circuits.add("grids", {p.grids, f.planes, f.ssws_per_plane});
+    }
+  }
+  circuits.add("fauus_per_grid",
+               {p.grids, p.fauus_per_grid, p.dcs, p.fadus_per_grid_per_dc});
+  circuits.add("ebs", {p.grids, p.fauus_per_grid, p.ebs});
+  circuits.add("drs", {p.grids, p.fauus_per_grid, p.drs});
+  circuits.add("ebbs", {p.ebs, p.ebbs});
+  circuits.add("ebbs", {p.drs, p.ebbs});
 }
 
 }  // namespace
+
+void RegionTotal::add(const char* field,
+                      std::initializer_list<std::int64_t> factors) {
+  std::int64_t term = 1;
+  for (const std::int64_t factor : factors) {
+    if (__builtin_mul_overflow(term, factor, &term)) {
+      term = std::numeric_limits<std::int64_t>::max();
+    }
+  }
+  if (__builtin_add_overflow(total_, term, &total_)) {
+    total_ = std::numeric_limits<std::int64_t>::max();
+  }
+  if (total_ > kMaxRegionElements) {
+    throw std::invalid_argument(std::string(builder_) + ": " + field +
+                                " takes the region past " +
+                                std::to_string(kMaxRegionElements) + " " +
+                                elements_);
+  }
+}
 
 const FabricParams& Region::fabric(int dc) const {
   const auto index = static_cast<std::size_t>(dc);

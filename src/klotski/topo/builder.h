@@ -16,6 +16,7 @@
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
 #include <string>
 #include <vector>
 
@@ -56,7 +57,7 @@ struct RegionParams {
   int dcs = 2;
   /// One entry per DC; if fewer entries are given the last one is
   /// replicated (a single entry means a homogeneous region).
-  std::vector<FabricParams> fabrics = {FabricParams{}};
+  std::vector<FabricParams> fabrics = std::vector<FabricParams>(1);
 
   // HGRID layer (generation hgrid_gen).
   int grids = 2;
@@ -136,7 +137,37 @@ struct Region {
   int num_grids() const { return params.grids; }
 };
 
-/// Builds a region; throws std::invalid_argument on inconsistent params.
+/// Upper bound on the switches, and separately on the circuits, of one
+/// region of any family. Builders sum their totals from the params
+/// (RegionTotal) before they allocate anything, so a document asking for a
+/// larger region is refused naming a field instead of exhausting memory.
+/// Full-scale E, the largest preset, builds 10,136 switches and 107,200
+/// circuits before its migration stages more.
+inline constexpr std::int64_t kMaxRegionElements = std::int64_t{1} << 20;
+
+/// A region's switch or circuit total, summed term by term in saturating
+/// int64 and checked against kMaxRegionElements after every term.
+class RegionTotal {
+ public:
+  /// `builder` prefixes errors ("build_region"); `elements` names what is
+  /// counted ("switches").
+  RegionTotal(const char* builder, const char* elements)
+      : builder_(builder), elements_(elements) {}
+
+  /// Adds the product of `factors` (each >= 0). Throws
+  /// std::invalid_argument naming `field` once the total passes
+  /// kMaxRegionElements.
+  void add(const char* field, std::initializer_list<std::int64_t> factors);
+
+ private:
+  const char* builder_;
+  const char* elements_;
+  std::int64_t total_ = 0;
+};
+
+/// Builds a region; throws std::invalid_argument on inconsistent params,
+/// on a dcs, pods, planes or grids count past INT16_MAX (Location stores
+/// them as int16), and on a region past kMaxRegionElements.
 Region build_region(const RegionParams& params);
 
 }  // namespace klotski::topo

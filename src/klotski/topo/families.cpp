@@ -48,6 +48,14 @@ void size_ports(Topology& topo, int slack) {
   }
 }
 
+/// `prefix` followed by `index`, built by appending: GCC 12's -Wrestrict
+/// misreads the front insert of `"f" + std::to_string(i)`.
+std::string node_name(char prefix, int index) {
+  std::string name(1, prefix);
+  name += std::to_string(index);
+  return name;
+}
+
 int ring_distance(int a, int b, int n) {
   const int d = a > b ? a - b : b - a;
   return std::min(d, n - d);
@@ -71,6 +79,12 @@ Region build_flat(const FlatParams& p) {
           "max_chord_span must be 0 (unrestricted) or in [2, switches/2]");
   require(p.cap_tbps > 0.0, "cap_tbps must be > 0");
   require(p.port_slack >= 0, "port_slack must be >= 0");
+  // Every round of chords matches at most half the switches; the extra
+  // links loop runs extra_links times whether or not a link lands.
+  RegionTotal circuits("build_flat", "circuits");
+  circuits.add("switches", {p.switches});
+  circuits.add("degree", {p.degree - 2, p.switches / 2});
+  circuits.add("extra_links", {p.extra_links});
 
   Region region;
   region.family = TopologyFamily::kFlat;
@@ -85,7 +99,7 @@ Region build_flat(const FlatParams& p) {
     loc.pod = static_cast<std::int16_t>(i);  // ring position, for debugging
     region.mesh_nodes.push_back(
         topo.add_switch(SwitchRole::kFsw, Generation::kV1, loc, kUnsizedPorts,
-                        ElementState::kActive, "f" + std::to_string(i)));
+                        ElementState::kActive, node_name('f', i)));
   }
 
   // Edge de-duplication: chords never repeat an existing pair, which keeps
@@ -189,6 +203,23 @@ Region build_reconf(const ReconfParams& p) {
   validate_pattern(p.v1_strides, "v1");
   validate_pattern(p.v2_strides, "v2");
 
+  const std::unordered_set<int> v1(p.v1_strides.begin(), p.v1_strides.end());
+  const std::unordered_set<int> v2(p.v2_strides.begin(), p.v2_strides.end());
+  std::vector<int> strides;
+  for (int s = 1; s <= n / 2; ++s) {
+    if (v1.count(s) != 0 || v2.count(s) != 0) strides.push_back(s);
+  }
+  // Stride n/2 on an even ring meets itself halfway around: each of its
+  // circuits is emitted once.
+  const auto circuits_of = [n](int s) {
+    return (n % 2 == 0 && s == n / 2) ? n / 2 : n;
+  };
+  RegionTotal circuits("build_reconf", "circuits");
+  for (const int s : strides) {
+    circuits.add(v1.count(s) != 0 ? "v1_strides" : "v2_strides",
+                 {circuits_of(s)});
+  }
+
   Region region;
   region.family = TopologyFamily::kReconf;
   region.params.dcs = 1;
@@ -201,14 +232,7 @@ Region build_reconf(const ReconfParams& p) {
     loc.pod = static_cast<std::int16_t>(i);
     region.mesh_nodes.push_back(
         topo.add_switch(SwitchRole::kFsw, Generation::kV1, loc, kUnsizedPorts,
-                        ElementState::kActive, "n" + std::to_string(i)));
-  }
-
-  const std::unordered_set<int> v1(p.v1_strides.begin(), p.v1_strides.end());
-  const std::unordered_set<int> v2(p.v2_strides.begin(), p.v2_strides.end());
-  std::vector<int> strides;
-  for (int s = 1; s <= n / 2; ++s) {
-    if (v1.count(s) != 0 || v2.count(s) != 0) strides.push_back(s);
+                        ElementState::kActive, node_name('n', i)));
   }
 
   for (const int s : strides) {
@@ -218,10 +242,7 @@ Region build_reconf(const ReconfParams& p) {
     group.gen = v1.count(s) != 0 ? Generation::kV1 : Generation::kV2;
     const ElementState state = v1.count(s) != 0 ? ElementState::kActive
                                                 : ElementState::kAbsent;
-    // Stride n/2 on an even ring meets itself halfway around: emit each
-    // circuit once.
-    const int count = (n % 2 == 0 && s == n / 2) ? n / 2 : n;
-    for (int i = 0; i < count; ++i) {
+    for (int i = 0; i < circuits_of(s); ++i) {
       group.circuits.push_back(topo.add_circuit(
           region.mesh_nodes[static_cast<std::size_t>(i)],
           region.mesh_nodes[static_cast<std::size_t>((i + s) % n)], p.cap_tbps,

@@ -37,11 +37,7 @@ EcmpRouter::EcmpRouter(const topo::Topology& topo, SplitMode mode)
           obs::Registry::global().counter("router.alive_full_rebuilds")),
       m_group_recomputes_(
           obs::Registry::global().counter("router.group_recomputes")),
-      m_dag_reuses_(obs::Registry::global().counter("router.dag_reuses")),
-      m_parallel_batches_(
-          obs::Registry::global().counter("router.parallel_batches")),
-      m_parallel_jobs_(
-          obs::Registry::global().counter("router.parallel_jobs")) {
+      m_dag_reuses_(obs::Registry::global().counter("router.dag_reuses")) {
   offsets_.assign(num_switches_ + 1, 0);
   for (const topo::Circuit& c : topo.circuits()) {
     ++offsets_[static_cast<std::size_t>(c.a) + 1];
@@ -69,8 +65,6 @@ EcmpRouter::EcmpRouter(const topo::Topology& topo, SplitMode mode)
   alive_words_.assign(word_count(topo.num_circuits()), 0);
   touched_words_.assign(alive_words_.size(), 0);
 }
-
-EcmpRouter::~EcmpRouter() { stop_workers(); }
 
 void EcmpRouter::Scratch::init(std::size_t num_switches) {
   dist.assign(num_switches, -1);
@@ -293,7 +287,6 @@ std::vector<EcmpRouter::Group> EcmpRouter::group_by_targets(
 bool EcmpRouter::run_group(GroupSlot& slot, const DemandSet& demands,
                            const Group& group, std::vector<LoadEntry>& out,
                            std::string* failed_demand) const {
-  m_group_recomputes_.inc();  // physical count (includes parallel overshoot)
   out.clear();
   Scratch& s = slot.scratch;
   // All demands of a group share one target set, hence one BFS and one
@@ -363,115 +356,18 @@ bool EcmpRouter::assign_all(const DemandSet& demands, LoadVector& loads,
   refresh_alive();
   if (slots_.size() < groups.size()) slots_.resize(groups.size());
 
-  const auto fail = [&] {
-    std::fill(touched_words_.begin(), touched_words_.end(), 0);
-    return false;
-  };
-  if (threads_.empty() || groups.size() < 2) {
-    for (std::size_t g = 0; g < groups.size(); ++g) {
-      ++group_recomputes_;
-      if (!run_group(slots_[g], demands, groups[g], entries_scratch_,
-                     failed_demand)) {
-        return fail();
-      }
-      add_group(entries_scratch_, loads);
+  for (std::size_t g = 0; g < groups.size(); ++g) {
+    ++group_recomputes_;
+    m_group_recomputes_.inc();
+    if (!run_group(slots_[g], demands, groups[g], entries_scratch_,
+                   failed_demand)) {
+      std::fill(touched_words_.begin(), touched_words_.end(), 0);
+      return false;
     }
-  } else {
-    // Route every group on the pool, then scan the groups in order on this
-    // thread: the reported failure and the logical counter stop at the
-    // first failing group, as the serial loop does.
-    run_jobs_parallel(demands, groups);
-    for (std::size_t g = 0; g < groups.size(); ++g) {
-      ++group_recomputes_;
-      if (!slots_[g].ok) {
-        if (failed_demand != nullptr) *failed_demand = slots_[g].failed;
-        return fail();
-      }
-      add_group(slots_[g].entries, loads);
-    }
+    add_group(entries_scratch_, loads);
   }
   collect_touched();
   return true;
-}
-
-void EcmpRouter::set_num_workers(int n) {
-  const std::size_t want = n > 1 ? static_cast<std::size_t>(n) : 0;
-  if (want == threads_.size()) return;
-  stop_workers();
-  if (want == 0) return;
-  threads_.reserve(want);
-  for (std::size_t i = 0; i < want; ++i) {
-    threads_.emplace_back([this] { worker_loop(); });
-  }
-}
-
-void EcmpRouter::stop_workers() {
-  if (threads_.empty()) return;
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    stop_ = true;
-  }
-  work_cv_.notify_all();
-  for (std::thread& t : threads_) t.join();
-  threads_.clear();
-  stop_ = false;
-  // Restart the generation clock: freshly spawned workers begin at seen = 0,
-  // so a stale non-zero generation would wake them into the previous pool's
-  // job state before any batch is published.
-  generation_ = 0;
-  active_ = 0;
-}
-
-void EcmpRouter::run_job(std::size_t j) {
-  GroupSlot& slot = slots_[j];
-  slot.ok = run_group(slot, *job_demands_, (*job_groups_)[j], slot.entries,
-                      &slot.failed);
-}
-
-void EcmpRouter::worker_loop() {
-  std::uint64_t seen = 0;
-  for (;;) {
-    {
-      std::unique_lock<std::mutex> lk(mu_);
-      work_cv_.wait(lk, [&] { return stop_ || generation_ != seen; });
-      if (stop_) return;
-      seen = generation_;
-    }
-    for (;;) {
-      const std::size_t j = next_.fetch_add(1, std::memory_order_relaxed);
-      if (j >= njobs_) break;
-      run_job(j);
-    }
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      if (--active_ == 0) done_cv_.notify_all();
-    }
-  }
-}
-
-void EcmpRouter::run_jobs_parallel(const DemandSet& demands,
-                                   const std::vector<Group>& groups) {
-  njobs_ = groups.size();
-  m_parallel_batches_.inc();
-  m_parallel_jobs_.inc(static_cast<long long>(njobs_));
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    job_demands_ = &demands;
-    job_groups_ = &groups;
-    next_.store(0, std::memory_order_relaxed);
-    active_ = static_cast<int>(threads_.size());
-    ++generation_;
-  }
-  work_cv_.notify_all();
-  // The calling thread drains jobs too — with a small pool most of the
-  // work would otherwise sit behind one wakeup latency.
-  for (;;) {
-    const std::size_t j = next_.fetch_add(1, std::memory_order_relaxed);
-    if (j >= njobs_) break;
-    run_job(j);
-  }
-  std::unique_lock<std::mutex> lk(mu_);
-  done_cv_.wait(lk, [&] { return active_ == 0; });
 }
 
 double max_utilization(const topo::Topology& topo, const LoadVector& loads) {

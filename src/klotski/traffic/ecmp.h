@@ -13,8 +13,8 @@
 //
 // One assignment is Theta(|S| + |C|), matching the satisfiability-check
 // cost in Theorems 1 and 2. Every assign_all groups the demands by target
-// set and routes every group. Between calls the router keeps the CSR arcs,
-// the liveness words, its worker pool and, per group, the last BFS result.
+// set and routes every group in order. Between calls the router keeps the
+// CSR arcs, the liveness words and, per group, the last BFS result.
 // The engine is laid out so an assignment only pays for what it actually
 // touches:
 //
@@ -42,19 +42,10 @@
 //    (slot, value) pairs in propagation order (each slot is written at most
 //    once per group), added into the caller's vector, which also yields the
 //    ascending touched-circuit list for utilization scans.
-//  * Intra-check parallelism — with set_num_workers(n > 1), the groups of
-//    one assign_all route concurrently on a private worker pool (each in
-//    its own group slot). Integer sums do not depend on order, so the loads
-//    are the serial engine's; the calling thread scans the groups in order
-//    so the reported failure and the logical counters are too.
 #pragma once
 
-#include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "klotski/obs/metrics.h"
@@ -87,22 +78,12 @@ class EcmpRouter {
   /// call Topology::bump_state_version() and the next refresh re-reads them.
   explicit EcmpRouter(const topo::Topology& topo,
                       SplitMode mode = SplitMode::kEqualSplit);
-  ~EcmpRouter();
 
   EcmpRouter(const EcmpRouter&) = delete;
   EcmpRouter& operator=(const EcmpRouter&) = delete;
 
   SplitMode split_mode() const { return mode_; }
   void set_split_mode(SplitMode mode) { mode_ = mode; }
-
-  /// Intra-check worker pool size for assign_all: n > 1 spawns n worker
-  /// threads that route the demand groups of one call concurrently.
-  /// Results equal the serial engine's (same loads, same failure, same
-  /// logical counters); only wall-clock and the physical obs counters
-  /// change. n <= 1 joins the pool and restores the fully serial path. Not
-  /// thread-safe against concurrent assign calls.
-  void set_num_workers(int n);
-  int num_workers() const { return static_cast<int>(threads_.size()); }
 
   /// Adds this demand's circuit loads into `loads` (resized if needed).
   /// Returns false — without touching `loads` beyond possible resizing —
@@ -145,8 +126,7 @@ class EcmpRouter {
 
   /// Demand groups routed by assign_all, summed over calls: every group of
   /// every successful call, and the groups up to and including the first
-  /// failing one otherwise, whether or not a group reused its DAG. A
-  /// logical counter: invariant under num_workers.
+  /// failing one otherwise, whether or not a group reused its DAG.
   long long group_recomputes() const { return group_recomputes_; }
 
  private:
@@ -192,22 +172,16 @@ class EcmpRouter {
     }
   };
 
-  /// Group g's routing state, kept across calls: group g routes in slot g
-  /// whichever thread runs it, so the scratch still holds g's BFS result
-  /// (dist stamps and visit order) at the next call, and a hit copies
-  /// nothing. The result is valid while the liveness version and the
-  /// group's target set both equal the ones it was computed under. On its
-  /// own cache line: workers write different groups' slots at once.
-  struct alignas(64) GroupSlot {
+  /// Group g's routing state, kept across calls: group g always routes in
+  /// slot g, so the scratch still holds g's BFS result (dist stamps and
+  /// visit order) at the next call, and a hit copies nothing. The result is
+  /// valid while the liveness version and the group's target set both
+  /// equal the ones it was computed under.
+  struct GroupSlot {
     Scratch scratch;  // sized on the slot's first BFS
     bool has_dag = false;
     std::uint64_t version = 0;            // liveness version of the DAG
     std::vector<topo::SwitchId> targets;  // target set of the DAG
-    // Pool results of the current call (the serial loop adds each group's
-    // entries before routing the next, so it shares one buffer instead).
-    std::vector<LoadEntry> entries;  // load contribution
-    bool ok = false;                 // verdict
-    std::string failed;              // failing demand when !ok
   };
 
   /// Runs the BFS from the demand's targets into `s`; visited switches get
@@ -227,7 +201,6 @@ class EcmpRouter {
 
   /// BFS (or the slot's kept DAG) + inject + propagate for one group of
   /// `demands` (load units in volumes_) into `out` (cleared first).
-  /// Thread-safe for distinct slots and outputs.
   bool run_group(GroupSlot& slot, const DemandSet& demands, const Group& group,
                  std::vector<LoadEntry>& out,
                  std::string* failed_demand) const;
@@ -256,15 +229,6 @@ class EcmpRouter {
     }
   }
 
-  // Worker pool (intra-check parallel group routing).
-  void worker_loop();
-  void stop_workers();
-  /// Routes job j (group j of the published batch) in slot j.
-  void run_job(std::size_t j);
-  /// Routes every group of (demands, groups) on the pool and waits.
-  void run_jobs_parallel(const DemandSet& demands,
-                         const std::vector<Group>& groups);
-
   const topo::Topology& topo_;
   SplitMode mode_ = SplitMode::kEqualSplit;
   std::size_t num_switches_ = 0;
@@ -273,7 +237,7 @@ class EcmpRouter {
   std::vector<Arc> arcs_;
 
   Scratch scratch_;  // assign()'s scratch, sized on first use
-  std::vector<LoadEntry> entries_scratch_;  // assign()'s and the serial loop's
+  std::vector<LoadEntry> entries_scratch_;  // one group's load contribution
   std::vector<GroupSlot> slots_;  // slot g: routing state of group g
   std::vector<Load> volumes_;     // assign_all: each demand's load units
   std::vector<std::uint64_t> alive_words_;  // bit c = circuit c carries traffic
@@ -285,31 +249,12 @@ class EcmpRouter {
   std::vector<topo::CircuitId> touched_circuits_;  // ascending ids
   long long group_recomputes_ = 0;
 
-  // Worker pool state. Workers claim job indices via next_; the caller
-  // waits until every claimed job finished and every worker left the drain
-  // loop (active_ == 0) before touching the slots.
-  std::vector<std::thread> threads_;
-  std::mutex mu_;
-  std::condition_variable work_cv_;
-  std::condition_variable done_cv_;
-  std::uint64_t generation_ = 0;
-  bool stop_ = false;
-  int active_ = 0;
-  std::size_t njobs_ = 0;
-  std::atomic<std::size_t> next_{0};
-  const DemandSet* job_demands_ = nullptr;
-  const std::vector<Group>* job_groups_ = nullptr;
-
-  // Global observability counters (metrics.h; no-ops while disabled). These
-  // aggregate *physical* work over every router instance — unlike the
-  // logical group_recomputes_ they are not invariant under num_workers (the
-  // pool routes groups past a failing group where the serial loop stops).
+  // Global observability counters (metrics.h; no-ops while disabled),
+  // summed over every router instance.
   obs::Counter& m_alive_journal_replays_;
   obs::Counter& m_alive_full_rebuilds_;
   obs::Counter& m_group_recomputes_;
   obs::Counter& m_dag_reuses_;  // groups routed over their kept DAG
-  obs::Counter& m_parallel_batches_;
-  obs::Counter& m_parallel_jobs_;
 };
 
 /// Maximum utilization over circuits given directional loads; utilization of

@@ -1,12 +1,11 @@
-// The oversubscription-avoidance rule shared by every layered worker pool.
+// The oversubscription-avoidance rule shared by every worker pool.
 //
-// Klotski nests worker pools: an outer pool (chaos or what-if sweep
-// workers, or the serve daemon's job workers) whose members each own an
-// inner budget (their ECMP router threads, or a whatif job's sweep
-// workers). Every such split goes through split_thread_budget(): N outer
-// workers each get inner_budget / N inner threads (never below 1), and the
-// outer count is clamped to the available work so idle threads are never
-// spawned.
+// Every pool sizes itself through split_thread_budget(): the chaos and
+// what-if sweeps clamp their worker count to the available work (seeds,
+// trajectories) so idle threads are never spawned, and the serve daemon
+// splits its --threads budget across its N job workers, so each whatif job
+// runs inner_budget / N sweep workers (never below 1). A satisfiability
+// check runs on one thread.
 #pragma once
 
 namespace klotski::util {

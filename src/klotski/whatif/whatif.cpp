@@ -276,12 +276,10 @@ WhatIfReport run_whatif(const CaseFactory& factory, const core::Plan& plan,
   // stack, evaluator) is fully private, so the outcome vector is a pure
   // function of the seed. The chunk size only changes which trajectories
   // share a phase walk, never an outcome.
-  const util::ThreadBudget budget = util::split_thread_budget(
-      params.threads, params.checker.router_threads, num_trajectories);
-  pipeline::CheckerConfig worker_config = params.checker;
-  worker_config.router_threads = budget.inner;
+  const int num_workers =
+      util::split_thread_budget(params.threads, 1, num_trajectories).outer;
   const int chunk = std::min(
-      kMaxChunk, (num_trajectories + budget.outer - 1) / budget.outer);
+      kMaxChunk, (num_trajectories + num_workers - 1) / num_workers);
 
   std::atomic<int> next{0};
   static obs::Counter& trajectories_counter =
@@ -298,7 +296,7 @@ WhatIfReport run_whatif(const CaseFactory& factory, const core::Plan& plan,
   const auto work = [&](std::optional<Validator>& v) {
     int begin = -1;  // -1 while the validator is being built
     try {
-      v.emplace(factory, worker_config);
+      v.emplace(factory, params.checker);
       for (;;) {
         if (failed.load(std::memory_order_relaxed)) return;
         if (stop != nullptr && stop->load(std::memory_order_relaxed)) return;
@@ -321,8 +319,8 @@ WhatIfReport run_whatif(const CaseFactory& factory, const core::Plan& plan,
   // action labels and the margin pass reuse its case instead of building
   // another one.
   std::vector<std::thread> workers;
-  workers.reserve(static_cast<std::size_t>(budget.outer - 1));
-  for (int i = 1; i < budget.outer; ++i) {
+  workers.reserve(static_cast<std::size_t>(num_workers - 1));
+  for (int i = 1; i < num_workers; ++i) {
     workers.emplace_back([&] {
       std::optional<Validator> v;
       work(v);

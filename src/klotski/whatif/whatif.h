@@ -46,9 +46,8 @@ struct WhatIfParams {
   /// Number of sampled demand futures.
   int trajectories = 100;
   std::uint64_t seed = 0;
-  /// Sweep worker threads; the report is invariant to this. The inner ECMP
-  /// budget (checker.router_threads) is split across workers via
-  /// util::split_thread_budget, like every other layered pool.
+  /// Sweep worker threads, never more than there are trajectories; the
+  /// report is invariant to this.
   int threads = 1;
 
   /// Per-trajectory organic growth per step, sampled uniformly.
@@ -64,7 +63,7 @@ struct WhatIfParams {
   double bias_factor_max = 1.2;
 
   /// Constraint stack the phases are re-validated against (theta, funneling,
-  /// routing mode, router threads) — same shape the planner used.
+  /// routing mode) — same shape the planner used.
   pipeline::CheckerConfig checker;
 
   /// Cap of the safe growth margin: a plan tolerating this uniform demand

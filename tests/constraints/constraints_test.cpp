@@ -133,7 +133,8 @@ topo::Topology grid_topology(int switches_in_grid, int grid = 0) {
     topo::Location loc;
     loc.grid = static_cast<std::int16_t>(grid);
     t.add_switch(topo::SwitchRole::kFadu, topo::Generation::kV1, loc, 8,
-                 topo::ElementState::kActive, "f" + std::to_string(i));
+                 topo::ElementState::kActive,
+                 std::string("f").append(std::to_string(i)));
   }
   return t;
 }
@@ -166,7 +167,8 @@ TEST(SpacePowerChecker, PlaneCapCountsSsws) {
     loc.dc = 0;
     loc.plane = 1;
     t.add_switch(topo::SwitchRole::kSsw, topo::Generation::kV1, loc, 8,
-                 topo::ElementState::kActive, "s" + std::to_string(i));
+                 topo::ElementState::kActive,
+                 std::string("s").append(std::to_string(i)));
   }
   SpacePowerChecker tight(SpacePowerParams{.max_present_per_plane = 2});
   EXPECT_FALSE(tight.check(t).satisfied);

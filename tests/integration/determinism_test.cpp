@@ -147,7 +147,8 @@ json::Value random_json(util::Rng& rng, int depth) {
       json::Object obj;
       const auto len = rng.uniform_int(0, 5);
       for (int i = 0; i < len; ++i) {
-        obj["k" + std::to_string(i)] = random_json(rng, depth - 1);
+        obj[std::string("k").append(std::to_string(i))] =
+            random_json(rng, depth - 1);
       }
       return json::Value(std::move(obj));
     }

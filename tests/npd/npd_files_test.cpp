@@ -2,6 +2,9 @@
 // plannable — they are the repository's public face for operators.
 #include <gtest/gtest.h>
 
+#include <chrono>
+
+#include "klotski/npd/npd.h"
 #include "klotski/npd/npd_io.h"
 #include "klotski/pipeline/audit.h"
 #include "klotski/pipeline/edp.h"
@@ -65,15 +68,20 @@ INSTANTIATE_TEST_SUITE_P(Files, ShippedNpdFiles,
                            return name;
                          });
 
-/// The shipped HGRID document with one integer field's value replaced.
-std::string hgrid_with(const std::string& key, const std::string& value) {
-  std::string text = util::read_file(npd_path("region-b-hgrid.npd.json"));
+/// A shipped document with one integer field's value replaced.
+std::string file_with(const char* file, const std::string& key,
+                      const std::string& value) {
+  std::string text = util::read_file(npd_path(file));
   const std::string needle = "\"" + key + "\": ";
   const std::size_t at = text.find(needle);
   EXPECT_NE(at, std::string::npos) << key;
   const std::size_t begin = at + needle.size();
   const std::size_t end = text.find_first_of(",\n}", begin);
   return text.replace(begin, end - begin, value);
+}
+
+std::string hgrid_with(const std::string& key, const std::string& value) {
+  return file_with("region-b-hgrid.npd.json", key, value);
 }
 
 std::string refusal(const std::string& text) {
@@ -96,6 +104,48 @@ TEST(ShippedNpdRanges, OutOfRangeCountIsRefusedNamingTheField) {
 TEST(ShippedNpdRanges, NegativeCountIsRefusedNamingTheField) {
   const std::string message = refusal(hgrid_with("grids", "-2"));
   EXPECT_NE(message.find("grids"), std::string::npos) << message;
+}
+
+// Counts that fit an int but not the region they ask for: a count past the
+// int16 Location field it lands in (planes 40000 used to plan with
+// Location::plane wrapped negative), or a region or its staged hardware
+// past kMaxRegionElements (pods 2^31 - 1 used to allocate until bad_alloc,
+// extra_links 2e9 to loop for minutes). The document parses; building its
+// case is refused before the region or the staged hardware is allocated,
+// naming the field.
+TEST(ShippedNpdRanges, OversizedRegionsAreRefusedNamingTheField) {
+  struct Case {
+    const char* file;
+    const char* field;
+    const char* value;
+  };
+  const Case cases[] = {
+      {"region-b-hgrid.npd.json", "pods", "2147483647"},
+      {"region-b-hgrid.npd.json", "planes", "40000"},
+      {"region-b-hgrid.npd.json", "dcs", "32768"},
+      {"region-b-hgrid.npd.json", "grids", "32768"},
+      {"region-b-hgrid.npd.json", "rsws_per_pod", "2147483647"},
+      {"region-b-hgrid.npd.json", "rsw_fsw_links", "100000"},
+      {"region-b-hgrid.npd.json", "v2_grids", "40000"},
+      {"region-b-hgrid.npd.json", "v2_fauus_per_grid", "2000000"},
+      {"region-c-dmag.npd.json", "fauus_per_grid", "1000000"},
+      {"flat-b-forklift.npd.json", "extra_links", "2000000000"},
+  };
+  for (const Case& c : cases) {
+    const NpdDocument doc = parse_npd(file_with(c.file, c.field, c.value));
+    const auto start = std::chrono::steady_clock::now();
+    std::string message;
+    try {
+      build_case(doc);
+    } catch (const std::invalid_argument& e) {
+      message = e.what();
+    }
+    const std::chrono::duration<double> took =
+        std::chrono::steady_clock::now() - start;
+    EXPECT_NE(message.find(c.field), std::string::npos)
+        << c.file << " " << c.field << " = " << c.value << ": " << message;
+    EXPECT_LT(took.count(), 1.0) << c.field;
+  }
 }
 
 }  // namespace

@@ -65,7 +65,7 @@ void put(PlanCache& cache, const std::string& key, const std::string& text) {
 // --- spill envelope ------------------------------------------------------
 
 TEST(SpillEnvelopeTest, RoundTripsArbitraryPayloads) {
-  for (const std::string payload :
+  for (const std::string& payload :
        {std::string(), std::string("x"), std::string("line\nline\n"),
         std::string(1 << 16, 'p')}) {
     const std::string encoded = PlanCache::encode_spill(payload);
@@ -143,7 +143,8 @@ TEST(SpillCrashSafetyTest, PublishIsTmpPlusRenameLeavingNoTempFiles) {
   SpillDir dir("atomic");
   PlanCache cache(PlanCache::Options{8, dir.path(), 4});
   for (int i = 0; i < 8; ++i) {
-    put(cache, "k" + std::to_string(i), std::string(4096, 'v'));
+    put(cache, std::string("k").append(std::to_string(i)),
+        std::string(4096, 'v'));
   }
   EXPECT_EQ(cache.stats().spill_writes, 8);
   EXPECT_EQ(dir.file_count(), 8u);
@@ -151,7 +152,8 @@ TEST(SpillCrashSafetyTest, PublishIsTmpPlusRenameLeavingNoTempFiles) {
       << "temp files must never outlive a successful publish";
   // Every published file decodes — none is a bare payload.
   for (int i = 0; i < 8; ++i) {
-    std::ifstream in(dir.spill_file("k" + std::to_string(i)));
+    std::ifstream in(
+        dir.spill_file(std::string("k").append(std::to_string(i))));
     std::string bytes((std::istreambuf_iterator<char>(in)),
                       std::istreambuf_iterator<char>());
     std::string payload;

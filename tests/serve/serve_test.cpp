@@ -891,6 +891,24 @@ TEST_F(ServerRoundTrip, OutOfRangeCheckpointIntegersAreAnsweredWithTheId) {
   EXPECT_EQ(next.id, "after");
 }
 
+// An NPD asking for more pods than Location can index is refused before
+// the case is built (it used to allocate until bad_alloc), so the daemon
+// answers with the id and goes on serving.
+TEST_F(ServerRoundTrip, OversizedRegionIsAnsweredAndServingGoesOn) {
+  Client client(socket_path_);
+  Request huge = plan_request(0.75, "huge");
+  json::Value& fabric = huge.params.as_object()["npd"].as_object()["fabric"];
+  fabric.as_object()["buildings"].as_array()[0].as_object()["pods"] =
+      json::Value(std::int64_t{2147483647});
+  const Response bad = client.call(huge);
+  EXPECT_EQ(bad.status, "error");
+  EXPECT_EQ(bad.id, "huge");
+  EXPECT_NE(bad.error.find("pods"), std::string::npos) << bad.error;
+  const Response next = client.call(plan_request(0.75, "after"));
+  ASSERT_TRUE(next.ok()) << next.error;
+  EXPECT_EQ(next.id, "after");
+}
+
 TEST_F(ServerRoundTrip, DrainStopsAdmissionAndCompletes) {
   Client client(socket_path_);
   ASSERT_TRUE(client.call(plan_request()).ok());

@@ -237,7 +237,9 @@ void run_warm_cold_parity(topo::TopologyFamily family, int seeds,
       ++warm_wins;
     }
   }
-  if (require_warm_win) EXPECT_GT(warm_wins, 0);
+  if (require_warm_win) {
+    EXPECT_GT(warm_wins, 0);
+  }
 }
 
 TEST(ChaosInvariants, WarmRepairIsSafetyNeutralAcrossTheSweep) {

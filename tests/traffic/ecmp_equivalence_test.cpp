@@ -1,26 +1,24 @@
 // Randomized equivalence suite for the flat-path ECMP engine.
 //
 // A long-lived router (epoch-stamped scratch, word-packed liveness
-// refreshed by journal replay) and the intra-check parallel mode both
-// promise results equal to a from-scratch evaluation: the same fixed-point
-// integers, compared with ==, never within a tolerance. These tests
-// drive a Table-3 preset through hundreds of random drain / undrain / add /
-// remove mutations and hold them to that promise:
+// refreshed by journal replay, kept per-group DAGs) promises results equal
+// to a from-scratch evaluation: the same fixed-point integers, compared
+// with ==, never within a tolerance. These tests drive a Table-3 preset
+// through hundreds of random drain / undrain / add / remove mutations and
+// hold it to that promise:
 //  * after every mutation, the long-lived router must produce exactly the
 //    load vector of a freshly constructed router;
-//  * routers with 2 and 4 workers must match the serial router exactly —
-//    loads, failure identity, and the logical group_recomputes counter
-//    (defined to be invariant under num_workers);
 //  * a demand set edited in place between calls routes like a fresh set:
 //    of the demands the router keeps only each group's target set, as the
 //    key of the group's DAG;
 //  * a kept DAG is reused exactly while the liveness version and the
 //    group's target set hold (router.dag_reuses counts the hits), and
-//    yields the loads, touched list and verdict of a fresh BFS.
+//    yields the loads, touched list and verdict of a fresh BFS;
+//  * group_recomputes counts every routed group, up to and including the
+//    first failing one.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <array>
 #include <string>
 #include <vector>
 
@@ -258,26 +256,24 @@ TEST(EcmpEquivalence, KeptDagsMatchAFreshRouterUnderVolumeAndTopologyEdits) {
 }
 
 // The four ways a kept DAG can go stale or stay valid, each on one
-// long-lived router at 0, 2 and 4 workers: in-place volume edits reuse
-// every group, a target-set move reroutes the groups whose target set
-// changed index, a circuit flip reroutes every group, and a shrinking then
-// growing group count reuses what each slot still holds.
+// long-lived router: in-place volume edits reuse every group, a target-set
+// move reroutes the groups whose target set changed index, a circuit flip
+// reroutes every group, and a shrinking then growing group count reuses
+// what each slot still holds.
 struct KeptDagsCase {
-  explicit KeptDagsCase(int workers)
+  KeptDagsCase()
       : mig(pipeline::build_experiment(pipeline::ExperimentId::kB,
                                        topo::PresetScale::kReduced)),
         topo(*mig.task.topo),
         demands(mig.task.demands),
         router(topo),
-        groups(static_cast<long long>(num_groups(group_of(demands)))),
-        what(std::to_string(workers) + " workers, ") {
-    router.set_num_workers(workers);
+        groups(static_cast<long long>(num_groups(group_of(demands)))) {
     // One call on the unchanged topology routes every group over its DAG.
-    expect_matches_fresh(router, topo, demands, what + "priming call");
+    expect_matches_fresh(router, topo, demands, "priming call");
   }
 
   long long route(const traffic::DemandSet& set, const std::string& step) {
-    return expect_matches_fresh(router, topo, set, what + step);
+    return expect_matches_fresh(router, topo, set, step);
   }
 
   migration::MigrationCase mig;
@@ -285,187 +281,88 @@ struct KeptDagsCase {
   traffic::DemandSet demands;
   traffic::EcmpRouter router;
   long long groups;
-  std::string what;
 };
 
-constexpr std::array<int, 3> kWorkerCounts = {0, 2, 4};
-
-TEST(EcmpParallelEquivalence, KeptDagsReinjectVolumesScaledInPlace) {
+TEST(EcmpEquivalence, KeptDagsReinjectVolumesScaledInPlace) {
   MetricsOn metrics;
-  for (const int workers : kWorkerCounts) {
-    KeptDagsCase c(workers);
-    ASSERT_GE(c.groups, 2);
-    for (traffic::Demand& d : c.demands) d.volume_tbps *= 1.7;
-    const long long recomputes = c.router.group_recomputes();
-    EXPECT_EQ(c.groups, c.route(c.demands, "volumes scaled in place"));
-    // group_recomputes keeps counting routed groups, hits included.
-    EXPECT_EQ(recomputes + c.groups, c.router.group_recomputes());
-  }
+  KeptDagsCase c;
+  ASSERT_GE(c.groups, 2);
+  for (traffic::Demand& d : c.demands) d.volume_tbps *= 1.7;
+  const long long recomputes = c.router.group_recomputes();
+  EXPECT_EQ(c.groups, c.route(c.demands, "volumes scaled in place"));
+  // group_recomputes keeps counting routed groups, hits included.
+  EXPECT_EQ(recomputes + c.groups, c.router.group_recomputes());
 }
 
-TEST(EcmpParallelEquivalence, KeptDagsRerouteAMovedTargetSet) {
+TEST(EcmpEquivalence, KeptDagsRerouteAMovedTargetSet) {
   MetricsOn metrics;
-  for (const int workers : kWorkerCounts) {
-    KeptDagsCase c(workers);
-    const std::vector<std::size_t> before = group_of(c.demands);
-    ASSERT_GE(c.groups, 2);
-    std::vector<std::vector<topo::SwitchId>> old_sets(
-        static_cast<std::size_t>(c.groups));
-    for (std::size_t i = 0; i < c.demands.size(); ++i) {
-      std::vector<topo::SwitchId>& set = old_sets[before[i]];
-      if (set.empty()) set = c.demands[i].targets;
-    }
-    // Move the first demand into the next group's target set in place.
-    // Slot g keeps its DAG only if group g still has the target set it had.
-    const auto other = std::find(before.begin(), before.end(), before[0] + 1);
-    c.demands[0].targets =
-        c.demands[static_cast<std::size_t>(other - before.begin())].targets;
-    const std::vector<std::size_t> after = group_of(c.demands);
-    long long kept = 0;
-    std::vector<bool> seen(num_groups(after), false);
-    for (std::size_t i = 0; i < c.demands.size(); ++i) {
-      const std::size_t g = after[i];
-      if (seen[g]) continue;
-      seen[g] = true;
-      if (g < old_sets.size() && old_sets[g] == c.demands[i].targets) ++kept;
-    }
-    ASSERT_LT(kept, static_cast<long long>(num_groups(after)));
-    EXPECT_EQ(kept, c.route(c.demands, "targets moved in place"));
+  KeptDagsCase c;
+  const std::vector<std::size_t> before = group_of(c.demands);
+  ASSERT_GE(c.groups, 2);
+  std::vector<std::vector<topo::SwitchId>> old_sets(
+      static_cast<std::size_t>(c.groups));
+  for (std::size_t i = 0; i < c.demands.size(); ++i) {
+    std::vector<topo::SwitchId>& set = old_sets[before[i]];
+    if (set.empty()) set = c.demands[i].targets;
   }
+  // Move the first demand into the next group's target set in place.
+  // Slot g keeps its DAG only if group g still has the target set it had.
+  const auto other = std::find(before.begin(), before.end(), before[0] + 1);
+  c.demands[0].targets =
+      c.demands[static_cast<std::size_t>(other - before.begin())].targets;
+  const std::vector<std::size_t> after = group_of(c.demands);
+  long long kept = 0;
+  std::vector<bool> seen(num_groups(after), false);
+  for (std::size_t i = 0; i < c.demands.size(); ++i) {
+    const std::size_t g = after[i];
+    if (seen[g]) continue;
+    seen[g] = true;
+    if (g < old_sets.size() && old_sets[g] == c.demands[i].targets) ++kept;
+  }
+  ASSERT_LT(kept, static_cast<long long>(num_groups(after)));
+  EXPECT_EQ(kept, c.route(c.demands, "targets moved in place"));
 }
 
-TEST(EcmpParallelEquivalence, KeptDagsRerouteAfterACircuitFlip) {
+TEST(EcmpEquivalence, KeptDagsRerouteAfterACircuitFlip) {
   MetricsOn metrics;
-  for (const int workers : kWorkerCounts) {
-    KeptDagsCase c(workers);
-    // Drain an active circuit: the liveness version moves, so no kept DAG
-    // is valid any more, whether or not the circuit lies on it.
-    topo::CircuitId flipped = topo::kInvalidCircuit;
-    for (const topo::Circuit& circuit : c.topo.circuits()) {
-      if (circuit.state == topo::ElementState::kActive) {
-        flipped = circuit.id;
-        break;
-      }
+  KeptDagsCase c;
+  // Drain an active circuit: the liveness version moves, so no kept DAG is
+  // valid any more, whether or not the circuit lies on it.
+  topo::CircuitId flipped = topo::kInvalidCircuit;
+  for (const topo::Circuit& circuit : c.topo.circuits()) {
+    if (circuit.state == topo::ElementState::kActive) {
+      flipped = circuit.id;
+      break;
     }
-    ASSERT_NE(topo::kInvalidCircuit, flipped);
-    c.topo.set_circuit_state(flipped, topo::ElementState::kDrained);
-    EXPECT_EQ(0, c.route(c.demands, "one circuit drained"));
-    // The rerouted DAGs are kept in turn.
-    EXPECT_EQ(c.groups, c.route(c.demands, "drained, unchanged"));
   }
+  ASSERT_NE(topo::kInvalidCircuit, flipped);
+  c.topo.set_circuit_state(flipped, topo::ElementState::kDrained);
+  EXPECT_EQ(0, c.route(c.demands, "one circuit drained"));
+  // The rerouted DAGs are kept in turn.
+  EXPECT_EQ(c.groups, c.route(c.demands, "drained, unchanged"));
 }
 
-TEST(EcmpParallelEquivalence, KeptDagsFollowTheGroupCountDownAndUp) {
+TEST(EcmpEquivalence, KeptDagsFollowTheGroupCountDownAndUp) {
   MetricsOn metrics;
-  for (const int workers : kWorkerCounts) {
-    KeptDagsCase c(workers);
-    const std::vector<std::size_t> group = group_of(c.demands);
-    const auto keep =
-        static_cast<std::size_t>(std::max<long long>(2, c.groups / 2));
-    ASSERT_LT(keep, static_cast<std::size_t>(c.groups));
-    traffic::DemandSet fewer;
-    for (std::size_t i = 0; i < c.demands.size(); ++i) {
-      if (group[i] < keep) fewer.push_back(c.demands[i]);
-    }
-    EXPECT_EQ(static_cast<long long>(keep), c.route(fewer, "fewer groups"));
-    // The slots past `keep` still hold their DAGs from the priming call.
-    EXPECT_EQ(c.groups, c.route(c.demands, "all groups again"));
+  KeptDagsCase c;
+  const std::vector<std::size_t> group = group_of(c.demands);
+  const auto keep =
+      static_cast<std::size_t>(std::max<long long>(2, c.groups / 2));
+  ASSERT_LT(keep, static_cast<std::size_t>(c.groups));
+  traffic::DemandSet fewer;
+  for (std::size_t i = 0; i < c.demands.size(); ++i) {
+    if (group[i] < keep) fewer.push_back(c.demands[i]);
   }
-}
-
-/// Serial-vs-workers bit-identity over kSteps random mutations; shared by
-/// the per-family EcmpParallel* tests (tier1.sh runs exactly those under
-/// TSan via gtest_filter=EcmpParallel*).
-void run_workers_match_serial(migration::MigrationCase mig,
-                              std::uint64_t seed) {
-  topo::Topology& topo = *mig.task.topo;
-  const traffic::DemandSet& demands = mig.task.demands;
-
-  traffic::EcmpRouter serial(topo);
-  traffic::EcmpRouter two(topo);
-  two.set_num_workers(2);
-  traffic::EcmpRouter four(topo);
-  four.set_num_workers(4);
-  EXPECT_EQ(0, serial.num_workers());
-  EXPECT_EQ(2, two.num_workers());
-  EXPECT_EQ(4, four.num_workers());
-
-  util::Rng rng(seed);
-  for (int step = 0; step < kSteps; ++step) {
-    mutate(topo, rng, step);
-
-    const AssignResult want = run_assign(serial, demands);
-    for (traffic::EcmpRouter* parallel : {&two, &four}) {
-      const AssignResult got = run_assign(*parallel, demands);
-      ASSERT_EQ(want.ok, got.ok) << "step " << step;
-      EXPECT_EQ(want.failed, got.failed) << "step " << step;
-      ASSERT_EQ(want.loads.size(), got.loads.size());
-      for (std::size_t i = 0; i < want.loads.size(); ++i) {
-        ASSERT_EQ(want.loads[i], got.loads[i])
-            << "step " << step << " slot " << i;
-      }
-      // Logical counters replay the serial accounting even when the pool
-      // physically recomputed groups past the first failure.
-      EXPECT_EQ(serial.group_recomputes(), parallel->group_recomputes())
-          << "step " << step;
-    }
-  }
-}
-
-TEST(EcmpParallelEquivalence, WorkersMatchSerialBitForBit) {
-  run_workers_match_serial(
-      pipeline::build_experiment(pipeline::ExperimentId::kB,
-                                 topo::PresetScale::kReduced),
-      777);
-}
-
-TEST(EcmpParallelEquivalence, WorkersMatchSerialBitForBitFlat) {
-  run_workers_match_serial(
-      pipeline::build_family_experiment(topo::TopologyFamily::kFlat,
-                                        topo::PresetId::kB,
-                                        topo::PresetScale::kReduced),
-      778);
-}
-
-TEST(EcmpParallelEquivalence, WorkersMatchSerialBitForBitReconf) {
-  run_workers_match_serial(
-      pipeline::build_family_experiment(topo::TopologyFamily::kReconf,
-                                        topo::PresetId::kB,
-                                        topo::PresetScale::kReduced),
-      779);
-}
-
-TEST(EcmpParallelEquivalence, WorkerPoolResizeAndReuse) {
-  migration::MigrationCase mig = pipeline::build_experiment(
-      pipeline::ExperimentId::kB, topo::PresetScale::kReduced);
-  topo::Topology& topo = *mig.task.topo;
-  const traffic::DemandSet& demands = mig.task.demands;
-
-  traffic::EcmpRouter serial(topo);
-  traffic::EcmpRouter resized(topo);
-
-  util::Rng rng(42);
-  for (int step = 0; step < 60; ++step) {
-    // Shrinking back to serial mid-stream must not disturb the results.
-    resized.set_num_workers(step % 3 == 0 ? 1 : (step % 3 == 1 ? 2 : 3));
-    mutate(topo, rng, step);
-    const AssignResult want = run_assign(serial, demands);
-    const AssignResult got = run_assign(resized, demands);
-    ASSERT_EQ(want.ok, got.ok) << "step " << step;
-    EXPECT_EQ(want.failed, got.failed) << "step " << step;
-    for (std::size_t i = 0; i < want.loads.size(); ++i) {
-      ASSERT_EQ(want.loads[i], got.loads[i])
-          << "step " << step << " slot " << i;
-    }
-    EXPECT_EQ(serial.group_recomputes(), resized.group_recomputes());
-  }
+  EXPECT_EQ(static_cast<long long>(keep), c.route(fewer, "fewer groups"));
+  // The slots past `keep` still hold their DAGs from the priming call.
+  EXPECT_EQ(c.groups, c.route(c.demands, "all groups again"));
 }
 
 // group_recomputes() counts every group of every call: perfbench reads it
 // as the group count after one origin check, and as routing work per plan.
 // A failing call counts the groups up to and including the first failing
-// one, at any worker count.
-TEST(EcmpParallelEquivalence, GroupRecomputesCountEveryGroupOfEveryCall) {
+// one.
+TEST(EcmpEquivalence, GroupRecomputesCountEveryGroupOfEveryCall) {
   migration::MigrationCase mig = pipeline::build_experiment(
       pipeline::ExperimentId::kB, topo::PresetScale::kReduced);
   topo::Topology& topo = *mig.task.topo;
@@ -485,78 +382,24 @@ TEST(EcmpParallelEquivalence, GroupRecomputesCountEveryGroupOfEveryCall) {
   }
   ASSERT_NE(topo::kInvalidSwitch, inactive);
 
-  std::vector<std::vector<long long>> counts;
-  for (const int workers : {0, 2, 4}) {
-    traffic::EcmpRouter router(topo);
-    router.set_num_workers(workers);
-    std::vector<long long>& seen = counts.emplace_back();
-    for (long long k = 1; k <= 3; ++k) {
-      ASSERT_TRUE(run_assign(router, demands).ok);
-      EXPECT_EQ(k * groups, router.group_recomputes())
-          << workers << " workers, call " << k;
-      seen.push_back(router.group_recomputes());
-    }
-    for (long long g = 0; g < groups; ++g) {
-      traffic::DemandSet broken = demands;
-      std::string first;
-      for (std::size_t i = 0; i < broken.size(); ++i) {
-        if (group[i] != static_cast<std::size_t>(g)) continue;
-        if (first.empty()) first = broken[i].name;
-        broken[i].targets = {inactive};
-      }
-      const long long before = router.group_recomputes();
-      const AssignResult r = run_assign(router, broken);
-      EXPECT_FALSE(r.ok) << workers << " workers, group " << g;
-      EXPECT_EQ(first, r.failed) << workers << " workers, group " << g;
-      EXPECT_EQ(before + g + 1, router.group_recomputes())
-          << workers << " workers, group " << g;
-      seen.push_back(router.group_recomputes());
-    }
+  traffic::EcmpRouter router(topo);
+  for (long long k = 1; k <= 3; ++k) {
+    ASSERT_TRUE(run_assign(router, demands).ok);
+    EXPECT_EQ(k * groups, router.group_recomputes()) << "call " << k;
   }
-  EXPECT_EQ(counts[0], counts[1]);
-  EXPECT_EQ(counts[0], counts[2]);
-}
-
-// The pool's per-group buffers follow each call's group count: one pooled
-// router cycles through a subset with fewer target sets, the full set (so
-// the count grows after a smaller call) and an empty set under random
-// mutations, and must match a serial router bit for bit.
-TEST(EcmpParallelEquivalence, WorkersMatchSerialWhenTheGroupCountChanges) {
-  migration::MigrationCase mig = pipeline::build_experiment(
-      pipeline::ExperimentId::kB, topo::PresetScale::kReduced);
-  topo::Topology& topo = *mig.task.topo;
-  const traffic::DemandSet& demands = mig.task.demands;
-  const std::vector<std::size_t> group = group_of(demands);
-  const std::size_t keep = std::max<std::size_t>(2, num_groups(group) / 2);
-  ASSERT_LT(keep, num_groups(group));
-  traffic::DemandSet fewer;
-  for (std::size_t i = 0; i < demands.size(); ++i) {
-    if (group[i] < keep) fewer.push_back(demands[i]);
-  }
-  const traffic::DemandSet empty;
-  const std::array<const traffic::DemandSet*, 3> sets = {&fewer, &demands,
-                                                         &empty};
-
-  traffic::EcmpRouter serial(topo);
-  traffic::EcmpRouter pooled(topo);
-  pooled.set_num_workers(4);
-  util::Rng rng(780);
-  for (int step = 0; step < kSteps; ++step) {
-    mutate(topo, rng, step);
-    const traffic::DemandSet& set = *sets[static_cast<std::size_t>(step) % 3];
-    const AssignResult want = run_assign(serial, set);
-    const AssignResult got = run_assign(pooled, set);
-    ASSERT_EQ(want.ok, got.ok) << "step " << step;
-    EXPECT_EQ(want.failed, got.failed) << "step " << step;
-    ASSERT_EQ(want.loads.size(), got.loads.size());
-    for (std::size_t i = 0; i < want.loads.size(); ++i) {
-      ASSERT_EQ(want.loads[i], got.loads[i])
-          << "step " << step << " slot " << i;
+  for (long long g = 0; g < groups; ++g) {
+    traffic::DemandSet broken = demands;
+    std::string first;
+    for (std::size_t i = 0; i < broken.size(); ++i) {
+      if (group[i] != static_cast<std::size_t>(g)) continue;
+      if (first.empty()) first = broken[i].name;
+      broken[i].targets = {inactive};
     }
-    EXPECT_EQ(serial.touched_circuits(), pooled.touched_circuits())
-        << "step " << step;
-    EXPECT_EQ(serial.group_recomputes(), pooled.group_recomputes())
-        << "step " << step;
+    const long long before = router.group_recomputes();
+    const AssignResult r = run_assign(router, broken);
+    EXPECT_FALSE(r.ok) << "group " << g;
+    EXPECT_EQ(first, r.failed) << "group " << g;
+    EXPECT_EQ(before + g + 1, router.group_recomputes()) << "group " << g;
   }
 }
 

@@ -51,9 +51,9 @@ struct Fan {
     s = topo.add_switch(SwitchRole::kRsw, Generation::kV1, {}, 64,
                         ElementState::kActive, "s");
     for (int i = 0; i < width; ++i) {
-      middle.push_back(topo.add_switch(SwitchRole::kFsw, Generation::kV1, {},
-                                       64, ElementState::kActive,
-                                       "m" + std::to_string(i)));
+      middle.push_back(topo.add_switch(
+          SwitchRole::kFsw, Generation::kV1, {}, 64, ElementState::kActive,
+          std::string("m").append(std::to_string(i))));
     }
     t = topo.add_switch(SwitchRole::kEbb, Generation::kV1, {}, 64,
                         ElementState::kActive, "t");

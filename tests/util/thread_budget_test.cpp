@@ -39,17 +39,17 @@ TEST(ThreadBudget, MaxOuterCapsThePool) {
 }
 
 // Regression: the shared helper must reproduce the splits the tools
-// computed locally before it existed (max(1, router / threads) for the
-// planner, clamp(threads, 1, seeds) for the chaos sweep pool).
+// computed locally before it existed (max(1, budget / workers) for the
+// per-worker share, clamp(threads, 1, seeds) for the chaos sweep pool).
 TEST(ThreadBudget, MatchesHistoricalToolBehaviour) {
   const int old_style[][3] = {
-      // {threads, router_threads, expected per-worker router threads}
+      // {outer workers, inner budget, expected per-worker share}
       {1, 1, 1}, {1, 8, 8}, {2, 8, 4}, {4, 8, 2},
       {4, 4, 1}, {6, 4, 1}, {4, 6, 1}, {3, 7, 2},
   };
   for (const auto& row : old_style) {
     EXPECT_EQ(split_thread_budget(row[0], row[1]).inner, row[2])
-        << "threads=" << row[0] << " router=" << row[1];
+        << "outer=" << row[0] << " budget=" << row[1];
   }
 }
 

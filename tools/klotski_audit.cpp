@@ -2,8 +2,7 @@
 // document (§7.2: "we add extra audits and safety checks to Klotski's plans
 // during operation").
 //
-//   klotski_audit --npd=region.npd.json --plan=plan.json [--theta=0.75] \
-//                 [--strict]
+//   klotski_audit --npd=region.npd.json --plan=plan.json [--strict]
 //
 // Flags:
 //   --npd     NPD JSON document (required)

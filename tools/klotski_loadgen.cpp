@@ -3,12 +3,12 @@
 // Two modes:
 //
 //   # one plan request, plan text to a file (byte-identity smoke checks)
-//   klotski_loadgen --connect=/tmp/k.sock --once --npd=region.npd.json \
+//   klotski_loadgen --connect=/tmp/k.sock --once --npd=region.npd.json
 //                   --result-out=plan.json
 //
 //   # mixed workload at a target rate over TCP, many connections
-//   klotski_loadgen --connect=tcp:127.0.0.1:7077 --npd=region.npd.json \
-//                   --requests=5000 --qps=0 --connections=32 \
+//   klotski_loadgen --connect=tcp:127.0.0.1:7077 --npd=region.npd.json
+//                   --requests=5000 --qps=0 --connections=32
 //                   --report=BENCH_serve.json
 //
 // Flags:

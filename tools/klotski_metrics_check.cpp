@@ -2,20 +2,13 @@
 // klotski_plan / klotski_audit, using the in-tree JSON parser (so the check
 // also proves the emitted JSON round-trips through klotski_json).
 //
-//   klotski_metrics_check --metrics=m.json [--trace=t.json] \
-//                         [--expect-same=other.json --counters=a,b,c]
+//   klotski_metrics_check --metrics=m.json [--trace=t.json]
 //
 // Flags:
 //   --metrics      metrics JSON written by --metrics-out (required)
 //   --trace        trace JSON written by --trace-out; checked to be a
 //                  well-formed Chrome trace_event document, and complete:
 //                  the run's trace.dropped counter must be 0
-//   --expect-same  second metrics JSON; the counters named by --counters
-//                  must match exactly between the two files (the
-//                  thread-invariance contract)
-//   --counters     comma-separated counter names for --expect-same
-//                  (default: the evaluator.* and quotient.* thread-invariant
-//                  set)
 //
 // Always checked on --metrics:
 //   * schema == "klotski.metrics.v1"
@@ -32,12 +25,10 @@
 // Exit status: 0 all checks passed, 1 a check failed, 2 usage/input error.
 #include <iostream>
 #include <string>
-#include <vector>
 
 #include "klotski/json/json.h"
 #include "klotski/util/file.h"
 #include "klotski/util/flags.h"
-#include "klotski/util/string_util.h"
 #include "common/tool_runner.h"
 
 namespace {
@@ -155,33 +146,6 @@ int run(const klotski::util::Flags& flags) {
                 << " well-formed trace events, none dropped\n";
     }
 
-    const std::string other_path = flags.get_string("expect-same", "");
-    if (!other_path.empty()) {
-      const Value other = json::parse(util::read_file(other_path));
-      std::vector<std::string> names = util::split(
-          flags.get_string("counters",
-                           "evaluator.evaluations,evaluator.sat_cache_hits,"
-                           "evaluator.sat_cache_misses,evaluator.delta_applies,"
-                           "evaluator.full_replays,planner.states_expanded,"
-                           "quotient.scopes,quotient.classes,quotient.arcs,"
-                           "quotient.refused,quotient.scoped_checks,"
-                           "quotient.checks,quotient.fallback_not_applicable"),
-          ',');
-      bool same = true;
-      for (const std::string& name : names) {
-        const long long a = counter_value(metrics, name);
-        const long long b = counter_value(other, name);
-        if (a != b) {
-          std::cerr << "FAIL: counter " << name << " differs: " << a << " ("
-                    << metrics_path << ") vs " << b << " (" << other_path
-                    << ")\n";
-          same = false;
-        }
-      }
-      if (!same) return 1;
-      std::cout << "ok: " << names.size() << " counters identical between "
-                << metrics_path << " and " << other_path << "\n";
-    }
     return 0;
   }
 }
@@ -191,5 +155,5 @@ int run(const klotski::util::Flags& flags) {
 int main(int argc, char** argv) {
   return klotski::tools::tool_main(
       argc, argv, "klotski_metrics_check", run,
-      {"metrics", "trace", "expect-same", "counters"});
+      {"metrics", "trace"});
 }

@@ -1,8 +1,7 @@
 // klotski_plan — run the EDP-Lite pipeline on an NPD document and emit the
 // migration plan.
 //
-//   klotski_plan --npd=region.npd.json --planner=astar --theta=0.75 \
-//                --out=plan.json
+//   klotski_plan --npd=region.npd.json --planner=astar --out=plan.json
 //   klotski_plan --family=flat --preset=B --out=plan.json
 //
 // Flags:
@@ -25,10 +24,6 @@
 //                  plan stays audited but may be suboptimal, and the
 //                  degradation is recorded under "provenance" in the plan
 //                  JSON. (default 0)
-//   --threads      worker threads inside each satisfiability check: the
-//                  ECMP router routes the check's demand groups in
-//                  parallel (default 1; plans and planner counters are
-//                  bit-identical at any value)
 //   --demands      demand-matrix JSON replacing the generated forecast
 //                  (the §7.1 refresh workflow)
 //   --dump-demands write the effective demand matrix to this path
@@ -139,13 +134,6 @@ int run(const klotski::util::Flags& flags) {
       return 2;
     }
 
-    checker_config.router_threads =
-        static_cast<int>(flags.get_int("threads", 1));
-    if (checker_config.router_threads < 1) {
-      std::cerr << "klotski_plan: --threads must be >= 1\n";
-      return 2;
-    }
-
     core::PlannerOptions planner_options;
     planner_options.alpha = flags.get_double("alpha", 0.0);
     planner_options.deadline_seconds = flags.get_double("deadline", 0.0);
@@ -215,7 +203,6 @@ int main(int argc, char** argv) {
   return klotski::tools::tool_main(
       argc, argv, "klotski_plan", run,
       {"npd", "family", "preset", "scale", "planner", "theta", "alpha",
-       "routing", "funneling", "deadline", "mem-budget-mb", "threads",
-       "demands", "dump-demands", "out", "summary", "schedule", "risk",
-       "crews"});
+       "routing", "funneling", "deadline", "mem-budget-mb", "demands",
+       "dump-demands", "out", "summary", "schedule", "risk", "crews"});
 }

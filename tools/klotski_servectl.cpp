@@ -6,9 +6,9 @@
 //   klotski_servectl --connect=/tmp/k.sock ping
 //   klotski_servectl --connect=tcp:10.0.0.7:7077 stats
 //   klotski_servectl --connect=/tmp/k.sock metrics   # live registry JSON
-//   klotski_servectl --connect=tcp:plan-svc:7077 call \
-//       --method=plan --params-file=plan-params.json
-//   klotski_servectl --connect=/tmp/k.sock submit --method=replan \
+//   klotski_servectl --connect=tcp:plan-svc:7077 call --method=plan
+//       --params-file=plan-params.json
+//   klotski_servectl --connect=/tmp/k.sock submit --method=replan
 //       --params-file=replan-params.json          # prints the job id
 //   klotski_servectl --connect=/tmp/k.sock poll --job=j-7
 //   klotski_servectl --connect=/tmp/k.sock wait --job=j-7 --timeout-ms=60000

@@ -1,12 +1,10 @@
 // klotski_served — the Klotski plan service daemon.
 //
-//   # one box: unix socket only
-//   klotski_served --socket=/tmp/k.sock --workers=4 --cache-capacity=64 \
-//                  --spill-dir=/var/cache/klotski
+//   # one box: unix socket only, evicted plans spilled to disk
+//   klotski_served --socket=/tmp/k.sock --workers=4 --spill-dir=/var/cache/k
 //
 //   # fleet front door: TCP beside (or instead of) the unix socket
-//   klotski_served --socket=/tmp/k.sock --listen=0.0.0.0:7077 --workers=8 \
-//                  --cache-shards=16 --idle-timeout-ms=60000
+//   klotski_served --socket=/tmp/k.sock --listen=0.0.0.0:7077 --workers=8
 //
 // Serves the klotski.serve.v1 protocol (newline-delimited JSON over a unix
 // socket and/or TCP; see src/klotski/serve/protocol.h and README "Plan
@@ -37,10 +35,10 @@
 //                                                       (default 1 MiB)
 //   --idle-timeout-ms  close connections idle this long; 0 disables
 //                                                       (default 60000)
-//   --threads       total thread budget, split across the workers by the
-//                   shared oversubscription rule; each job gets its share
-//                   (plan/audit/replan: ECMP router threads, whatif:
-//                   trajectory workers)     (default: one per worker)
+//   --threads       total what-if thread budget, split across the workers
+//                   by the shared oversubscription rule: each whatif job
+//                   runs its share of trajectory workers; every other
+//                   method runs on its worker alone  (default: one per worker)
 //   --max-connections  concurrent client connections    (default 64)
 //   --ready-fd      write one byte to this fd once the sockets are
 //                   listening (scripts: open a pipe, wait for the byte
@@ -117,8 +115,9 @@ int run(const util::Flags& flags) {
       static_cast<std::size_t>(max_request_bytes);
   options.idle_timeout_ms = flags.get_int("idle-timeout-ms", 60'000);
 
-  // The thread budget is split across the workers so a fully busy pool
-  // keeps ~--threads threads running, not workers * --threads.
+  // The what-if budget is split across the workers so a pool busy with
+  // whatif jobs keeps ~--threads sweep threads running, not
+  // workers * --threads.
   const int budget = static_cast<int>(
       flags.get_int("threads", options.jobs.workers));
   options.service.threads =

@@ -1,8 +1,7 @@
 // klotski_synth — generate an NPD document for one of the Table 3 presets
 // and a migration type, in any topology family.
 //
-//   klotski_synth --preset=E --scale=reduced --migration=hgrid-v1-to-v2 \
-//                 --out=region-e.npd.json
+//   klotski_synth --preset=E --migration=hgrid-v1-to-v2 --out=region-e.npd.json
 //   klotski_synth --family=flat --preset=B --out=flat-b.npd.json
 //
 // Flags:

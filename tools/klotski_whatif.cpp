@@ -1,10 +1,8 @@
 // klotski_whatif — Monte Carlo robustness sweep over a finished plan.
 //
 //   klotski_whatif --npd=region.npd.json --plan=plan.json --trajectories=1000
-//   klotski_whatif --npd=region.npd.json --plan=plan.json --out=report.json \
-//                  --threads=8
-//   klotski_whatif --npd=region.npd.json --plan=plan.json \
-//                  --connect=tcp:plan-svc:7077
+//   klotski_whatif --npd=n.json --plan=plan.json --threads=8 --out=report.json
+//   klotski_whatif --npd=n.json --plan=plan.json --connect=tcp:plan-svc:7077
 //
 // Samples N demand futures (per-trajectory organic growth, surge windows,
 // forecast-error windows) and re-validates every plan phase against each,
