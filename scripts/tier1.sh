@@ -79,7 +79,9 @@ rm -rf "${SERVE_BENCH_TMP}"
 # preset-A plan must produce byte-identical klotski.whatif.v1 reports at
 # --threads=1 and --threads=N, and the same sweep submitted to a daemon
 # must come back byte-identical to the local run — the report is a pure
-# function of (inputs, seed, N), never of the execution venue.
+# function of (inputs, seed, N), never of the execution venue. The sweep
+# checks in a search scope, so its metrics must pass the quotient identity
+# (quotient.checks + fallback_not_applicable == scoped_checks).
 WHATIF_TMP="$(mktemp -d)"
 WHATIF_SOCK="/tmp/kwhatif-$$.sock"
 ./build/tools/klotski_synth --preset=A --scale=reduced \
@@ -88,7 +90,9 @@ WHATIF_SOCK="/tmp/kwhatif-$$.sock"
   --out="${WHATIF_TMP}/plan.json" > /dev/null
 ./build/tools/klotski_whatif --npd="${WHATIF_TMP}/a.npd.json" \
   --plan="${WHATIF_TMP}/plan.json" --trajectories=40 --seed=11 \
-  --threads=1 --out="${WHATIF_TMP}/report-t1.json"
+  --threads=1 --out="${WHATIF_TMP}/report-t1.json" \
+  --metrics-out="${WHATIF_TMP}/metrics-t1.json"
+./build/tools/klotski_metrics_check --metrics="${WHATIF_TMP}/metrics-t1.json"
 ./build/tools/klotski_whatif --npd="${WHATIF_TMP}/a.npd.json" \
   --plan="${WHATIF_TMP}/plan.json" --trajectories=40 --seed=11 \
   --threads="${JOBS}" --out="${WHATIF_TMP}/report-tN.json"
@@ -139,7 +143,9 @@ KLOTSKI_CHAOS_SEEDS=10 ./build-tsan/tests/test_sim \
 # What-if sweep worker pool: workers claim trajectory indices from one
 # atomic counter and store outcomes by index — TSan checks that the only
 # sharing really is that counter plus the indexed slots, and the error
-# slot that a throwing worker fills before the pool joins.
+# slot that a throwing worker fills before the pool joins. Each worker
+# opens its own search scope, so its checks drive a private quotient
+# router; the scope counters are the obs registry's.
 ./build-tsan/tests/test_whatif \
   --gtest_filter='WhatIf.ReportIsInvariantToThreadCount:WhatIf.DemandsPastTheFixedPointRangeAreRefusedFromAnyWorker'
 # Plan service under TSan: sharded single-flight cache, worker pool, drain,
@@ -171,10 +177,11 @@ KLOTSKI_CHAOS_SEEDS=10 ./build-asan/tests/test_sim
 # The suite compares every bundle's fixed-point load with its circuits'
 # fabric loads by equality, so a wrong bundle or direction index fails it.
 ./build-asan/tests/test_core --gtest_filter='QuotientOracle.*'
-# What-if engine under ASan: every trajectory rebuilds a private case,
-# mutates its demand volumes in place, and walks cumulative phase states —
-# a stale demand pointer or an off-by-one phase index reads garbage here
-# without crashing a plain run.
+# What-if engine under ASan: every worker builds a private case, and each
+# trajectory step rebinds the quotient router to a fresh demand set while
+# the walk moves through cumulative phase states — a stale demand or
+# bundle pointer, or an off-by-one phase index, reads garbage here without
+# crashing a plain run.
 ./build-asan/tests/test_whatif \
   --gtest_filter='WhatIf.AggressiveDemandKnobsSurfaceUnsafeFutures:AllFamilies/*'
 # The warm-repair gate's class diff under ASan: the randomized mutation
@@ -217,6 +224,17 @@ if [[ "${rc}" -ne 2 ]]; then
   echo "tier1: FAIL — klotski_plan --crews=abc exited ${rc}, want 2" >&2
   exit 1
 fi
+# So must a value out of its range, checked before planning whether or not
+# the flag's feature runs: --crews without --schedule, and a negative
+# funneling margin, which would weaken the audit below no margin at all.
+for bad in --crews=abc --funneling=-5; do
+  rc=0
+  ./build/tools/klotski_plan --preset=A "${bad}" > /dev/null 2>&1 || rc=$?
+  if [[ "${rc}" -ne 2 ]]; then
+    echo "tier1: FAIL — klotski_plan --preset=A ${bad} exited ${rc}, want 2" >&2
+    exit 1
+  fi
+done
 # So must a flag the tool does not know, e.g. the retired --router-threads
 # and --threads (a check runs on one thread): exit 2, not a silent run on
 # defaults.

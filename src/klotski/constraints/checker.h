@@ -49,7 +49,8 @@ class Checker {
   virtual std::string name() const = 0;
 
   /// Search scope (DESIGN.md §3 "Quotient checks"). A planner opens one
-  /// for the length of one search (core::SearchScope). Until close_scope(),
+  /// for the length of one search, and a what-if worker for its sweep
+  /// (core::SearchScope). Until close_scope(),
   /// every topology checked is one the search reached from its task's
   /// original state by applying and reverting blocks, so a checker may
   /// answer from `quotient` — the class-level graph of that task, or

@@ -9,9 +9,8 @@ namespace klotski::constraints {
 
 namespace {
 
-/// Where the checks of a search scope went. A logical tally, invariant
-/// under the router's worker count: quotient + not_applicable == scoped
-/// (klotski_metrics_check asserts it).
+/// Where the checks of a search scope went: quotient + not_applicable ==
+/// scoped (klotski_metrics_check asserts it).
 struct ScopeCounters {
   obs::Counter& scoped;
   obs::Counter& quotient;
@@ -99,19 +98,25 @@ Verdict DemandChecker::check_fabric(const topo::Topology& topo) {
 
   // Utilization scan over the router's touched-circuit list (ascending
   // ids). loads_ was zeroed above, so the list covers every circuit with
-  // non-zero load: the verdict is the full scan's, including which
-  // over-theta circuit is reported first.
+  // non-zero load: the scan records the full peak and names the first
+  // over-theta circuit, as a scan of every circuit would.
+  topo::CircuitId worst = topo::kInvalidCircuit;
+  double worst_util = 0.0;
   for (const topo::CircuitId id : router_.touched_circuits()) {
     const topo::Circuit& c = topo.circuit(id);
     const traffic::Load load =
         std::max(loads_[static_cast<std::size_t>(id) * 2],
                  loads_[static_cast<std::size_t>(id) * 2 + 1]);
-    const double factor = funnel_factor(c);
-    const double util = traffic::utilization(load, c.capacity_tbps, factor);
+    const double util =
+        traffic::utilization(load, c.capacity_tbps, funnel_factor(c));
     last_max_utilization_ = std::max(last_max_utilization_, util);
-    if (util > params_.max_utilization) return over_theta(topo, id, util);
+    if (worst == topo::kInvalidCircuit && util > params_.max_utilization) {
+      worst = id;
+      worst_util = util;
+    }
   }
-  return Verdict::ok();
+  if (worst == topo::kInvalidCircuit) return Verdict::ok();
+  return over_theta(topo, worst, worst_util);
 }
 
 Verdict DemandChecker::check_quotient(const topo::Topology& topo) {
@@ -184,21 +189,6 @@ double DemandChecker::funnel_factor(const topo::Circuit& c) const {
                   funneled_[static_cast<std::size_t>(c.b)])
              ? 1.0 + params_.funneling_margin
              : 1.0;
-}
-
-double DemandChecker::peak_utilization(const topo::Topology& topo) const {
-  // touched_circuits() is empty after a failed assign_all, so an
-  // unroutable check reads 0.
-  double peak = 0.0;
-  for (const topo::CircuitId id : router_.touched_circuits()) {
-    const topo::Circuit& c = topo.circuit(id);
-    const traffic::Load load =
-        std::max(loads_[static_cast<std::size_t>(id) * 2],
-                 loads_[static_cast<std::size_t>(id) * 2 + 1]);
-    peak = std::max(peak, traffic::utilization(load, c.capacity_tbps,
-                                               funnel_factor(c)));
-  }
-  return peak;
 }
 
 }  // namespace klotski::constraints

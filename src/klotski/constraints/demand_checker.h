@@ -11,19 +11,20 @@
 // Outside a search scope every check routes the whole demand set
 // (EcmpRouter::assign_all) and then scans utilization over the router's
 // ascending touched-circuit list, the only circuits that carry load — the
-// same verdict as a full-circuit scan, including which violation is
-// reported first.
+// same result as a full-circuit scan: the full peak, and the first
+// over-theta circuit as the violation.
 //
 // In a search scope with a quotient whose classes every demand's source
 // and target lists cover uniformly, a check routes on the quotient instead
-// (traffic::QuotientRouter) and scans utilization per bundle. Its verdict
+// (traffic::QuotientRouter) and scans utilization per bundle. Its result
 // is the fabric's: unroutability is combinatorial, every bundle's
 // fixed-point load equals each member circuit's fabric load, and both
 // scans compare traffic::utilization() of that integer with theta
-// (DESIGN.md §3 "Fixed-point loads"). A theta failure names the
-// smallest-id circuit of the first over-theta bundle, which is the
-// fabric's first over-theta circuit. Nothing is cached between checks:
-// set_demands and set_max_utilization take effect on the next one.
+// (DESIGN.md §3 "Fixed-point loads"). So both record the same full peak,
+// and a theta failure names the smallest-id circuit of the first
+// over-theta bundle, which is the fabric's first over-theta circuit.
+// Nothing is cached between checks: set_demands and set_max_utilization
+// take effect on the next one.
 #pragma once
 
 #include <cstdint>
@@ -63,19 +64,12 @@ class DemandChecker : public Checker {
   const DemandCheckerParams& params() const { return params_; }
   void set_max_utilization(double theta) { params_.max_utilization = theta; }
 
-  /// Peak utilization seen by the most recent check (diagnostics). The
-  /// fabric scan stops at the first circuit over theta, so after a theta
-  /// failure this is that circuit's utilization or a higher one seen
-  /// before it; a check answered on the quotient records its full peak,
-  /// which equals the fabric's peak_utilization().
+  /// The peak utilization of the most recent check's loads, funneling
+  /// inflation included, whatever the verdict: every loaded circuit (or
+  /// bundle) is scanned, so a theta failure reads the full peak, equal on
+  /// the fabric and the quotient. 0 when that check had an unroutable
+  /// demand.
   double last_max_utilization() const { return last_max_utilization_; }
-
-  /// The true peak utilization of the most recent fabric check's loads,
-  /// funneling inflation included: every loaded circuit is scanned,
-  /// whatever the verdict. 0 when that check had an unroutable demand.
-  /// `topo` must be the topology that check ran on, and neither it nor the
-  /// router may have been used or changed since.
-  double peak_utilization(const topo::Topology& topo) const;
 
  private:
   Verdict check_fabric(const topo::Topology& topo);

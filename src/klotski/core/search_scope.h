@@ -16,9 +16,10 @@
 //
 // A discrete partition (every class one switch, as on the flat and reconf
 // families) saves nothing, so the scope then hands over no quotient and the
-// checks stay on the fabric. Only plan() opens a scope: audits, what-if,
-// replan revalidation, the chaos invariants and phase export check on the
-// fabric and stay the independent oracle.
+// checks stay on the fabric. Two callers open a scope: plan(), and each
+// what-if sweep worker, whose phases are plan prefixes and so states a
+// search reaches. Audits, replan revalidation, the chaos invariants and
+// phase export check on the fabric; the audit is the independent oracle.
 #pragma once
 
 #include <cstdint>

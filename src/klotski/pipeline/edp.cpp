@@ -1,6 +1,8 @@
 #include "klotski/pipeline/edp.h"
 
 #include <algorithm>
+#include <charconv>
+#include <limits>
 #include <stdexcept>
 
 #include "klotski/baselines/brute_force_planner.h"
@@ -15,6 +17,17 @@
 
 namespace klotski::pipeline {
 
+namespace {
+
+/// The shortest text that reads back as `value` (1.0000001 stays itself).
+std::string show(double value) {
+  char buffer[32];
+  const auto end = std::to_chars(buffer, buffer + sizeof(buffer), value).ptr;
+  return std::string(buffer, end);
+}
+
+}  // namespace
+
 std::unique_ptr<core::Planner> make_planner(const std::string& name) {
   if (name == "astar") return std::make_unique<core::AStarPlanner>();
   if (name == "dp") return std::make_unique<core::DpPlanner>();
@@ -26,6 +39,17 @@ std::unique_ptr<core::Planner> make_planner(const std::string& name) {
 
 CheckerBundle make_standard_checker(migration::MigrationTask& task,
                                     const CheckerConfig& config) {
+  // Written so that NaN fails both tests.
+  const double theta = config.demand.max_utilization;
+  if (!(theta > 0.0 && theta <= 1.0)) {
+    throw std::invalid_argument("theta " + show(theta) +
+                                " is outside (0, 1]");
+  }
+  const double margin = config.demand.funneling_margin;
+  if (!(margin >= 0.0 && margin < std::numeric_limits<double>::infinity())) {
+    throw std::invalid_argument("funneling margin " + show(margin) +
+                                " is outside [0, inf)");
+  }
   CheckerBundle bundle;
   bundle.router =
       std::make_unique<traffic::EcmpRouter>(*task.topo, config.routing);

@@ -46,6 +46,10 @@ struct CheckerConfig {
   traffic::SplitMode routing = traffic::SplitMode::kEqualSplit;
 };
 
+/// Every CLI, daemon method, replan round, chaos invariant and what-if
+/// worker builds its checkers here, so the knobs are checked here: throws
+/// std::invalid_argument, naming the knob and its range, when theta is
+/// outside (0, 1] or the funneling margin is negative or not finite.
 CheckerBundle make_standard_checker(migration::MigrationTask& task,
                                     const CheckerConfig& config = {});
 

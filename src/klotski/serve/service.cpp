@@ -1,6 +1,7 @@
 #include "klotski/serve/service.h"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -52,6 +53,12 @@ PlanKnobs parse_knobs(const json::Value& params) {
   knobs.deadline = params.get_double("deadline", 0.0);
   if (knobs.routing != "ecmp" && knobs.routing != "wcmp") {
     throw std::invalid_argument("unknown routing '" + knobs.routing + "'");
+  }
+  // A negative budget would silently mean "none". Theta and the funneling
+  // margin are checked where every checker is built
+  // (pipeline::make_standard_checker).
+  if (!(knobs.deadline >= 0.0 && std::isfinite(knobs.deadline))) {
+    throw std::invalid_argument("params.deadline must be finite and >= 0");
   }
   return knobs;
 }
@@ -163,8 +170,10 @@ json::Value whatif_cache_key_doc(const json::Value& params) {
   // The schema string participates in the content hash, so whatif keys can
   // never collide with plan keys inside the shared PlanCache. v2: the safe
   // growth margin became closed-form, so v1 reports (bisected margins,
-  // possibly spilled to disk) are never served for a v2 request.
-  key["schema"] = "klotski.serve.whatif-key.v2";
+  // possibly spilled to disk) are never served for a v2 request. v3: a
+  // theta break reports the state's full peak utilization, so v2 reports
+  // (partial peaks that depended on scan order) are never served either.
+  key["schema"] = "klotski.serve.whatif-key.v3";
   key["npd"] = npd::to_json(npd::from_json(require_object(params, "npd")));
   key["plan"] = require_object(params, "plan");
   key["theta"] = knobs.theta;

@@ -102,7 +102,7 @@ json::Value plan_cache_key_doc(const json::Value& params);
 /// request. Throws on params that fail normalization.
 std::string plan_cache_key(const json::Value& params);
 
-/// The whatif request's cache identity ("klotski.serve.whatif-key.v2"):
+/// The whatif request's cache identity ("klotski.serve.whatif-key.v3"):
 /// normalized NPD + plan + every sampling knob, thread counts excluded
 /// (reports are thread-invariant). Same PlanCache, disjoint namespace.
 json::Value whatif_cache_key_doc(const json::Value& params);

@@ -36,8 +36,7 @@ EcmpRouter::EcmpRouter(const topo::Topology& topo, SplitMode mode)
       m_alive_full_rebuilds_(
           obs::Registry::global().counter("router.alive_full_rebuilds")),
       m_group_recomputes_(
-          obs::Registry::global().counter("router.group_recomputes")),
-      m_dag_reuses_(obs::Registry::global().counter("router.dag_reuses")) {
+          obs::Registry::global().counter("router.group_recomputes")) {
   offsets_.assign(num_switches_ + 1, 0);
   for (const topo::Circuit& c : topo.circuits()) {
     ++offsets_[static_cast<std::size_t>(c.a) + 1];
@@ -284,40 +283,23 @@ std::vector<EcmpRouter::Group> EcmpRouter::group_by_targets(
   return groups;
 }
 
-bool EcmpRouter::run_group(GroupSlot& slot, const DemandSet& demands,
-                           const Group& group, std::vector<LoadEntry>& out,
-                           std::string* failed_demand) const {
-  out.clear();
-  Scratch& s = slot.scratch;
+bool EcmpRouter::run_group(const DemandSet& demands, const Group& group,
+                           std::string* failed_demand) {
+  entries_scratch_.clear();
   // All demands of a group share one target set, hence one BFS and one
-  // merged propagation of their summed volumes; the DAG this slot computed
-  // last is exact again while neither the liveness nor the target set
-  // moved.
+  // merged propagation of their summed volumes.
   const Demand& representative = demands[group.front()];
-  if (slot.has_dag && slot.version == alive_version_ &&
-      slot.targets == representative.targets) {
-    m_dag_reuses_.inc();
-    for (const SwitchId u : s.visit_order) {
-      s.volume[static_cast<std::size_t>(u)] = 0;
-    }
-  } else {
-    if (s.dist.size() != num_switches_) s.init(num_switches_);
-    bfs_from_targets(s, representative);
-    slot.has_dag = true;
-    slot.version = alive_version_;
-    slot.targets = representative.targets;
-  }
-  if (s.visit_order.empty()) {  // no active target
+  if (bfs_from_targets(scratch_, representative) == 0) {  // no active target
     if (failed_demand != nullptr) *failed_demand = representative.name;
     return false;
   }
   for (const std::uint32_t i : group) {
-    if (!inject_sources(s, demands[i], volumes_[i])) {
+    if (!inject_sources(scratch_, demands[i], volumes_[i])) {
       if (failed_demand != nullptr) *failed_demand = demands[i].name;
       return false;
     }
   }
-  propagate(s, out);
+  propagate(scratch_, entries_scratch_);
   return true;
 }
 
@@ -354,13 +336,12 @@ bool EcmpRouter::assign_all(const DemandSet& demands, LoadVector& loads,
   const std::vector<Group> groups = group_by_targets(demands);
   demand_loads(demands, groups.size(), arcs_.size(), volumes_);
   refresh_alive();
-  if (slots_.size() < groups.size()) slots_.resize(groups.size());
+  if (scratch_.dist.size() != num_switches_) scratch_.init(num_switches_);
 
-  for (std::size_t g = 0; g < groups.size(); ++g) {
+  for (const Group& group : groups) {
     ++group_recomputes_;
     m_group_recomputes_.inc();
-    if (!run_group(slots_[g], demands, groups[g], entries_scratch_,
-                   failed_demand)) {
+    if (!run_group(demands, group, failed_demand)) {
       std::fill(touched_words_.begin(), touched_words_.end(), 0);
       return false;
     }

@@ -13,10 +13,10 @@
 //
 // One assignment is Theta(|S| + |C|), matching the satisfiability-check
 // cost in Theorems 1 and 2. Every assign_all groups the demands by target
-// set and routes every group in order. Between calls the router keeps the
-// CSR arcs, the liveness words and, per group, the last BFS result.
-// The engine is laid out so an assignment only pays for what it actually
-// touches:
+// set and routes every group in order, each with a fresh BFS in one shared
+// scratch. Between calls the router keeps only the CSR arcs and the
+// liveness words. The engine is laid out so an assignment only pays for
+// what it actually touches:
 //
 //  * Epoch-stamped scratch — dist/volume validity is a per-switch stamp
 //    compared against a per-BFS epoch, so starting a BFS never clears the
@@ -24,13 +24,6 @@
 //  * Word-packed liveness — "circuit carries traffic" lives in uint64 words
 //    (bit per circuit), refreshed by replaying the topology's change
 //    journal, so a check after a few element flips touches only their bits.
-//  * Per-group DAG reuse — group g always routes in its own scratch, so the
-//    scratch still holds g's distances and visit order at the next call.
-//    While the liveness version and g's target set are unchanged, the next
-//    call skips the BFS and only re-injects and re-propagates. The what-if
-//    walk checks one phase topology under many demand sets and hits every
-//    time; a planner changes the topology before every check and never
-//    does.
 //  * Flat arc records — the CSR arc inlines the neighbor, the directional
 //    load slot, the liveness word/mask, and the circuit's split weight, so
 //    BFS and propagation read one contiguous stream instead of chasing
@@ -95,15 +88,14 @@ class EcmpRouter {
   /// Assigns a whole demand set: groups the demands by target set
   /// (first-occurrence order), routes every group — demands with identical
   /// target sets share one BFS and one merged propagation — and adds the
-  /// groups' loads into `loads` (resized if needed). Of `demands` only each
-  /// group's target set is kept (by value, as the key of its DAG), so the
-  /// caller may edit the set freely between calls. Returns false on the
-  /// first unroutable demand in group order, reporting its name via
-  /// `failed_demand` when non-null; `loads` then holds an unspecified
-  /// partial sum. Throws std::invalid_argument, before routing, when the
-  /// set leaves the fixed-point range (demand_loads), and when a load of
-  /// `loads` would leave int64. This is the
-  /// satisfiability-check hot path at O(10,000)-switch scale.
+  /// groups' loads into `loads` (resized if needed). Nothing of `demands`
+  /// is kept, so the caller may edit the set freely between calls. Returns
+  /// false on the first unroutable demand in group order, reporting its
+  /// name via `failed_demand` when non-null; `loads` then holds an
+  /// unspecified partial sum. Throws std::invalid_argument, before routing,
+  /// when the set leaves the fixed-point range (demand_loads), and when a
+  /// load of `loads` would leave int64. The fabric check path: audits,
+  /// replan revalidation, and the flat and reconf searches.
   bool assign_all(const DemandSet& demands, LoadVector& loads,
                   std::string* failed_demand = nullptr);
 
@@ -126,7 +118,7 @@ class EcmpRouter {
 
   /// Demand groups routed by assign_all, summed over calls: every group of
   /// every successful call, and the groups up to and including the first
-  /// failing one otherwise, whether or not a group reused its DAG.
+  /// failing one otherwise.
   long long group_recomputes() const { return group_recomputes_; }
 
  private:
@@ -152,10 +144,10 @@ class EcmpRouter {
   };
   static_assert(sizeof(topo::SwitchId) == 4, "Arc layout assumes 32-bit ids");
 
-  /// BFS/propagation scratch (one per group slot, plus assign()'s). The
-  /// epoch stamp makes dist/volume reads self-invalidating: an entry is
-  /// live iff stamp[s] == epoch, so a new BFS only bumps the epoch instead
-  /// of clearing O(|S|) arrays.
+  /// BFS/propagation scratch, shared by every group and assign(). The epoch
+  /// stamp makes dist/volume reads self-invalidating: an entry is live iff
+  /// stamp[s] == epoch, so a new BFS only bumps the epoch instead of
+  /// clearing O(|S|) arrays.
   struct Scratch {
     std::vector<std::int32_t> dist;
     std::vector<std::uint32_t> stamp;
@@ -170,18 +162,6 @@ class EcmpRouter {
     bool reached(topo::SwitchId s) const {
       return stamp[static_cast<std::size_t>(s)] == epoch;
     }
-  };
-
-  /// Group g's routing state, kept across calls: group g always routes in
-  /// slot g, so the scratch still holds g's BFS result (dist stamps and
-  /// visit order) at the next call, and a hit copies nothing. The result is
-  /// valid while the liveness version and the group's target set both
-  /// equal the ones it was computed under.
-  struct GroupSlot {
-    Scratch scratch;  // sized on the slot's first BFS
-    bool has_dag = false;
-    std::uint64_t version = 0;            // liveness version of the DAG
-    std::vector<topo::SwitchId> targets;  // target set of the DAG
   };
 
   /// Runs the BFS from the demand's targets into `s`; visited switches get
@@ -199,11 +179,10 @@ class EcmpRouter {
   /// rounds up.
   void propagate(Scratch& s, std::vector<LoadEntry>& out) const;
 
-  /// BFS (or the slot's kept DAG) + inject + propagate for one group of
-  /// `demands` (load units in volumes_) into `out` (cleared first).
-  bool run_group(GroupSlot& slot, const DemandSet& demands, const Group& group,
-                 std::vector<LoadEntry>& out,
-                 std::string* failed_demand) const;
+  /// BFS + inject + propagate for one group of `demands` (load units in
+  /// volumes_) into entries_scratch_ (cleared first).
+  bool run_group(const DemandSet& demands, const Group& group,
+                 std::string* failed_demand);
 
   /// Adds one group's entries into `loads` and marks their circuits in
   /// touched_words_.
@@ -236,10 +215,9 @@ class EcmpRouter {
   std::vector<std::uint32_t> offsets_;
   std::vector<Arc> arcs_;
 
-  Scratch scratch_;  // assign()'s scratch, sized on first use
+  Scratch scratch_;  // the one BFS scratch, sized on first use
   std::vector<LoadEntry> entries_scratch_;  // one group's load contribution
-  std::vector<GroupSlot> slots_;  // slot g: routing state of group g
-  std::vector<Load> volumes_;     // assign_all: each demand's load units
+  std::vector<Load> volumes_;               // each demand's load units
   std::vector<std::uint64_t> alive_words_;  // bit c = circuit c carries traffic
   bool alive_valid_ = false;
   std::uint64_t alive_version_ = 0;
@@ -254,7 +232,6 @@ class EcmpRouter {
   obs::Counter& m_alive_journal_replays_;
   obs::Counter& m_alive_full_rebuilds_;
   obs::Counter& m_group_recomputes_;
-  obs::Counter& m_dag_reuses_;  // groups routed over their kept DAG
 };
 
 /// Maximum utilization over circuits given directional loads; utilization of

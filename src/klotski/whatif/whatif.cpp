@@ -10,6 +10,7 @@
 #include <utility>
 
 #include "klotski/constraints/demand_checker.h"
+#include "klotski/core/search_scope.h"
 #include "klotski/core/state_evaluator.h"
 #include "klotski/obs/metrics.h"
 #include "klotski/obs/trace.h"
@@ -29,7 +30,7 @@ constexpr std::uint64_t kTrajectorySalt = 0x57A7'1F00'D001ULL;
 constexpr std::uint64_t kGrowthSalt = 0x6807'7801ULL;
 
 /// Trajectories a worker claims at most at once: each chunk walks the
-/// phases once, so larger chunks share more structural checks and DAGs.
+/// phases once, so larger chunks share more structural checks.
 constexpr int kMaxChunk = 32;
 
 /// One worker's validation context: its own case (the walk materializes
@@ -37,11 +38,17 @@ constexpr int kMaxChunk = 32;
 /// cache stays off — it is keyed on count vectors only, which is unsound
 /// when the demand set changes under the same counts, exactly what every
 /// trajectory step does.
+///
+/// Every state the walk checks is a plan prefix, a state a search reaches,
+/// so the validator holds a search scope for its lifetime. A forecast
+/// scales volumes only, so every trajectory's demand set binds to the
+/// scope's quotient (DESIGN.md §13).
 struct Validator {
   migration::MigrationCase mig;
   pipeline::CheckerBundle bundle;
   constraints::DemandChecker* demand_checker = nullptr;
   std::unique_ptr<core::StateEvaluator> evaluator;
+  std::unique_ptr<core::SearchScope> scope;  // closed before the rest goes
 
   Validator(const CaseFactory& factory, const pipeline::CheckerConfig& config)
       : mig(factory()) {
@@ -54,6 +61,7 @@ struct Validator {
     }
     evaluator = std::make_unique<core::StateEvaluator>(
         mig.task, *bundle.checker, /*use_cache=*/false);
+    scope = std::make_unique<core::SearchScope>(*evaluator, *bundle.checker);
   }
 
   /// Materializes `done` and runs every checker of the stack before the
@@ -196,11 +204,11 @@ void walk_chunk(const WhatIfParams& params, int begin, int end, Validator& v,
 /// phase once under the base demands. ECMP loads are linear in the injected
 /// volume over a fixed DAG, so scaling every demand by m scales every
 /// utilization (funneling included) by m, and the plan stays safe up to
-/// m = theta / U, U the largest true peak utilization over those states —
-/// below 1 when the plan is already unsafe under its own forecast (it was
-/// planned under different knobs than this sweep validates with). A
-/// structural violation or an unroutable demand does not scale away: the
-/// margin is 0.
+/// m = theta / U, U the largest last_max_utilization() over those states
+/// (a full peak whatever the verdict) — below 1 when the plan is already
+/// unsafe under its own forecast (it was planned under different knobs
+/// than this sweep validates with). A structural violation or an
+/// unroutable demand does not scale away: the margin is 0.
 void margin_pass(Validator& v, const WhatIfParams& params,
                  const std::vector<core::Phase>& phases,
                  WhatIfReport& report) {
@@ -219,10 +227,8 @@ void margin_pass(Validator& v, const WhatIfParams& params,
     }
     if (!v.materialize_structure(done)) return;
     const bool safe = v.demands_safe(v.mig.task.demands);
-    // The true peak: a theta failure stops the checker's own scan at the
-    // first circuit over theta. A failure with no circuit over theta had
-    // an unroutable demand.
-    const double util = v.demand_checker->peak_utilization(*v.mig.task.topo);
+    // A failure with no circuit over theta had an unroutable demand.
+    const double util = v.demand_checker->last_max_utilization();
     if (!safe && util <= theta) return;
     peak = std::max(peak, util);
   }

@@ -16,11 +16,14 @@
 // The sweep walks phases, not trajectories: a worker takes a chunk of
 // trajectories, materializes each phase once, runs the structural checks
 // (ports, space/power) once, and then only the demand check per trajectory
-// still safe. The ECMP router keeps each demand group's DAG while the phase
-// topology holds, so those checks only re-inject and re-propagate. The
-// margin is closed-form: ECMP loads are linear in the injected volume over
-// a fixed DAG, so with U the largest peak utilization of the origin and
-// every phase under the base demands, the plan holds up to theta / U.
+// still safe. A phase is the origin with a plan prefix applied, a state a
+// search reaches, so each worker opens the search scope a planner opens
+// (core::SearchScope): on Clos those checks route on the symmetry
+// quotient, with the fabric's verdicts and peaks; flat and reconf, whose
+// partitions are discrete, route on the fabric. The margin is closed-form:
+// ECMP loads are linear in the injected volume over a fixed DAG, so with U
+// the largest peak utilization of the origin and every phase under the
+// base demands, the plan holds up to theta / U.
 //
 // Determinism contract: the report is a pure function of (inputs, seed, N)
 // — trajectory i's future is derived from hash_combine(seed, i) alone,
@@ -80,10 +83,10 @@ struct TrajectoryOutcome {
   bool unroutable = false;
   int first_break_phase = -1;    // phase index of the first violation
   double break_multiplier = 0.0; // total-volume multiplier at the break step
-  double break_utilization = 0.0;
+  double break_utilization = 0.0; // the breaking state's peak utilization
   double min_headroom = 0.0;     // min over phases of theta - utilization
   /// Peak utilization after each executed phase, up to (and including) the
-  /// breaking phase.
+  /// breaking phase: the state's full peak, on a theta break too.
   std::vector<double> phase_utilization;
 };
 

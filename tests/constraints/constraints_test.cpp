@@ -67,6 +67,27 @@ TEST(DemandChecker, FailsOverThreshold) {
   EXPECT_NE(v.violation.find("theta"), std::string::npos);
 }
 
+// Two circuits over theta, the lower-id one less loaded: the violation
+// names the first over-theta circuit in id order, and the scan still goes
+// on to record the full peak.
+TEST(DemandChecker, ThetaFailureNamesTheFirstCircuitAndRecordsTheFullPeak) {
+  Diamond d;
+  // Equal split puts 0.6 Tbps on every circuit: 80% on s - m1 (id 0) at
+  // 0.75 Tbps, 120% on m2 - t (id 3) at 0.5 Tbps, 60% on the other two.
+  d.topo.circuit(d.c_sm1).capacity_tbps = 0.75;
+  d.topo.circuit(d.c_m2t).capacity_tbps = 0.5;
+  ASSERT_LT(d.c_sm1, d.c_m2t);
+  traffic::EcmpRouter router(d.topo);
+  DemandChecker checker(router, {d.demand(1.2)}, {.max_utilization = 0.75});
+  const Verdict v = checker.check(d.topo);
+  EXPECT_FALSE(v.satisfied);
+  EXPECT_NE(v.violation.find("circuit " + std::to_string(d.c_sm1) +
+                             " (s - m1) at 80% > theta 75%"),
+            std::string::npos)
+      << v.violation;
+  EXPECT_NEAR(checker.last_max_utilization(), 1.2, 1e-9);
+}
+
 TEST(DemandChecker, FailsOnDisconnection) {
   Diamond d;
   d.topo.sw(d.m1).state = topo::ElementState::kAbsent;

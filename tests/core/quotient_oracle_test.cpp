@@ -8,16 +8,19 @@
 //    that asks both bundles.
 //  * Seeded count-vector walks, 200 states per family, comparing with
 //    equality, never within a tolerance: every bundle's fixed-point load
-//    against each member circuit's fabric load, the demand checkers' peak
-//    utilizations and violation strings, and the port and composite
-//    verdicts, for both split modes, funneling margins 0 and 0.1, and a
-//    task with one capacity-edited circuit.
+//    against each member circuit's fabric load, the demand checkers'
+//    verdicts, violation strings and last_max_utilization() (the full
+//    peak, theta failures included), and the port and composite verdicts,
+//    for both split modes, funneling margins 0 and 0.1, and a task with
+//    one capacity-edited circuit. The walks rescale the demand volumes at
+//    every step, as a what-if sweep does, so many states fail on theta.
 //  * Edge cases: flat and reconf have discrete partitions and stay on the
 //    fabric; a corrupted partition is refused by Quotient::build; a demand
 //    whose endpoint list splits a class is routed on the fabric.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <string>
 
 #include "klotski/constraints/demand_checker.h"
@@ -198,14 +201,28 @@ void expect_bundle_loads_equal(const traffic::Quotient& q,
   }
 }
 
+/// Scales the task's demand volumes at a walk step; the membership stays.
+using VolumeRescale = std::function<double(int step)>;
+
+double no_rescale(int /*step*/) { return 1.0; }
+
+struct WalkResult {
+  Tally tally;             // where the scoped demand checks went
+  int theta_failures = 0;  // states whose demand check failed on theta
+};
+
 /// Materializes seeded count vectors inside a search scope and compares
 /// the scoped checkers with a fabric bundle on each: mostly single-block
-/// steps, as a search moves, with a random jump every tenth state.
-Tally walk(migration::MigrationCase& mig, const CheckerConfig& config,
-           std::uint64_t seed, bool expect_quotient) {
+/// steps, as a search moves, with a random jump every tenth state. Before
+/// each check both demand checkers get the task's demands scaled by
+/// `rescale(step)`, through set_demands, as a what-if trajectory does.
+WalkResult walk(migration::MigrationCase& mig, const CheckerConfig& config,
+                std::uint64_t seed, bool expect_quotient,
+                const VolumeRescale& rescale) {
   CheckerBundle scoped = pipeline::make_standard_checker(mig.task, config);
   CheckerBundle fabric = pipeline::make_standard_checker(mig.task, config);
   core::StateEvaluator evaluator(mig.task, *scoped.checker, false);
+  WalkResult result;
   const Tally before = Tally::now();
   {
     const core::SearchScope scope(evaluator, *scoped.checker);
@@ -226,6 +243,10 @@ Tally walk(migration::MigrationCase& mig, const CheckerConfig& config,
         counts[t] += up ? 1 : -1;
       }
       evaluator.materialize(counts);
+      const traffic::DemandSet demands =
+          traffic::scaled(mig.task.demands, rescale(step));
+      demand_checker(scoped).set_demands(demands);
+      demand_checker(fabric).set_demands(demands);
       const long long quotient_before = Tally::now().quotient;
       const Verdict demand = demand_checker(scoped).check(topo);
       const bool on_quotient = Tally::now().quotient > quotient_before;
@@ -234,14 +255,16 @@ Tally walk(migration::MigrationCase& mig, const CheckerConfig& config,
       EXPECT_EQ(demand.satisfied, demand_oracle.satisfied) << "step " << step;
       EXPECT_EQ(demand.violation, demand_oracle.violation)
           << "step " << step;
+      EXPECT_EQ(demand_checker(scoped).last_max_utilization(),
+                demand_checker(fabric).last_max_utilization())
+          << "step " << step;
+      if (!demand.satisfied &&
+          demand.violation.find("theta") != std::string::npos) {
+        ++result.theta_failures;
+      }
       if (on_quotient) {
-        expect_bundle_loads_equal(*scope.quotient(), mig.task.demands,
-                                  config.routing, step);
-        if (demand.violation.find("no path") == std::string::npos) {
-          EXPECT_EQ(demand_checker(scoped).last_max_utilization(),
-                    demand_checker(fabric).peak_utilization(topo))
-              << "step " << step;
-        }
+        expect_bundle_loads_equal(*scope.quotient(), demands, config.routing,
+                                  step);
       }
       EXPECT_EQ(port_checker(scoped).check(topo).violation,
                 port_checker(fabric).check(topo).violation)
@@ -252,7 +275,8 @@ Tally walk(migration::MigrationCase& mig, const CheckerConfig& config,
     }
   }
   mig.task.reset_to_original();
-  return Tally::now().since(before);
+  result.tally = Tally::now().since(before);
+  return result;
 }
 
 TEST_F(QuotientOracle, RandomWalksMatchTheFabricInBothSplitModes) {
@@ -272,8 +296,13 @@ TEST_F(QuotientOracle, RandomWalksMatchTheFabricInBothSplitModes) {
         config.routing = mode;
         config.demand.funneling_margin = margin;
         const bool clos = family == TopologyFamily::kClos;
-        const Tally tally = walk(mig, config, 7 + static_cast<int>(mode),
-                                 clos);
+        // Volumes between 0.5x and 3x the task's, drawn per step.
+        util::Rng volume_rng(31 + static_cast<int>(mode));
+        const WalkResult result =
+            walk(mig, config, 7 + static_cast<int>(mode), clos,
+                 [&](int) { return volume_rng.uniform_real(0.5, 3.0); });
+        const Tally& tally = result.tally;
+        EXPECT_GT(result.theta_failures, 0);
         // Port failures short-circuit the composite before the demand
         // checker, so scoped checks exceed the walk's explicit ones.
         EXPECT_GE(tally.scoped, 200);
@@ -314,7 +343,7 @@ TEST_F(QuotientOracle, CapacityEditedCircuitRefinesThePartition) {
   for (const double margin : {0.0, 0.1}) {
     CheckerConfig config;
     config.demand.funneling_margin = margin;
-    const Tally tally = walk(mig, config, 11, true);
+    const Tally tally = walk(mig, config, 11, true, no_rescale).tally;
     EXPECT_GT(tally.quotient, 0);
   }
 }

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <stdexcept>
+#include <string>
+
 #include "../test_helpers.h"
 #include "klotski/npd/npd_io.h"
 #include "klotski/pipeline/audit.h"
@@ -45,6 +49,62 @@ TEST(MakeStandardChecker, SpacePowerAddedWhenConfigured) {
   config.space_power.max_present_per_grid = 100;
   CheckerBundle bundle = make_standard_checker(mig.task, config);
   EXPECT_EQ(bundle.checker->size(), 3u);
+}
+
+/// The knob error of make_standard_checker under `config`, or "" when it
+/// builds.
+std::string knob_error(const CheckerConfig& config) {
+  migration::MigrationCase mig = small_hgrid_case();
+  try {
+    make_standard_checker(mig.task, config);
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+// Every tool and daemon method builds its checkers here, so a theta
+// outside (0, 1] fails closed instead of planning against 5000%.
+TEST(MakeStandardChecker, ThetaOutsideZeroToOneIsRefusedNamingTheKnob) {
+  for (const double theta : {0.0, -0.1, 1.0000001, 50.0,
+                             std::numeric_limits<double>::infinity(),
+                             std::numeric_limits<double>::quiet_NaN()}) {
+    CheckerConfig config;
+    config.demand.max_utilization = theta;
+    const std::string error = knob_error(config);
+    EXPECT_NE(error.find("theta"), std::string::npos)
+        << theta << ": " << error;
+    EXPECT_NE(error.find("(0, 1]"), std::string::npos)
+        << theta << ": " << error;
+  }
+  CheckerConfig config;
+  config.demand.max_utilization = 1.0000001;
+  EXPECT_EQ(knob_error(config), "theta 1.0000001 is outside (0, 1]");
+  for (const double edge : {1.0, 1e-9}) {
+    config.demand.max_utilization = edge;
+    EXPECT_EQ(knob_error(config), "") << edge;
+  }
+}
+
+// A negative margin would make the audit weaker than no margin at all,
+// and an infinite one fails every funneled circuit.
+TEST(MakeStandardChecker, NegativeOrInfiniteFunnelingMarginIsRefused) {
+  for (const double margin : {-1e-9, -5.0,
+                              std::numeric_limits<double>::infinity(),
+                              std::numeric_limits<double>::quiet_NaN()}) {
+    CheckerConfig config;
+    config.demand.funneling_margin = margin;
+    const std::string error = knob_error(config);
+    EXPECT_NE(error.find("funneling margin"), std::string::npos)
+        << margin << ": " << error;
+    EXPECT_NE(error.find("[0, inf)"), std::string::npos)
+        << margin << ": " << error;
+  }
+  for (const double edge : {0.0, 1e9}) {
+    CheckerConfig config;
+    config.demand.funneling_margin = edge;
+    EXPECT_EQ(knob_error(config), "") << edge;
+  }
 }
 
 TEST(RunPipeline, EndToEndProducesAuditablePlanAndPhases) {

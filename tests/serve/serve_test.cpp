@@ -539,8 +539,9 @@ TEST(PlanServiceWhatIf, KeyNamespaceIsDisjointFromPlanKeys) {
 
 // The margin is closed-form now, so a bisection step count no longer
 // names a different report: requests that differ only in the retired
-// margin_iterations param share one key, under the v2 key schema that
-// keeps bisection-era (v1) reports from ever being served.
+// margin_iterations param share one key. The key schema is v3: v1 reports
+// (bisected margins) and v2 reports (partial peaks on theta-break rows)
+// are never served for a v3 request.
 TEST(PlanServiceWhatIf, RetiredMarginIterationsDoNotSplitTheKey) {
   json::Object params;
   params["npd"] = preset_npd_json();
@@ -549,7 +550,7 @@ TEST(PlanServiceWhatIf, RetiredMarginIterationsDoNotSplitTheKey) {
   params["margin_iterations"] = 16;
   tweaked["margin_iterations"] = 4;
   const json::Value key = whatif_cache_key_doc(json::Value(params));
-  EXPECT_EQ(key.get_string("schema", ""), "klotski.serve.whatif-key.v2");
+  EXPECT_EQ(key.get_string("schema", ""), "klotski.serve.whatif-key.v3");
   EXPECT_EQ(key.as_object().find("margin_iterations"), nullptr);
   EXPECT_EQ(json::content_hash(key), json::content_hash(whatif_cache_key_doc(
                                          json::Value(std::move(tweaked)))));
@@ -658,6 +659,22 @@ TEST(PlanServiceParams, OutOfRangeDemandVolumesAreRefused) {
     EXPECT_EQ(resp.status, "error") << volume;
     EXPECT_NE(resp.error.find("volume_tbps"), std::string::npos)
         << resp.error;
+  }
+}
+
+/// A negative planner budget used to mean "none": it is refused, naming
+/// the field, on every method that takes the plan knobs.
+TEST(PlanServiceParams, NegativeDeadlineIsRefusedNamingTheField) {
+  PlanService service(service_options());
+  std::atomic<bool> stop{false};
+  for (const char* method : {"plan", "audit", "replan"}) {
+    Request req = plan_request();
+    req.method = method;
+    req.params.as_object()["deadline"] = json::Value(-1.0);
+    const Response resp = service.execute(req, stop);
+    EXPECT_EQ(resp.status, "error") << method;
+    EXPECT_NE(resp.error.find("deadline"), std::string::npos)
+        << method << ": " << resp.error;
   }
 }
 
@@ -904,6 +921,29 @@ TEST_F(ServerRoundTrip, OversizedRegionIsAnsweredAndServingGoesOn) {
   EXPECT_EQ(bad.status, "error");
   EXPECT_EQ(bad.id, "huge");
   EXPECT_NE(bad.error.find("pods"), std::string::npos) << bad.error;
+  const Response next = client.call(plan_request(0.75, "after"));
+  ASSERT_TRUE(next.ok()) << next.error;
+  EXPECT_EQ(next.id, "after");
+}
+
+// Theta and the funneling margin are checked where every checker stack is
+// built, so a daemon refuses them on any method, with the request id, and
+// goes on serving.
+TEST_F(ServerRoundTrip, OutOfRangeCheckerKnobsAreAnsweredAndServingGoesOn) {
+  Client client(socket_path_);
+  const Response hot = client.call(plan_request(50.0, "theta-50"));
+  EXPECT_EQ(hot.status, "error");
+  EXPECT_EQ(hot.id, "theta-50");
+  EXPECT_NE(hot.error.find("theta 50 is outside (0, 1]"), std::string::npos)
+      << hot.error;
+  Request negative = plan_request(0.75, "funneling-neg");
+  negative.params.as_object()["funneling"] = json::Value(-5.0);
+  const Response bad = client.call(negative);
+  EXPECT_EQ(bad.status, "error");
+  EXPECT_EQ(bad.id, "funneling-neg");
+  EXPECT_NE(bad.error.find("funneling margin -5 is outside [0, inf)"),
+            std::string::npos)
+      << bad.error;
   const Response next = client.call(plan_request(0.75, "after"));
   ASSERT_TRUE(next.ok()) << next.error;
   EXPECT_EQ(next.id, "after");

@@ -1,19 +1,15 @@
 // Randomized equivalence suite for the flat-path ECMP engine.
 //
 // A long-lived router (epoch-stamped scratch, word-packed liveness
-// refreshed by journal replay, kept per-group DAGs) promises results equal
-// to a from-scratch evaluation: the same fixed-point integers, compared
-// with ==, never within a tolerance. These tests drive a Table-3 preset
-// through hundreds of random drain / undrain / add / remove mutations and
-// hold it to that promise:
+// refreshed by journal replay) promises results equal to a from-scratch
+// evaluation: the same fixed-point integers, compared with ==, never within
+// a tolerance. These tests drive a Table-3 preset through hundreds of
+// random drain / undrain / add / remove mutations and hold it to that
+// promise:
 //  * after every mutation, the long-lived router must produce exactly the
-//    load vector of a freshly constructed router;
+//    load vector and touched-circuit list of a freshly constructed router;
 //  * a demand set edited in place between calls routes like a fresh set:
-//    of the demands the router keeps only each group's target set, as the
-//    key of the group's DAG;
-//  * a kept DAG is reused exactly while the liveness version and the
-//    group's target set hold (router.dag_reuses counts the hits), and
-//    yields the loads, touched list and verdict of a fresh BFS;
+//    the router keeps nothing of the demands it routed;
 //  * group_recomputes counts every routed group, up to and including the
 //    first failing one.
 #include <gtest/gtest.h>
@@ -22,7 +18,6 @@
 #include <string>
 #include <vector>
 
-#include "klotski/obs/metrics.h"
 #include "klotski/pipeline/experiments.h"
 #include "klotski/topo/topology.h"
 #include "klotski/traffic/ecmp.h"
@@ -154,10 +149,8 @@ TEST(EcmpEquivalence, RandomizedMutationsMatchFreshRouterReconf) {
 }
 
 // Editing the routed demand set in place — same object, same size — must
-// route exactly like a fresh router: nothing about the demands but each
-// group's target set (the key of its kept DAG, compared by value) may
-// outlive the call that routed them, or a theta check would pass on stale
-// loads.
+// route exactly like a fresh router: nothing about the demands may outlive
+// the call that routed them, or a theta check would pass on stale loads.
 TEST(EcmpEquivalence, InPlaceDemandEditsMatchAFreshRouter) {
   migration::MigrationCase mig = pipeline::build_experiment(
       pipeline::ExperimentId::kB, topo::PresetScale::kReduced);
@@ -197,165 +190,6 @@ TEST(EcmpEquivalence, InPlaceDemandEditsMatchAFreshRouter) {
   demands[0].targets =
       demands[static_cast<std::size_t>(other - group.begin())].targets;
   route_like_fresh("targets moved in place");
-}
-
-/// Routes `demands` on the long-lived `router` and on a fresh serial router
-/// over the same topology: loads, touched list, verdict and failing demand
-/// must agree bit for bit. Returns how many groups of the `router` call
-/// reused their kept DAG (the router.dag_reuses delta; metrics must be on).
-long long expect_matches_fresh(traffic::EcmpRouter& router,
-                               const topo::Topology& topo,
-                               const traffic::DemandSet& demands,
-                               const std::string& what) {
-  obs::Counter& reuses = obs::Registry::global().counter("router.dag_reuses");
-  const long long before = reuses.value();
-  const AssignResult got = run_assign(router, demands);
-  const long long reused = reuses.value() - before;
-  traffic::EcmpRouter fresh(topo);
-  const AssignResult want = run_assign(fresh, demands);
-  EXPECT_EQ(want.ok, got.ok) << what;
-  EXPECT_EQ(want.failed, got.failed) << what;
-  EXPECT_TRUE(want.loads == got.loads) << what;
-  EXPECT_EQ(fresh.touched_circuits(), router.touched_circuits()) << what;
-  return reused;
-}
-
-/// Turns the metrics registry on for one test (dag_reuses is an obs
-/// counter) and back off after it.
-class MetricsOn {
- public:
-  MetricsOn() { obs::set_metrics_enabled(true); }
-  ~MetricsOn() { obs::set_metrics_enabled(false); }
-};
-
-// Random topology flips interleaved with in-place volume rescales: a
-// rescale keeps every DAG (same liveness version, same target sets), a
-// flip invalidates them all, and after each step the long-lived router
-// must match a fresh one exactly.
-TEST(EcmpEquivalence, KeptDagsMatchAFreshRouterUnderVolumeAndTopologyEdits) {
-  MetricsOn metrics;
-  migration::MigrationCase mig = pipeline::build_experiment(
-      pipeline::ExperimentId::kB, topo::PresetScale::kReduced);
-  topo::Topology& topo = *mig.task.topo;
-  traffic::DemandSet demands = mig.task.demands;
-
-  traffic::EcmpRouter router(topo);
-  util::Rng rng(20261017);
-  long long reused = 0;
-  for (int step = 0; step < kSteps; ++step) {
-    if (step % 2 == 0) {
-      mutate(topo, rng, step);
-    } else {
-      const double factor = rng.uniform_real(0.5, 1.5);
-      for (traffic::Demand& d : demands) d.volume_tbps *= factor;
-    }
-    reused += expect_matches_fresh(router, topo, demands,
-                                   "step " + std::to_string(step));
-  }
-  EXPECT_GT(reused, 0);
-}
-
-// The four ways a kept DAG can go stale or stay valid, each on one
-// long-lived router: in-place volume edits reuse every group, a target-set
-// move reroutes the groups whose target set changed index, a circuit flip
-// reroutes every group, and a shrinking then growing group count reuses
-// what each slot still holds.
-struct KeptDagsCase {
-  KeptDagsCase()
-      : mig(pipeline::build_experiment(pipeline::ExperimentId::kB,
-                                       topo::PresetScale::kReduced)),
-        topo(*mig.task.topo),
-        demands(mig.task.demands),
-        router(topo),
-        groups(static_cast<long long>(num_groups(group_of(demands)))) {
-    // One call on the unchanged topology routes every group over its DAG.
-    expect_matches_fresh(router, topo, demands, "priming call");
-  }
-
-  long long route(const traffic::DemandSet& set, const std::string& step) {
-    return expect_matches_fresh(router, topo, set, step);
-  }
-
-  migration::MigrationCase mig;
-  topo::Topology& topo;
-  traffic::DemandSet demands;
-  traffic::EcmpRouter router;
-  long long groups;
-};
-
-TEST(EcmpEquivalence, KeptDagsReinjectVolumesScaledInPlace) {
-  MetricsOn metrics;
-  KeptDagsCase c;
-  ASSERT_GE(c.groups, 2);
-  for (traffic::Demand& d : c.demands) d.volume_tbps *= 1.7;
-  const long long recomputes = c.router.group_recomputes();
-  EXPECT_EQ(c.groups, c.route(c.demands, "volumes scaled in place"));
-  // group_recomputes keeps counting routed groups, hits included.
-  EXPECT_EQ(recomputes + c.groups, c.router.group_recomputes());
-}
-
-TEST(EcmpEquivalence, KeptDagsRerouteAMovedTargetSet) {
-  MetricsOn metrics;
-  KeptDagsCase c;
-  const std::vector<std::size_t> before = group_of(c.demands);
-  ASSERT_GE(c.groups, 2);
-  std::vector<std::vector<topo::SwitchId>> old_sets(
-      static_cast<std::size_t>(c.groups));
-  for (std::size_t i = 0; i < c.demands.size(); ++i) {
-    std::vector<topo::SwitchId>& set = old_sets[before[i]];
-    if (set.empty()) set = c.demands[i].targets;
-  }
-  // Move the first demand into the next group's target set in place.
-  // Slot g keeps its DAG only if group g still has the target set it had.
-  const auto other = std::find(before.begin(), before.end(), before[0] + 1);
-  c.demands[0].targets =
-      c.demands[static_cast<std::size_t>(other - before.begin())].targets;
-  const std::vector<std::size_t> after = group_of(c.demands);
-  long long kept = 0;
-  std::vector<bool> seen(num_groups(after), false);
-  for (std::size_t i = 0; i < c.demands.size(); ++i) {
-    const std::size_t g = after[i];
-    if (seen[g]) continue;
-    seen[g] = true;
-    if (g < old_sets.size() && old_sets[g] == c.demands[i].targets) ++kept;
-  }
-  ASSERT_LT(kept, static_cast<long long>(num_groups(after)));
-  EXPECT_EQ(kept, c.route(c.demands, "targets moved in place"));
-}
-
-TEST(EcmpEquivalence, KeptDagsRerouteAfterACircuitFlip) {
-  MetricsOn metrics;
-  KeptDagsCase c;
-  // Drain an active circuit: the liveness version moves, so no kept DAG is
-  // valid any more, whether or not the circuit lies on it.
-  topo::CircuitId flipped = topo::kInvalidCircuit;
-  for (const topo::Circuit& circuit : c.topo.circuits()) {
-    if (circuit.state == topo::ElementState::kActive) {
-      flipped = circuit.id;
-      break;
-    }
-  }
-  ASSERT_NE(topo::kInvalidCircuit, flipped);
-  c.topo.set_circuit_state(flipped, topo::ElementState::kDrained);
-  EXPECT_EQ(0, c.route(c.demands, "one circuit drained"));
-  // The rerouted DAGs are kept in turn.
-  EXPECT_EQ(c.groups, c.route(c.demands, "drained, unchanged"));
-}
-
-TEST(EcmpEquivalence, KeptDagsFollowTheGroupCountDownAndUp) {
-  MetricsOn metrics;
-  KeptDagsCase c;
-  const std::vector<std::size_t> group = group_of(c.demands);
-  const auto keep =
-      static_cast<std::size_t>(std::max<long long>(2, c.groups / 2));
-  ASSERT_LT(keep, static_cast<std::size_t>(c.groups));
-  traffic::DemandSet fewer;
-  for (std::size_t i = 0; i < c.demands.size(); ++i) {
-    if (group[i] < keep) fewer.push_back(c.demands[i]);
-  }
-  EXPECT_EQ(static_cast<long long>(keep), c.route(fewer, "fewer groups"));
-  // The slots past `keep` still hold their DAGs from the priming call.
-  EXPECT_EQ(c.groups, c.route(c.demands, "all groups again"));
 }
 
 // group_recomputes() counts every group of every call: perfbench reads it

@@ -113,7 +113,7 @@ std::pair<constraints::Verdict, constraints::Verdict> verdicts(
   EXPECT_EQ(on_quotient.value() - before, 1);
   EXPECT_EQ(a.satisfied, b.satisfied);
   EXPECT_EQ(a.violation, b.violation);
-  EXPECT_EQ(fabric.peak_utilization(fan.topo), scoped.last_max_utilization());
+  EXPECT_EQ(fabric.last_max_utilization(), scoped.last_max_utilization());
   return {a, b};
 }
 

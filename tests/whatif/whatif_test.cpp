@@ -1,9 +1,10 @@
 // What-if engine tests: cross-family smoke (the sweep runs on every
-// topology family's canonical migration), bit-reproducibility (same seed →
-// byte-identical report at any thread count), unsafe-future detection under
-// aggressive demand knobs, structural breaks in the phase-major walk, the
-// closed-form margin against the bisection it replaced, and the
-// cooperative stop contract.
+// topology family's canonical migration), where the sweep's demand checks
+// route (the quotient on Clos, the fabric on flat and reconf),
+// bit-reproducibility (same seed → byte-identical report at any thread
+// count), unsafe-future detection under aggressive demand knobs,
+// structural breaks in the phase-major walk, the closed-form margin
+// against the bisection it replaced, and the cooperative stop contract.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -15,6 +16,7 @@
 #include "klotski/core/state_evaluator.h"
 #include "klotski/json/json.h"
 #include "klotski/npd/npd_io.h"
+#include "klotski/obs/metrics.h"
 #include "klotski/pipeline/edp.h"
 #include "klotski/pipeline/experiments.h"
 #include "klotski/topo/builder.h"
@@ -151,6 +153,55 @@ TEST_P(WhatIfFamily, SmokeSweepCompletesAndReportsEveryPhase) {
   const json::Value doc = whatif::report_to_json(report, params);
   EXPECT_EQ(doc.get_string("schema", ""), "klotski.whatif.v1");
   EXPECT_EQ(doc.get_int("trajectories_run", -1), 12);
+}
+
+/// Where the sweep's demand checks went (obs counters, read as deltas).
+struct CheckTally {
+  long long checks = 0;  // demand checks the walk and margin pass made
+  long long scoped = 0;
+  long long quotient = 0;
+  long long fabric = 0;  // scoped checks the quotient did not apply to
+
+  static CheckTally now() {
+    obs::Registry& reg = obs::Registry::global();
+    return CheckTally{reg.counter("checker.composite.checks").value(),
+                      reg.counter("quotient.scoped_checks").value(),
+                      reg.counter("quotient.checks").value(),
+                      reg.counter("quotient.fallback_not_applicable").value()};
+  }
+  CheckTally since(const CheckTally& before) const {
+    return CheckTally{checks - before.checks, scoped - before.scoped,
+                      quotient - before.quotient, fabric - before.fabric};
+  }
+};
+
+// Each sweep worker opens the search scope a planner opens: every demand
+// check of a Clos sweep is answered on the quotient, and flat and reconf,
+// whose partitions are discrete, route every one on the fabric.
+TEST_P(WhatIfFamily, EveryDemandCheckRoutesWhereASearchWould) {
+  const whatif::CaseFactory factory = family_factory(GetParam());
+  const core::Plan plan = plan_family(factory());
+  const bool was_enabled = obs::metrics_enabled();
+  obs::set_metrics_enabled(true);
+
+  whatif::WhatIfParams params;
+  params.trajectories = 12;
+  params.seed = 7;
+  params.threads = 2;
+  const CheckTally before = CheckTally::now();
+  whatif::run_whatif(factory, plan, params);
+  const CheckTally tally = CheckTally::now().since(before);
+  obs::set_metrics_enabled(was_enabled);
+
+  EXPECT_GT(tally.scoped, 0);
+  EXPECT_EQ(tally.scoped, tally.checks);
+  if (GetParam() == topo::TopologyFamily::kClos) {
+    EXPECT_EQ(tally.quotient, tally.scoped);
+    EXPECT_EQ(tally.fabric, 0);
+  } else {
+    EXPECT_EQ(tally.quotient, 0);
+    EXPECT_EQ(tally.fabric, tally.scoped);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllFamilies, WhatIfFamily,

@@ -16,7 +16,7 @@
 //   --alpha        cost-function alpha in [0, 1]         (default 0)
 //   --routing      ecmp | wcmp                           (default ecmp)
 //   --funneling    funneling margin >= 0                 (default 0)
-//   --deadline     planner budget in seconds, 0 = none   (default 0)
+//   --deadline     planner budget in seconds, finite, 0 = none (default 0)
 //   --mem-budget-mb  cap on the planner's search-structure memory (node
 //                  arena, dedup table, open list, verdict cache) in MB;
 //                  0 = unbounded. On reaching the cap the A* search evicts
@@ -31,16 +31,19 @@
 //   --summary      also print the human-readable plan text
 //   --schedule     print the crew schedule + OPEX estimate (stderr)
 //   --risk         print the per-phase capacity risk report (stderr)
-//   --crews        parallel crews for --schedule          (default 4)
+//   --crews        parallel crews for --schedule, >= 1    (default 4)
 //   --metrics-out  write the metrics registry JSON here and print the
 //                  end-of-run metrics table to stderr
 //   --trace-out    write Chrome trace_event JSON here (chrome://tracing)
 //
-// Any other flag is a usage error.
+// Any other flag, and any flag value outside its range, is a usage error,
+// reported before planning starts.
 //
 // Exit status: 0 plan found and audited, 1 no plan, 2 usage/input error.
 #include <algorithm>
+#include <cmath>
 #include <iostream>
+#include <limits>
 
 #include "klotski/npd/npd_io.h"
 #include "klotski/pipeline/audit.h"
@@ -58,6 +61,33 @@ namespace {
 
 int run(const klotski::util::Flags& flags) {
   using namespace klotski;
+
+  // Every numeric flag is read and range-checked here, before the case is
+  // built, so a bad value is a usage error whatever else the run asks for.
+  // The comparisons are written so that NaN fails them.
+  core::PlannerOptions planner_options;
+  planner_options.alpha = flags.get_double("alpha", 0.0);
+  if (!(planner_options.alpha >= 0.0 && planner_options.alpha <= 1.0)) {
+    std::cerr << "klotski_plan: --alpha must be in [0, 1]\n";
+    return 2;
+  }
+  planner_options.deadline_seconds = flags.get_double("deadline", 0.0);
+  if (!(planner_options.deadline_seconds >= 0.0 &&
+        std::isfinite(planner_options.deadline_seconds))) {
+    std::cerr << "klotski_plan: --deadline must be finite and >= 0\n";
+    return 2;
+  }
+  planner_options.mem_budget_mb = flags.get_double("mem-budget-mb", 0.0);
+  if (!(planner_options.mem_budget_mb >= 0.0 &&
+        std::isfinite(planner_options.mem_budget_mb))) {
+    std::cerr << "klotski_plan: --mem-budget-mb must be finite and >= 0\n";
+    return 2;
+  }
+  const long long crews = flags.get_int("crews", 4);
+  if (crews < 1 || crews > std::numeric_limits<int>::max()) {
+    std::cerr << "klotski_plan: --crews must be an integer >= 1\n";
+    return 2;
+  }
 
   const std::string npd_path = flags.get_string("npd", "");
   const std::string preset_name = flags.get_string("preset", "");
@@ -134,15 +164,6 @@ int run(const klotski::util::Flags& flags) {
       return 2;
     }
 
-    core::PlannerOptions planner_options;
-    planner_options.alpha = flags.get_double("alpha", 0.0);
-    planner_options.deadline_seconds = flags.get_double("deadline", 0.0);
-    planner_options.mem_budget_mb = flags.get_double("mem-budget-mb", 0.0);
-    if (planner_options.mem_budget_mb < 0.0) {
-      std::cerr << "klotski_plan: --mem-budget-mb must be >= 0\n";
-      return 2;
-    }
-
     pipeline::CheckerBundle bundle =
         pipeline::make_standard_checker(task, checker_config);
     auto planner =
@@ -173,7 +194,7 @@ int run(const klotski::util::Flags& flags) {
 
     if (flags.get_bool("schedule", false)) {
       pipeline::CrewModel crew;
-      crew.crews = static_cast<int>(flags.get_int("crews", 4));
+      crew.crews = static_cast<int>(crews);
       std::cerr << pipeline::schedule_to_text(
           pipeline::build_schedule(task, plan, crew));
     }
