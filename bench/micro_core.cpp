@@ -92,7 +92,8 @@ BENCHMARK(BM_EvaluatorFeasibleIncrementalRepeat);
 
 // A four-state ring of neighboring count vectors (each step flips one
 // block), the second most common planner pattern. Exercises delta
-// materialization plus the router's journal-driven liveness refresh.
+// materialization plus the router's liveness rebuild after each version
+// change.
 void ring_walk_bench(benchmark::State& state, bool incremental) {
   migration::MigrationCase& mig = shared_case();
   pipeline::CheckerBundle bundle =
@@ -259,8 +260,8 @@ topo::CircuitId find_flippable_circuit(topo::Topology& topo,
 }
 
 // The planner's walk: every iteration flips one circuit and runs one
-// assign_all, so it times a full check after one flip — a one-bit liveness
-// journal replay, then every demand group routed.
+// assign_all, so it times a full check after one flip — one liveness
+// rebuild, then every demand group routed.
 void BM_AssignAllDirtyGroups(benchmark::State& state) {
   migration::MigrationCase& mig = shared_case();
   topo::Topology topo = *mig.task.topo;  // private copy: benches share the case
@@ -289,7 +290,7 @@ void BM_AssignAllDirtyGroups(benchmark::State& state) {
 BENCHMARK(BM_AssignAllDirtyGroups);
 
 // Same walk keyed on a switch flip: a full check after one switch drain or
-// undrain, whose liveness replay touches the switch's incident circuits.
+// undrain, which takes the switch's incident circuits out of the DAG.
 void BM_AssignAllSwitchDirtyWalk(benchmark::State& state) {
   migration::MigrationCase& mig = shared_case();
   topo::Topology topo = *mig.task.topo;
@@ -331,39 +332,8 @@ void BM_AssignAllSwitchDirtyWalk(benchmark::State& state) {
 }
 BENCHMARK(BM_AssignAllSwitchDirtyWalk);
 
-// Per-assignment scratch-reset cost when the reachable component is tiny:
-// drain every circuit around one, leaving a two-switch island. The BFS
-// visits two switches, so whatever the router pays beyond that is fixed
-// overhead (the pre-epoch engine cleared O(|S|) dist/volume per call).
-void BM_BfsEpochReset(benchmark::State& state) {
-  migration::MigrationCase& mig = shared_case();
-  topo::Topology topo = *mig.task.topo;
-  const topo::Circuit island = topo.circuits().front();
-  for (const topo::Circuit& c : topo.circuits()) {
-    if (c.id == island.id) continue;
-    if (c.a == island.a || c.b == island.a || c.a == island.b ||
-        c.b == island.b) {
-      topo.set_circuit_state(c.id, topo::ElementState::kDrained);
-    }
-  }
-  traffic::Demand demand;
-  demand.name = "island";
-  demand.sources = {island.a};
-  demand.targets = {island.b};
-  demand.volume_tbps = 1.0;
-
-  traffic::EcmpRouter router(topo);
-  traffic::LoadVector loads(topo.num_circuits() * 2, 0);
-  for (auto _ : state) {
-    // Loads accumulate across iterations; the cost measured is the per-call
-    // scratch reset + two-switch BFS, not the (unused) load values.
-    benchmark::DoNotOptimize(router.assign(demand, loads));
-  }
-}
-BENCHMARK(BM_BfsEpochReset);
-
-// Full-circuit utilization scan over an assign_all load vector (the
-// DemandChecker epilogue); baseline for the touched-circuit fast path.
+// Full-circuit utilization scan over an assign_all load vector, the scan
+// the DemandChecker's fabric check runs after routing.
 void BM_WorstCircuitScan(benchmark::State& state) {
   migration::MigrationCase& mig = shared_case();
   traffic::EcmpRouter router(*mig.task.topo);

@@ -153,12 +153,15 @@ KLOTSKI_CHAOS_SEEDS=10 ./build-tsan/tests/test_sim \
 # disconnect-cancel path all exercise cross-thread handoffs.
 ./build-tsan/tests/test_serve
 
-# AddressSanitizer over the randomized ECMP equivalence suite: the flat-path
-# engine's epoch stamping / sparse slot bookkeeping is exactly the kind of
-# code where a stale-index bug reads garbage instead of crashing.
+# AddressSanitizer over the randomized ECMP equivalence suite and the
+# capacity-edit tests: the fabric router indexes liveness words and load
+# slots through arc records and reads capacities as it propagates, so a
+# stale word or slot index after a topology edit reads garbage here
+# instead of crashing.
 cmake -B build-asan -S . -DKLOTSKI_SANITIZE=address
 cmake --build build-asan -j"${JOBS}" --target test_traffic test_sim test_core test_util test_migration test_whatif test_pipeline
-./build-asan/tests/test_traffic --gtest_filter='EcmpEquivalence.*'
+./build-asan/tests/test_traffic \
+  --gtest_filter='EcmpEquivalence.*:FixedPoint.CapacityEdits*'
 # Chaos engine under ASan: fault scripts mutate live capacities, tear
 # blocks mid-apply, and resume from checkpoints — prime territory for
 # stale-pointer and overrun bugs that a plain run reads right through.
@@ -266,6 +269,18 @@ if [[ "${rc}" -ne 2 ]]; then
   echo "tier1: FAIL — klotski_chaos --no-warm-repiar exited ${rc}, want 2" >&2
   exit 1
 fi
+# And every knob is range-checked before the first seed runs: theta 0 is
+# one usage error, not a failed verdict per seed, and a count a narrowing
+# cast would wrap (2^32 + 1 seeds to 1) or a negative one is refused.
+for bad in "--seeds=2 --theta=0" --seeds=4294967297 "--seeds=2 --retries=-1"; do
+  rc=0
+  # ${bad} holds one or two flags, so it is left unquoted.
+  ./build/tools/klotski_chaos --preset=a ${bad} > /dev/null 2>&1 || rc=$?
+  if [[ "${rc}" -ne 2 ]]; then
+    echo "tier1: FAIL — klotski_chaos ${bad} exited ${rc}, want 2" >&2
+    exit 1
+  fi
+done
 
 # bench_scale smoke: the largest preset that fits CI comfortably, core mode
 # (planner-dominant, sub-second), with a budget below the sweep's tracked

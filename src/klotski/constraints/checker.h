@@ -12,7 +12,8 @@
 // through the versioned mutators (e.g. rewriting a circuit's capacity or a
 // switch's max_ports in place) must be followed by
 // Topology::bump_state_version(), so version-keyed state below the checkers
-// (the ECMP router's liveness words and inlined capacities) re-reads them.
+// (the ECMP router's liveness words, and its capacity range check) re-reads
+// them.
 #pragma once
 
 #include <memory>

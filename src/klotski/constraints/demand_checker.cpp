@@ -96,22 +96,19 @@ Verdict DemandChecker::check_fabric(const topo::Topology& topo) {
     }
   }
 
-  // Utilization scan over the router's touched-circuit list (ascending
-  // ids). loads_ was zeroed above, so the list covers every circuit with
-  // non-zero load: the scan records the full peak and names the first
-  // over-theta circuit, as a scan of every circuit would.
+  // Utilization scan over every loaded circuit in id order: the full peak,
+  // and the first over-theta circuit. A zero load never exceeds theta > 0.
   topo::CircuitId worst = topo::kInvalidCircuit;
   double worst_util = 0.0;
-  for (const topo::CircuitId id : router_.touched_circuits()) {
-    const topo::Circuit& c = topo.circuit(id);
-    const traffic::Load load =
-        std::max(loads_[static_cast<std::size_t>(id) * 2],
-                 loads_[static_cast<std::size_t>(id) * 2 + 1]);
+  for (const topo::Circuit& c : topo.circuits()) {
+    const auto id = static_cast<std::size_t>(c.id);
+    const traffic::Load load = std::max(loads_[id * 2], loads_[id * 2 + 1]);
+    if (load == 0) continue;
     const double util =
         traffic::utilization(load, c.capacity_tbps, funnel_factor(c));
     last_max_utilization_ = std::max(last_max_utilization_, util);
     if (worst == topo::kInvalidCircuit && util > params_.max_utilization) {
-      worst = id;
+      worst = c.id;
       worst_util = util;
     }
   }

@@ -9,10 +9,9 @@
 // sibling circuits have drained but this one has not yet.
 //
 // Outside a search scope every check routes the whole demand set
-// (EcmpRouter::assign_all) and then scans utilization over the router's
-// ascending touched-circuit list, the only circuits that carry load — the
-// same result as a full-circuit scan: the full peak, and the first
-// over-theta circuit as the violation.
+// (EcmpRouter::assign_all) and then scans utilization over every loaded
+// circuit in id order: the full peak, and the first over-theta circuit as
+// the violation.
 //
 // In a search scope with a quotient whose classes every demand's source
 // and target lists cover uniformly, a check routes on the quotient instead

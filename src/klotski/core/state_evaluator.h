@@ -12,9 +12,9 @@
 // per-element op lists so the result is bit-identical to a full replay in
 // canonical order, whatever the overlap pattern.
 //
-// Delta materialization is what keeps the ECMP router's liveness refresh
-// cheap: the few element flips land in the topology's change journal, and
-// the router replays only those bits before routing every demand group.
+// Delta materialization writes through the versioned setters, so the
+// topology's state version moves exactly when an element state did, and
+// the ECMP router rebuilds its liveness words only then.
 #pragma once
 
 #include <cstdint>

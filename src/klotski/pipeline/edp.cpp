@@ -37,8 +37,7 @@ std::unique_ptr<core::Planner> make_planner(const std::string& name) {
   throw std::invalid_argument("unknown planner: " + name);
 }
 
-CheckerBundle make_standard_checker(migration::MigrationTask& task,
-                                    const CheckerConfig& config) {
+void check_checker_config(const CheckerConfig& config) {
   // Written so that NaN fails both tests.
   const double theta = config.demand.max_utilization;
   if (!(theta > 0.0 && theta <= 1.0)) {
@@ -50,6 +49,11 @@ CheckerBundle make_standard_checker(migration::MigrationTask& task,
     throw std::invalid_argument("funneling margin " + show(margin) +
                                 " is outside [0, inf)");
   }
+}
+
+CheckerBundle make_standard_checker(migration::MigrationTask& task,
+                                    const CheckerConfig& config) {
+  check_checker_config(config);
   CheckerBundle bundle;
   bundle.router =
       std::make_unique<traffic::EcmpRouter>(*task.topo, config.routing);

@@ -46,10 +46,15 @@ struct CheckerConfig {
   traffic::SplitMode routing = traffic::SplitMode::kEqualSplit;
 };
 
+/// Throws std::invalid_argument, naming the knob and its range, when theta
+/// is outside (0, 1] or the funneling margin is negative or not finite.
+/// Callers that build checkers only later, such as a chaos sweep's seeds,
+/// call it up front.
+void check_checker_config(const CheckerConfig& config);
+
 /// Every CLI, daemon method, replan round, chaos invariant and what-if
-/// worker builds its checkers here, so the knobs are checked here: throws
-/// std::invalid_argument, naming the knob and its range, when theta is
-/// outside (0, 1] or the funneling margin is negative or not finite.
+/// worker builds its checkers here, so the knobs are checked here
+/// (check_checker_config).
 CheckerBundle make_standard_checker(migration::MigrationTask& task,
                                     const CheckerConfig& config = {});
 

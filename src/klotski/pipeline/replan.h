@@ -99,7 +99,7 @@ struct PhaseObservation {
 /// the v2-only warm-state fields defaulting to zero.
 struct ReplanCheckpoint {
   int phases_executed = 0;
-  int step = 0;             // forecast step == topology journal position
+  int step = 0;             // forecast step
   int next_phase = 0;       // index into the stored plan's phases()
   int planning_runs = 0;
   int last_plan_step = 0;
@@ -108,7 +108,7 @@ struct ReplanCheckpoint {
   int fallback_plans = 0;
   std::int32_t last_type = migration::kNoAction;
   double executed_cost = 0.0;
-  std::uint64_t state_version = 0;  // diagnostic: journal position at save
+  std::uint64_t state_version = 0;  // diagnostic: state version at save
   core::CountVector done;
   /// The plan being executed (or, with replan_pending, the plan whose
   /// surviving suffix seeds the next round's warm repair); empty when there

@@ -364,6 +364,18 @@ Response PlanService::run_chaos(const Request& request,
   if (num_seeds < 1) {
     throw std::invalid_argument("params.seeds must be >= 1");
   }
+  // Every knob is checked before the first seed runs, so a bad one is one
+  // error naming the field, not a failed verdict per seed.
+  pipeline::check_checker_config(chaos.checker);
+  if (!(chaos.growth_per_step >= -1.0 &&
+        std::isfinite(chaos.growth_per_step))) {
+    throw std::invalid_argument("params.growth must be finite and >= -1");
+  }
+  if (!(chaos.repair_cost_slack >= 0.0 &&
+        std::isfinite(chaos.repair_cost_slack))) {
+    throw std::invalid_argument(
+        "params.repair_cost_slack must be finite and >= 0");
+  }
 
   // Seeds run serially inside the job (worker-pool concurrency comes from
   // running many jobs, not from one job fanning out) so the stop flag is

@@ -97,8 +97,9 @@ void InvariantChecker::observe(const pipeline::PhaseObservation& observation) {
     }
   }
 
-  // 2a. Journal consistency: the trajectory-long router (incremental
-  // liveness refresh) must agree bit-for-bit with a fresh router.
+  // 2a. A long-lived router equals a fresh one: the trajectory-long router
+  // (liveness keyed on the state version) must agree bit-for-bit with a
+  // fresh router, so a state write that skipped the version shows here.
   {
     traffic::LoadVector incremental;
     traffic::LoadVector fresh;
@@ -118,7 +119,7 @@ void InvariantChecker::observe(const pipeline::PhaseObservation& observation) {
     }
   }
 
-  // 2b. Packed liveness words match the per-circuit predicate.
+  // 2b. Topology::liveness_words matches the per-circuit predicate.
   {
     std::vector<std::uint64_t> words;
     topo.liveness_words(words);

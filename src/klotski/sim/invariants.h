@@ -8,11 +8,12 @@
 //     passes on the materialized executed state under the ground-truth
 //     demands of the step it executed at. Forecasts may be wrong; executed
 //     states may not be.
-//  2. Journal consistency: an ECMP router that has lived through the whole
-//     trajectory (incremental liveness refresh via the topology's change
-//     journal) produces bit-identical loads to a freshly constructed router,
-//     and the topology's packed liveness words match per-circuit
-//     circuit_carries_traffic.
+//  2. A long-lived router equals a fresh one: an ECMP router that has lived
+//     through the whole trajectory (liveness words keyed on the topology's
+//     state version) produces bit-identical loads to a freshly constructed
+//     router, which guards the contract that every state writer bumps the
+//     version (2a); and Topology::liveness_words matches per-circuit
+//     circuit_carries_traffic (2b).
 //  3. Monotone progress: the done vector only ever grows, exactly by the
 //     executed phase's block count in its type; steps never go backwards.
 //  4. Cost accounting: the driver's running executed_cost equals an
@@ -44,8 +45,7 @@ struct InvariantViolation {
 class InvariantChecker {
  public:
   /// `task` must be the task handed to execute_with_replanning; the checker
-  /// keeps a persistent ECMP router on its topology for the journal-
-  /// consistency invariant.
+  /// keeps a persistent ECMP router on its topology for invariant 2a.
   InvariantChecker(migration::MigrationTask& task,
                    const pipeline::CheckerConfig& config,
                    const core::PlannerOptions& planner_options);

@@ -63,8 +63,7 @@ SwitchId Topology::add_switch(SwitchRole role, Generation gen, Location loc,
   switches_.push_back(Switch{id, role, gen, loc, max_ports, state,
                              std::move(name)});
   incident_.emplace_back();
-  // Structural growth invalidates version-keyed caches wholesale: sizes
-  // change, so incremental journal replay cannot describe it.
+  // Structural growth invalidates version-keyed caches: sizes change.
   bump_state_version();
   return id;
 }
@@ -86,44 +85,18 @@ CircuitId Topology::add_circuit(SwitchId a, SwitchId b, double capacity_tbps,
   return id;
 }
 
-void Topology::journal_push(StateChange entry) {
-  ++state_version_;
-  if (journal_.empty()) journal_.resize(kJournalCapacity);
-  // Slot for version v is (v - 1) % capacity, independent of any floor
-  // resets, so readers can index purely by version.
-  journal_[(state_version_ - 1) % kJournalCapacity] = entry;
-  if (state_version_ - journal_floor_ > kJournalCapacity) {
-    journal_floor_ = state_version_ - kJournalCapacity;
-  }
-}
-
 void Topology::set_switch_state(SwitchId id, ElementState state) {
   Switch& s = switches_[id];
   if (s.state == state) return;
   s.state = state;
-  journal_push(id);
+  ++state_version_;
 }
 
 void Topology::set_circuit_state(CircuitId id, ElementState state) {
   Circuit& c = circuits_[id];
   if (c.state == state) return;
   c.state = state;
-  journal_push(~id);
-}
-
-void Topology::bump_state_version() {
   ++state_version_;
-  journal_floor_ = state_version_;
-}
-
-bool Topology::changes_since(std::uint64_t since,
-                             std::vector<StateChange>& out) const {
-  if (since > state_version_) return false;
-  if (since < journal_floor_) return false;
-  for (std::uint64_t v = since + 1; v <= state_version_; ++v) {
-    out.push_back(journal_[(v - 1) % kJournalCapacity]);
-  }
-  return true;
 }
 
 bool Topology::circuit_carries_traffic(CircuitId id) const {
@@ -246,8 +219,8 @@ void TopologyState::restore(Topology& topo) const {
     throw std::invalid_argument(
         "TopologyState::restore: snapshot does not match topology shape");
   }
-  // Versioned setters so restores participate in incremental cache
-  // invalidation; a restore that changes nothing leaves the version alone.
+  // Versioned setters so restores invalidate version-keyed caches; a
+  // restore that changes nothing leaves the version alone.
   for (std::size_t i = 0; i < switch_states.size(); ++i) {
     topo.set_switch_state(static_cast<SwitchId>(i), switch_states[i]);
   }

@@ -54,13 +54,13 @@ struct Circuit {
 ///
 /// State changes that go through set_switch_state() / set_circuit_state()
 /// (or TopologyState::restore) bump a monotonically increasing version
-/// counter and are recorded in a bounded change journal. The incremental
-/// consumer (the ECMP router's liveness bitmap) keys its state on the
-/// version and replays the journal instead of rescanning the whole graph.
-/// Writing `sw(id).state` directly
-/// bypasses the counter and is only safe before any such consumer exists
-/// (construction-time setup); call bump_state_version() after out-of-band
-/// edits (e.g. capacity or port-budget tweaks) to flush downstream caches.
+/// counter. Consumers key what they derive from element states on it: the
+/// state evaluator's delta materialization, and the ECMP router's liveness
+/// words, rebuilt in one pass whenever the version has moved. Writing
+/// `sw(id).state` directly bypasses the counter and is only safe before any
+/// such consumer exists (construction-time setup); call bump_state_version()
+/// after out-of-band edits (e.g. capacity or port-budget tweaks) to flush
+/// downstream caches.
 class Topology {
  public:
   /// Adds a switch; returns its id.
@@ -81,7 +81,7 @@ class Topology {
   Circuit& circuit(CircuitId id) { return circuits_[id]; }
 
   /// Versioned state mutators: no-ops when the state is unchanged, otherwise
-  /// bump state_version() and record the element in the change journal.
+  /// bump state_version().
   void set_switch_state(SwitchId id, ElementState state);
   void set_circuit_state(CircuitId id, ElementState state);
 
@@ -90,23 +90,10 @@ class Topology {
   /// between (provided all writers use the versioned mutators).
   std::uint64_t state_version() const { return state_version_; }
 
-  /// Forces a version bump with no journal entry (journal coverage restarts
-  /// here). Use after out-of-band mutations — direct `.state` writes,
-  /// capacity or port-budget edits — to invalidate version-keyed caches.
-  void bump_state_version();
-
-  /// One journal entry: a switch id (>= 0) or a bitwise-complemented circuit
-  /// id (< 0; decode with ~entry). Entries are in change order and may
-  /// repeat an element.
-  using StateChange = std::int32_t;
-  static SwitchId change_switch(StateChange e) { return e; }
-  static CircuitId change_circuit(StateChange e) { return ~e; }
-  static bool change_is_switch(StateChange e) { return e >= 0; }
-
-  /// Appends the journal entries for versions (since, state_version()] to
-  /// `out` and returns true, or returns false when `since` predates the
-  /// journal's coverage (caller must fall back to a full rescan).
-  bool changes_since(std::uint64_t since, std::vector<StateChange>& out) const;
+  /// Forces a version bump. Use after out-of-band mutations — direct
+  /// `.state` writes, capacity or port-budget edits — to invalidate
+  /// version-keyed caches.
+  void bump_state_version() { ++state_version_; }
 
   const std::vector<Switch>& switches() const { return switches_; }
   const std::vector<Circuit>& circuits() const { return circuits_; }
@@ -123,9 +110,8 @@ class Topology {
   /// Packs circuit_carries_traffic for every circuit into 64-bit words
   /// (bit c of out[c / 64] = circuit c carries traffic) in one sequential
   /// pass. `out` is resized to ceil(num_circuits / 64); trailing bits of the
-  /// last word are zero. This is the full-rebuild path of word-packed
-  /// liveness consumers (the ECMP router); incremental consumers replay the
-  /// change journal instead.
+  /// last word are zero. The ECMP router rebuilds its liveness this way
+  /// whenever state_version() has moved.
   void liveness_words(std::vector<std::uint64_t>& out) const;
 
   /// Number of ports occupied on a switch = incident circuits that are
@@ -153,19 +139,10 @@ class Topology {
   std::string validate() const;
 
  private:
-  void journal_push(StateChange entry);
-
   std::vector<Switch> switches_;
   std::vector<Circuit> circuits_;
   std::vector<std::vector<CircuitId>> incident_;
-
-  // Change journal: a ring holding the entries for versions
-  // (journal_floor_, state_version_]. Bounded so long searches cannot grow
-  // it; consumers further behind than the floor rescan from scratch.
-  static constexpr std::size_t kJournalCapacity = 8192;
   std::uint64_t state_version_ = 0;
-  std::uint64_t journal_floor_ = 0;
-  std::vector<StateChange> journal_;
 };
 
 /// A snapshot of all element states; restoring one onto the owning topology

@@ -1,7 +1,6 @@
 #include "klotski/traffic/ecmp.h"
 
 #include <algorithm>
-#include <bit>
 #include <cassert>
 #include <stdexcept>
 #include <unordered_map>
@@ -14,8 +13,6 @@ using topo::Topology;
 
 namespace {
 
-constexpr std::size_t word_count(std::size_t bits) { return (bits + 63) / 64; }
-
 /// loads[slot] += value. The caller's vector may already hold other calls'
 /// loads, so the sum is checked here rather than by demand_loads.
 void add_load(LoadVector& loads, std::uint32_t slot, Load value) {
@@ -25,18 +22,30 @@ void add_load(LoadVector& loads, std::uint32_t slot, Load value) {
   }
 }
 
+/// Range-checks every circuit's capacity, throwing through capacity_weight,
+/// which names the circuit. Both split modes need it: WCMP weighs next hops
+/// by capacity, and every utilization divides by it — a NaN capacity would
+/// make the utilization NaN, which never exceeds theta, so the check would
+/// pass.
+void check_capacities(const Topology& topo) {
+  for (const topo::Circuit& c : topo.circuits()) {
+    if (!capacity_in_range(c.capacity_tbps)) {
+      capacity_weight(c.capacity_tbps, static_cast<std::uint32_t>(c.id));
+    }
+  }
+}
+
 }  // namespace
 
 EcmpRouter::EcmpRouter(const topo::Topology& topo, SplitMode mode)
     : topo_(topo),
       mode_(mode),
       num_switches_(topo.num_switches()),
-      m_alive_journal_replays_(
-          obs::Registry::global().counter("router.alive_journal_replays")),
-      m_alive_full_rebuilds_(
-          obs::Registry::global().counter("router.alive_full_rebuilds")),
+      m_alive_refreshes_(
+          obs::Registry::global().counter("router.alive_refreshes")),
       m_group_recomputes_(
           obs::Registry::global().counter("router.group_recomputes")) {
+  check_capacities(topo);
   offsets_.assign(num_switches_ + 1, 0);
   for (const topo::Circuit& c : topo.circuits()) {
     ++offsets_[static_cast<std::size_t>(c.a) + 1];
@@ -48,125 +57,65 @@ EcmpRouter::EcmpRouter(const topo::Topology& topo, SplitMode mode)
   arcs_.resize(offsets_[num_switches_]);
   std::vector<std::uint32_t> cursor(offsets_.begin(), offsets_.end() - 1);
   for (const topo::Circuit& c : topo.circuits()) {
-    const auto cid = static_cast<std::size_t>(c.id);
-    const auto word = static_cast<std::uint32_t>(cid >> 6);
-    const std::uint64_t mask = std::uint64_t{1} << (cid & 63);
     // Direction slot convention: 2c is a -> b, 2c + 1 is b -> a.
-    const std::uint64_t weight =
-        capacity_weight(c.capacity_tbps, static_cast<std::uint32_t>(cid));
-    arcs_[cursor[static_cast<std::size_t>(c.a)]++] =
-        Arc{c.b, static_cast<std::uint32_t>(cid * 2), word, 0, mask, weight};
-    arcs_[cursor[static_cast<std::size_t>(c.b)]++] =
-        Arc{c.a, static_cast<std::uint32_t>(cid * 2 + 1), word, 0, mask,
-            weight};
-  }
-
-  alive_words_.assign(word_count(topo.num_circuits()), 0);
-  touched_words_.assign(alive_words_.size(), 0);
-}
-
-void EcmpRouter::Scratch::init(std::size_t num_switches) {
-  dist.assign(num_switches, -1);
-  stamp.assign(num_switches, 0);
-  epoch = 0;
-  visit_order.clear();
-  visit_order.reserve(num_switches);
-  volume.assign(num_switches, 0);
-}
-
-void EcmpRouter::Scratch::begin_bfs() {
-  visit_order.clear();
-  if (++epoch == 0) {
-    // uint32 wrap (once per ~4e9 BFS runs): stale stamps could collide with
-    // the recycled epoch, so clear them and restart at 1.
-    std::fill(stamp.begin(), stamp.end(), 0);
-    epoch = 1;
+    const auto slot = static_cast<std::uint32_t>(c.id) * 2;
+    arcs_[cursor[static_cast<std::size_t>(c.a)]++] = Arc{c.b, slot};
+    arcs_[cursor[static_cast<std::size_t>(c.b)]++] = Arc{c.a, slot + 1};
   }
 }
 
 void EcmpRouter::refresh_alive() {
   const std::uint64_t v = topo_.state_version();
-  const std::size_t words = word_count(topo_.num_circuits());
-  if (alive_valid_ && v == alive_version_ && alive_words_.size() == words) {
-    return;
-  }
-  changes_scratch_.clear();
-  if (alive_valid_ && alive_words_.size() == words &&
-      topo_.changes_since(alive_version_, changes_scratch_)) {
-    m_alive_journal_replays_.inc();
-    // Replay only the journaled changes: a circuit flip touches that
-    // circuit's bit, a switch flip touches its incident circuits' bits.
-    for (const Topology::StateChange e : changes_scratch_) {
-      if (Topology::change_is_switch(e)) {
-        for (const CircuitId c : topo_.incident(Topology::change_switch(e))) {
-          set_circuit_alive(c, topo_.circuit_carries_traffic(c));
-        }
-      } else {
-        const CircuitId c = Topology::change_circuit(e);
-        set_circuit_alive(c, topo_.circuit_carries_traffic(c));
-      }
-    }
-  } else {
-    m_alive_full_rebuilds_.inc();
-    topo_.liveness_words(alive_words_);
-    // The full-rebuild path is also where out-of-band capacity edits land
-    // (bump_state_version resets journal coverage), so re-inline the split
-    // weights while we are touching every arc's circuit anyway.
-    for (Arc& arc : arcs_) {
-      const std::uint32_t c = arc.fwd_slot >> 1;
-      arc.weight = capacity_weight(
-          topo_.circuit(static_cast<CircuitId>(c)).capacity_tbps, c);
-    }
-  }
+  if (alive_valid_ && v == alive_version_) return;
+  m_alive_refreshes_.inc();
+  topo_.liveness_words(alive_words_);
+  // Capacity edits follow the same out-of-band contract as state edits
+  // (bump_state_version), so they are range-checked here.
+  check_capacities(topo_);
   alive_valid_ = true;
   alive_version_ = v;
 }
 
-std::size_t EcmpRouter::bfs_from_targets(Scratch& s,
-                                         const Demand& demand) const {
-  s.begin_bfs();
-
+bool EcmpRouter::bfs_from_targets(const Demand& demand) {
+  dist_.assign(num_switches_, -1);
+  visit_order_.clear();
   for (const SwitchId t : demand.targets) {
     if (!topo_.sw(t).active()) continue;
     const auto ti = static_cast<std::size_t>(t);
-    if (s.stamp[ti] != s.epoch) {
-      s.stamp[ti] = s.epoch;
-      s.dist[ti] = 0;
-      s.volume[ti] = 0;  // lazy zero: only visited switches pay
-      s.visit_order.push_back(t);
+    if (dist_[ti] < 0) {
+      dist_[ti] = 0;
+      volume_[ti] = 0;
+      visit_order_.push_back(t);
     }
   }
-  if (s.visit_order.empty()) return 0;
+  if (visit_order_.empty()) return false;
 
-  // Standard BFS; visit_order doubles as the queue (ascending distance).
-  // Stamping replaces the O(|S|) dist/volume clears of a naive BFS.
-  for (std::size_t head = 0; head < s.visit_order.size(); ++head) {
-    const SwitchId u = s.visit_order[head];
-    const std::int32_t du = s.dist[static_cast<std::size_t>(u)];
+  // Standard BFS; visit_order_ doubles as the queue (ascending distance).
+  for (std::size_t head = 0; head < visit_order_.size(); ++head) {
+    const SwitchId u = visit_order_[head];
+    const std::int32_t du = dist_[static_cast<std::size_t>(u)];
     const std::uint32_t end = offsets_[static_cast<std::size_t>(u) + 1];
     for (std::uint32_t i = offsets_[static_cast<std::size_t>(u)]; i < end;
          ++i) {
       const Arc& arc = arcs_[i];
-      if (!(alive_words_[arc.alive_word] & arc.alive_mask)) continue;
+      if (!alive(arc)) continue;
       const auto ni = static_cast<std::size_t>(arc.neighbor);
-      if (s.stamp[ni] != s.epoch) {
-        s.stamp[ni] = s.epoch;
-        s.dist[ni] = du + 1;
-        s.volume[ni] = 0;
-        s.visit_order.push_back(arc.neighbor);
+      if (dist_[ni] < 0) {
+        dist_[ni] = du + 1;
+        volume_[ni] = 0;
+        visit_order_.push_back(arc.neighbor);
       }
     }
   }
-  return s.visit_order.size();
+  return true;
 }
 
-bool EcmpRouter::inject_sources(Scratch& s, const Demand& demand,
-                                Load volume) const {
+bool EcmpRouter::inject_sources(const Demand& demand, Load volume) {
   // Count active sources and check reachability first (Eq. 4).
   std::size_t active_sources = 0;
   for (const SwitchId src : demand.sources) {
     if (!topo_.sw(src).active()) continue;
-    if (!s.reached(src)) return false;
+    if (dist_[static_cast<std::size_t>(src)] < 0) return false;
     ++active_sources;
   }
   if (active_sources == 0) return true;  // vacuously satisfied, no load
@@ -174,74 +123,68 @@ bool EcmpRouter::inject_sources(Scratch& s, const Demand& demand,
   const Load per_source = ceil_div(volume, active_sources);
   for (const SwitchId src : demand.sources) {
     if (topo_.sw(src).active()) {
-      s.volume[static_cast<std::size_t>(src)] += per_source;
+      volume_[static_cast<std::size_t>(src)] += per_source;
     }
   }
   return true;
 }
 
-void EcmpRouter::propagate(Scratch& s, std::vector<LoadEntry>& out) const {
-  // Propagate along the DAG in decreasing distance: visit_order is in
+void EcmpRouter::propagate(LoadVector& loads) {
+  // Propagate along the DAG in decreasing distance: visit_order_ is in
   // ascending distance, so walk it backwards. A switch's volume splits over
-  // circuits toward neighbors one step closer to a target. A directional
-  // slot is appended at most once: the arc u -> n is a DAG edge only when
-  // dist[n] == dist[u] - 1, which the reverse direction cannot satisfy, and
-  // each directed arc is scanned exactly once.
-  const bool equal = mode_ == SplitMode::kEqualSplit;
-  for (std::size_t idx = s.visit_order.size(); idx-- > 0;) {
-    const SwitchId u = s.visit_order[idx];
-    const Load vol = s.volume[static_cast<std::size_t>(u)];
+  // circuits toward neighbors one step closer to a target.
+  for (std::size_t idx = visit_order_.size(); idx-- > 0;) {
+    const SwitchId u = visit_order_[idx];
+    const Load vol = volume_[static_cast<std::size_t>(u)];
     if (vol == 0) continue;
-    const std::int32_t du = s.dist[static_cast<std::size_t>(u)];
+    const std::int32_t du = dist_[static_cast<std::size_t>(u)];
     if (du == 0) continue;  // absorbed at a target
 
     // Single scan: collect the equal-cost next hops. An alive arc from a
     // reached switch always has a reached neighbor (BFS relaxed it under
-    // the same liveness words), so dist reads are valid.
-    s.next_hops.clear();
+    // the same liveness words).
+    next_hops_.clear();
     const std::uint32_t end = offsets_[static_cast<std::size_t>(u) + 1];
     for (std::uint32_t i = offsets_[static_cast<std::size_t>(u)]; i < end;
          ++i) {
       const Arc& arc = arcs_[i];
-      if (!(alive_words_[arc.alive_word] & arc.alive_mask)) continue;
-      assert(s.reached(arc.neighbor));
-      if (s.dist[static_cast<std::size_t>(arc.neighbor)] != du - 1) continue;
-      s.next_hops.push_back(i);
+      if (!alive(arc)) continue;
+      const std::int32_t dn = dist_[static_cast<std::size_t>(arc.neighbor)];
+      assert(dn >= 0 && "an alive arc's neighbor was reached");
+      if (dn != du - 1) continue;
+      next_hops_.push_back(i);
     }
-    assert(!s.next_hops.empty() && "reached switch must have a next hop");
+    assert(!next_hops_.empty() && "reached switch must have a next hop");
 
-    if (equal) {
-      const Load share = ceil_div(vol, s.next_hops.size());
-      for (const std::uint32_t i : s.next_hops) {
-        const Arc& arc = arcs_[i];
-        out.push_back(LoadEntry{arc.fwd_slot, share});
-        s.volume[static_cast<std::size_t>(arc.neighbor)] += share;
-      }
-      continue;
-    }
+    const auto weight = [&](const Arc& arc) {
+      const std::uint32_t c = arc.fwd_slot >> 1;
+      return capacity_weight(
+          topo_.circuit(static_cast<CircuitId>(c)).capacity_tbps, c);
+    };
     WideLoad total_weight = 0;
-    for (const std::uint32_t i : s.next_hops) total_weight += arcs_[i].weight;
-    for (const std::uint32_t i : s.next_hops) {
+    if (mode_ != SplitMode::kEqualSplit) {
+      for (const std::uint32_t i : next_hops_) total_weight += weight(arcs_[i]);
+    }
+    const Load equal_share = ceil_div(vol, next_hops_.size());
+    for (const std::uint32_t i : next_hops_) {
       const Arc& arc = arcs_[i];
-      const Load share = weighted_share(vol, arc.weight, total_weight);
-      out.push_back(LoadEntry{arc.fwd_slot, share});
-      s.volume[static_cast<std::size_t>(arc.neighbor)] += share;
+      const Load share = mode_ == SplitMode::kEqualSplit
+                             ? equal_share
+                             : weighted_share(vol, weight(arc), total_weight);
+      add_load(loads, arc.fwd_slot, share);
+      volume_[static_cast<std::size_t>(arc.neighbor)] += share;
     }
   }
 }
 
 bool EcmpRouter::assign(const Demand& demand, LoadVector& loads) {
   loads.resize(topo_.num_circuits() * 2, 0);
-  touched_circuits_.clear();
-
   demand_loads({&demand, 1}, 1, arcs_.size(), volumes_);
   refresh_alive();
-  if (scratch_.dist.size() != num_switches_) scratch_.init(num_switches_);
-  if (bfs_from_targets(scratch_, demand) == 0) return false;
-  if (!inject_sources(scratch_, demand, volumes_[0])) return false;
-  entries_scratch_.clear();
-  propagate(scratch_, entries_scratch_);
-  for (const LoadEntry& e : entries_scratch_) add_load(loads, e.slot, e.value);
+  volume_.resize(num_switches_);
+  if (!bfs_from_targets(demand)) return false;
+  if (!inject_sources(demand, volumes_[0])) return false;
+  propagate(loads);
   return true;
 }
 
@@ -283,71 +226,30 @@ std::vector<EcmpRouter::Group> EcmpRouter::group_by_targets(
   return groups;
 }
 
-bool EcmpRouter::run_group(const DemandSet& demands, const Group& group,
-                           std::string* failed_demand) {
-  entries_scratch_.clear();
-  // All demands of a group share one target set, hence one BFS and one
-  // merged propagation of their summed volumes.
-  const Demand& representative = demands[group.front()];
-  if (bfs_from_targets(scratch_, representative) == 0) {  // no active target
-    if (failed_demand != nullptr) *failed_demand = representative.name;
-    return false;
-  }
-  for (const std::uint32_t i : group) {
-    if (!inject_sources(scratch_, demands[i], volumes_[i])) {
-      if (failed_demand != nullptr) *failed_demand = demands[i].name;
-      return false;
-    }
-  }
-  propagate(scratch_, entries_scratch_);
-  return true;
-}
-
-void EcmpRouter::add_group(const std::vector<LoadEntry>& entries,
-                           LoadVector& loads) {
-  for (const LoadEntry& e : entries) {
-    add_load(loads, e.slot, e.value);
-    const std::uint32_t c = e.slot >> 1;
-    touched_words_[c >> 6] |= std::uint64_t{1} << (c & 63);
-  }
-}
-
-void EcmpRouter::collect_touched() {
-  // Shares are strictly positive, so every marked circuit carries load.
-  // Scanning the word array gives ascending order for a popcount pass over
-  // C/64 words — no comparison sort.
-  for (std::size_t w = 0; w < touched_words_.size(); ++w) {
-    std::uint64_t bits = touched_words_[w];
-    if (bits == 0) continue;
-    touched_words_[w] = 0;
-    while (bits != 0) {
-      const int bit = std::countr_zero(bits);
-      bits &= bits - 1;
-      touched_circuits_.push_back(
-          static_cast<CircuitId>((w << 6) + static_cast<std::size_t>(bit)));
-    }
-  }
-}
-
 bool EcmpRouter::assign_all(const DemandSet& demands, LoadVector& loads,
                             std::string* failed_demand) {
   loads.resize(topo_.num_circuits() * 2, 0);
-  touched_circuits_.clear();
   const std::vector<Group> groups = group_by_targets(demands);
   demand_loads(demands, groups.size(), arcs_.size(), volumes_);
   refresh_alive();
-  if (scratch_.dist.size() != num_switches_) scratch_.init(num_switches_);
+  volume_.resize(num_switches_);
+  const auto fail = [&](const Demand& demand) {
+    if (failed_demand != nullptr) *failed_demand = demand.name;
+    return false;
+  };
 
+  // All demands of a group share one target set, hence one BFS and one
+  // merged propagation of their summed volumes.
   for (const Group& group : groups) {
     ++group_recomputes_;
     m_group_recomputes_.inc();
-    if (!run_group(demands, group, failed_demand)) {
-      std::fill(touched_words_.begin(), touched_words_.end(), 0);
-      return false;
+    const Demand& representative = demands[group.front()];
+    if (!bfs_from_targets(representative)) return fail(representative);
+    for (const std::uint32_t i : group) {
+      if (!inject_sources(demands[i], volumes_[i])) return fail(demands[i]);
     }
-    add_group(entries_scratch_, loads);
+    propagate(loads);
   }
-  collect_touched();
   return true;
 }
 

@@ -23,10 +23,6 @@ std::string range_error(const std::string& field, double value,
          range + " Tbps";
 }
 
-bool capacity_in_range(double capacity_tbps) {
-  return capacity_tbps >= kMinCapacityTbps && capacity_tbps <= kMaxTbps;
-}
-
 }  // namespace
 
 Load demand_load(const Demand& demand) {
@@ -75,8 +71,8 @@ double checked_volume(double volume_tbps, const std::string& field) {
 }
 
 std::uint64_t capacity_weight(double capacity_tbps, std::uint32_t circuit) {
-  // Every router construction and full liveness rebuild converts every
-  // circuit, so the field name is only spelled out on the error path.
+  // The fabric router converts every WCMP next hop as it propagates, so
+  // the field name is only spelled out on the error path.
   if (!capacity_in_range(capacity_tbps)) {
     checked_capacity(capacity_tbps,
                      "circuit " + std::to_string(circuit) + " capacity_tbps");

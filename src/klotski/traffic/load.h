@@ -76,6 +76,12 @@ Load demand_load(const Demand& demand);
 void demand_loads(std::span<const Demand> demands, std::size_t groups,
                   std::size_t directed_arcs, std::vector<Load>& out);
 
+/// True when a capacity is finite and within [kMinCapacityTbps, kMaxTbps]
+/// (NaN is not).
+inline bool capacity_in_range(double capacity_tbps) {
+  return capacity_tbps >= kMinCapacityTbps && capacity_tbps <= kMaxTbps;
+}
+
 /// Validates an input capacity (`field` names it in the error): finite and
 /// within [kMinCapacityTbps, kMaxTbps]. Returns it unchanged.
 double checked_capacity(double capacity_tbps, const std::string& field);

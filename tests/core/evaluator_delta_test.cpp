@@ -1,7 +1,7 @@
 // Delta materialization must be indistinguishable from a full replay: same
 // element states after arbitrary count-vector moves (including reverts and
 // multi-type jumps) and same feasibility verdicts through the full
-// incremental stack (versioned topology, journal-refreshed ECMP liveness).
+// incremental stack (versioned topology, version-keyed ECMP liveness).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -120,7 +120,7 @@ TEST(DeltaMaterialization, OverlappingBlocksResolveInCanonicalOrder) {
 }
 
 // The full incremental stack (delta materialization + the router's
-// journal-refreshed liveness words) must produce the same verdicts as a
+// version-keyed liveness words) must produce the same verdicts as a
 // reference whose every incremental path is defeated via
 // bump_state_version().
 TEST(DeltaMaterialization, VerdictsMatchMemoDefeatingReference) {

@@ -21,6 +21,7 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "klotski/json/canonical.h"
@@ -414,6 +415,36 @@ TEST_F(TransportTest, HalfCloseStillReceivesItsResponses) {
   EXPECT_EQ(resp.result.get_int("seeds_run", 0), 8);
   EXPECT_EQ(counter("serve.sync_disconnect_cancels"), 0);
   EXPECT_TRUE(read_eof(fd));
+  ::close(fd);
+}
+
+// A chaos sweep checks its knobs before the first seed runs: each bad one
+// is answered with one error that names the field and echoes the request
+// id, not a failed verdict per seed, and the connection goes on serving.
+TEST_F(TransportTest, OutOfRangeChaosKnobsAreOneErrorAndServingContinues) {
+  start(base_options());
+  const int fd = raw_tcp_fd();
+  std::string buffer, line;
+  const std::pair<const char*, double> bad[] = {
+      {"theta", 0.0}, {"growth", -2.0}, {"repair_cost_slack", -1.0}};
+  for (const auto& [field, value] : bad) {
+    json::Value params = chaos_params(2);
+    params.as_object()[field] = json::Value(value);
+    const std::string id = std::string("bad-") + field;
+    ASSERT_TRUE(send_all(fd, request_line(id, "chaos", std::move(params))));
+    ASSERT_TRUE(read_line(fd, buffer, line, 60'000));
+    const Response resp = Response::parse(line);
+    EXPECT_EQ(resp.status, "error") << field;
+    EXPECT_EQ(resp.id, id);
+    EXPECT_NE(resp.error.find(field), std::string::npos) << resp.error;
+  }
+  ASSERT_TRUE(send_all(fd, request_line("good", "chaos", chaos_params(1))));
+  ASSERT_TRUE(read_line(fd, buffer, line, 60'000));
+  const Response resp = Response::parse(line);
+  ASSERT_TRUE(resp.ok()) << resp.error;
+  EXPECT_EQ(resp.id, "good");
+  EXPECT_EQ(resp.result.get_int("seeds_run", 0), 1);
+  EXPECT_EQ(resp.result.get_int("failures", -1), 0);
   ::close(fd);
 }
 

@@ -1,7 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <vector>
-
 #include "../test_helpers.h"
 #include "klotski/topo/topology.h"
 
@@ -18,80 +16,11 @@ TEST(TopologyVersion, NoOpStateWritesDoNotBump) {
   EXPECT_EQ(d.topo.state_version(), v);
 }
 
-TEST(TopologyVersion, ChangesAreJournaledInOrder) {
-  Diamond d;
-  const std::uint64_t v0 = d.topo.state_version();
-  d.topo.set_switch_state(d.m1, ElementState::kDrained);
-  d.topo.set_circuit_state(d.c_m2t, ElementState::kAbsent);
-  d.topo.set_switch_state(d.m1, ElementState::kActive);
-  EXPECT_EQ(d.topo.state_version(), v0 + 3);
-
-  std::vector<Topology::StateChange> changes;
-  ASSERT_TRUE(d.topo.changes_since(v0, changes));
-  ASSERT_EQ(changes.size(), 3u);
-  EXPECT_TRUE(Topology::change_is_switch(changes[0]));
-  EXPECT_EQ(Topology::change_switch(changes[0]), d.m1);
-  EXPECT_FALSE(Topology::change_is_switch(changes[1]));
-  EXPECT_EQ(Topology::change_circuit(changes[1]), d.c_m2t);
-  EXPECT_TRUE(Topology::change_is_switch(changes[2]));
-
-  // A suffix of the window is also available.
-  changes.clear();
-  ASSERT_TRUE(d.topo.changes_since(v0 + 2, changes));
-  ASSERT_EQ(changes.size(), 1u);
-  EXPECT_FALSE(Topology::change_is_switch(changes[0]) &&
-               Topology::change_circuit(changes[0]) == d.c_m2t);
-
-  // Asking from the current version yields an empty (but covered) window;
-  // asking from the future fails.
-  changes.clear();
-  EXPECT_TRUE(d.topo.changes_since(d.topo.state_version(), changes));
-  EXPECT_TRUE(changes.empty());
-  EXPECT_FALSE(d.topo.changes_since(d.topo.state_version() + 1, changes));
-}
-
-TEST(TopologyVersion, BumpInvalidatesJournalCoverage) {
-  Diamond d;
-  const std::uint64_t v0 = d.topo.state_version();
-  d.topo.set_switch_state(d.m1, ElementState::kDrained);
-  d.topo.bump_state_version();
-  std::vector<Topology::StateChange> changes;
-  EXPECT_FALSE(d.topo.changes_since(v0, changes));
-  // Changes after the bump are journaled again.
-  const std::uint64_t v1 = d.topo.state_version();
-  d.topo.set_switch_state(d.m2, ElementState::kDrained);
-  changes.clear();
-  ASSERT_TRUE(d.topo.changes_since(v1, changes));
-  ASSERT_EQ(changes.size(), 1u);
-  EXPECT_EQ(Topology::change_switch(changes[0]), d.m2);
-}
-
 TEST(TopologyVersion, StructuralGrowthInvalidatesCoverage) {
   Diamond d;
   const std::uint64_t v0 = d.topo.state_version();
   d.topo.add_circuit(d.m1, d.m2, 1.0, ElementState::kActive);
   EXPECT_GT(d.topo.state_version(), v0);
-  std::vector<Topology::StateChange> changes;
-  EXPECT_FALSE(d.topo.changes_since(v0, changes));
-}
-
-TEST(TopologyVersion, JournalOverflowFallsBackCleanly) {
-  Diamond d;
-  const std::uint64_t v0 = d.topo.state_version();
-  // Far more flips than the journal ring holds.
-  for (int i = 0; i < 9000; ++i) {
-    d.topo.set_switch_state(d.m1, (i & 1) != 0 ? ElementState::kActive
-                                               : ElementState::kDrained);
-  }
-  std::vector<Topology::StateChange> changes;
-  EXPECT_FALSE(d.topo.changes_since(v0, changes));
-  // Recent history is still covered.
-  changes.clear();
-  ASSERT_TRUE(d.topo.changes_since(d.topo.state_version() - 4, changes));
-  EXPECT_EQ(changes.size(), 4u);
-  for (const Topology::StateChange e : changes) {
-    EXPECT_EQ(Topology::change_switch(e), d.m1);
-  }
 }
 
 TEST(TopologyVersion, RestoreOnlyBumpsForRealChanges) {
@@ -105,12 +34,8 @@ TEST(TopologyVersion, RestoreOnlyBumpsForRealChanges) {
   d.topo.set_circuit_state(d.c_sm2, ElementState::kAbsent);
   const std::uint64_t v1 = d.topo.state_version();
   snapshot.restore(d.topo);
-  // Exactly the two divergent elements change back, and the journal covers
-  // the round trip.
+  // Exactly the two divergent elements change back.
   EXPECT_EQ(d.topo.state_version(), v1 + 2);
-  std::vector<Topology::StateChange> changes;
-  ASSERT_TRUE(d.topo.changes_since(v0, changes));
-  EXPECT_EQ(changes.size(), 4u);
 }
 
 }  // namespace

@@ -240,8 +240,9 @@ TEST_F(FixedPoint, RouterRefusesVolumesOutsideTheRange) {
   // A zero volume carries nothing (a what-if growth of -100% reaches it).
   demands[0].volume_tbps = 0.0;
   demands[1].volume_tbps = 0.0;
+  loads.clear();
   EXPECT_TRUE(router.assign_all(demands, loads));
-  EXPECT_TRUE(router.touched_circuits().empty());
+  EXPECT_EQ(loads, LoadVector(fan.topo.num_circuits() * 2, 0));
 }
 
 TEST_F(FixedPoint, RouterRefusesCapacitiesOutsideTheRange) {
@@ -258,6 +259,58 @@ TEST_F(FixedPoint, RouterRefusesCapacitiesOutsideTheRange) {
                     " capacity_tbps"),
                 std::string::npos)
           << e.what();
+    }
+  }
+}
+
+// A router reads capacities from the topology as it routes, so an edit
+// after construction reaches it: WCMP on a halved circuit splits like a
+// router built after the edit.
+TEST_F(FixedPoint, CapacityEditsReachALongLivedRouter) {
+  Fan fan(2, 1.0, 1.0);
+  EcmpRouter router(fan.topo, SplitMode::kCapacityWeighted);
+  LoadVector before;
+  ASSERT_TRUE(router.assign_all(fan.demands, before));
+
+  fan.topo.circuit(fan.s_side[1]).capacity_tbps = 0.5;
+  fan.topo.bump_state_version();
+  LoadVector got;
+  ASSERT_TRUE(router.assign_all(fan.demands, got));
+  EcmpRouter fresh(fan.topo, SplitMode::kCapacityWeighted);
+  LoadVector want;
+  ASSERT_TRUE(fresh.assign_all(fan.demands, want));
+  EXPECT_EQ(got, want);
+  EXPECT_NE(got, before);
+  // 2 Tbps from s split 2:1 over the s - m_i circuits.
+  EXPECT_LT(got[static_cast<std::size_t>(fan.s_side[1]) * 2],
+            got[static_cast<std::size_t>(fan.s_side[0]) * 2]);
+}
+
+// A capacity written out of range after construction is refused by the
+// next call after the version bump, naming the circuit, in both split
+// modes: a NaN or infinite capacity would otherwise make utilizations that
+// never exceed theta.
+TEST_F(FixedPoint, CapacityEditsOutsideTheRangeAreRefusedAfterABump) {
+  for (const SplitMode mode :
+       {SplitMode::kEqualSplit, SplitMode::kCapacityWeighted}) {
+    for (const double bad : {1e300, std::numeric_limits<double>::infinity(),
+                             0.0, std::numeric_limits<double>::quiet_NaN()}) {
+      Fan fan(2, 1.0, 1.0);
+      EcmpRouter router(fan.topo, mode);
+      LoadVector loads;
+      ASSERT_TRUE(router.assign_all(fan.demands, loads));
+      fan.topo.circuit(fan.s_side[1]).capacity_tbps = bad;
+      fan.topo.bump_state_version();
+      try {
+        router.assign_all(fan.demands, loads);
+        ADD_FAILURE() << "capacity " << bad << " was routed";
+      } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find(
+                      "circuit " + std::to_string(fan.s_side[1]) +
+                      " capacity_tbps"),
+                  std::string::npos)
+            << e.what();
+      }
     }
   }
 }

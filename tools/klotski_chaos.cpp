@@ -27,7 +27,7 @@
 //   --max-replans  planning rounds before degrading, 0 = never (default 0)
 //   --retries      per-phase retry budget              (default 6)
 //   --theta        utilization bound in (0, 1]         (default 0.75)
-//   --growth       organic demand growth per step      (default 0.002)
+//   --growth       organic demand growth per step, >= -1 (default 0.002)
 //   --degrades / --circuit-failures / --drains / --step-failures /
 //   --surges / --forecast-errors    fault-script event counts
 //   --no-resume-check   skip the checkpoint kill/resume self-test
@@ -45,10 +45,17 @@
 //   --metrics-out  write the metrics registry JSON here
 //   --trace-out    write Chrome trace_event JSON here
 //
+// Counts are integers in [0, INT_MAX] (--seeds and --threads >= 1), seeds
+// in [0, INT64_MAX], and --repair-cost-slack finite and >= 0; a value out
+// of its range is a usage error naming the flag.
+//
 // Exit status: 0 all seeds passed; 1 failures (every failing seed is
 // listed); 2 usage error; 3 daemon rejected the job (--connect only).
 #include <algorithm>
+#include <cmath>
 #include <iostream>
+#include <limits>
+#include <stdexcept>
 #include <string>
 
 #include "klotski/serve/client.h"
@@ -68,6 +75,29 @@ bool parse_preset(const std::string& text, topo::PresetId& out) {
   else if (text == "e") out = topo::PresetId::kE;
   else return false;
   return true;
+}
+
+/// An integer flag in [min, INT_MAX]; throws std::invalid_argument naming
+/// the flag otherwise, so 4294967297 is refused rather than narrowed to 1.
+int count_flag(const util::Flags& flags, const std::string& name,
+               int fallback, int min) {
+  constexpr int kMax = std::numeric_limits<int>::max();
+  const long long value = flags.get_int(name, fallback);
+  if (value < min || value > kMax) {
+    throw std::invalid_argument("--" + name + " must be an integer in [" +
+                                std::to_string(min) + ", " +
+                                std::to_string(kMax) + "]");
+  }
+  return static_cast<int>(value);
+}
+
+/// A seed flag: any integer in [0, INT64_MAX].
+std::uint64_t seed_flag(const util::Flags& flags, const std::string& name) {
+  const long long value = flags.get_int(name, 0);
+  if (value < 0) {
+    throw std::invalid_argument("--" + name + " must be an integer >= 0");
+  }
+  return static_cast<std::uint64_t>(value);
 }
 
 /// Median planning-round latency (ms) across every round of a verdict set;
@@ -126,33 +156,37 @@ int run(const util::Flags& flags) {
   }
   params.planner = flags.get_string("planner", "astar");
   params.fallback_planner = flags.get_string("fallback", "mrc");
-  params.max_replans = static_cast<int>(flags.get_int("max-replans", 0));
-  params.max_phase_retries = static_cast<int>(flags.get_int("retries", 6));
+
+  // Every numeric flag is range-checked here, before any seed runs, so a
+  // bad value is one usage error (exit 2 through tool_main), not a failed
+  // verdict per seed. The comparisons are written so that NaN fails them.
+  params.max_replans = count_flag(flags, "max-replans", 0, 0);
+  params.max_phase_retries = count_flag(flags, "retries", 6, 0);
   params.checker.demand.max_utilization = flags.get_double("theta", 0.75);
+  pipeline::check_checker_config(params.checker);
   params.growth_per_step = flags.get_double("growth", 0.002);
-  params.faults.circuit_degrades =
-      static_cast<int>(flags.get_int("degrades", 2));
+  if (!(params.growth_per_step >= -1.0 &&
+        std::isfinite(params.growth_per_step))) {
+    throw std::invalid_argument("--growth must be finite and >= -1");
+  }
+  params.faults.circuit_degrades = count_flag(flags, "degrades", 2, 0);
   params.faults.circuit_failures =
-      static_cast<int>(flags.get_int("circuit-failures", 1));
-  params.faults.switch_drains = static_cast<int>(flags.get_int("drains", 1));
-  params.faults.step_failures =
-      static_cast<int>(flags.get_int("step-failures", 2));
-  params.faults.demand_events = static_cast<int>(flags.get_int("surges", 1));
-  params.faults.forecast_errors =
-      static_cast<int>(flags.get_int("forecast-errors", 1));
+      count_flag(flags, "circuit-failures", 1, 0);
+  params.faults.switch_drains = count_flag(flags, "drains", 1, 0);
+  params.faults.step_failures = count_flag(flags, "step-failures", 2, 0);
+  params.faults.demand_events = count_flag(flags, "surges", 1, 0);
+  params.faults.forecast_errors = count_flag(flags, "forecast-errors", 1, 0);
   params.checkpoint_self_test = !flags.get_bool("no-resume-check", false);
   params.warm_repair = !flags.get_bool("no-warm-repair", false);
   params.repair_cost_slack = flags.get_double("repair-cost-slack", 1.25);
-
-  const int threads = static_cast<int>(flags.get_int("threads", 1));
-  if (threads < 1) {
-    std::cerr << "klotski_chaos: --threads must be >= 1\n";
-    return 2;
+  if (!(params.repair_cost_slack >= 0.0 &&
+        std::isfinite(params.repair_cost_slack))) {
+    throw std::invalid_argument("--repair-cost-slack must be finite and >= 0");
   }
 
-  std::uint64_t first_seed =
-      static_cast<std::uint64_t>(flags.get_int("first-seed", 0));
-  int num_seeds = static_cast<int>(flags.get_int("seeds", 25));
+  const int threads = count_flag(flags, "threads", 1, 1);
+  std::uint64_t first_seed = seed_flag(flags, "first-seed");
+  int num_seeds = count_flag(flags, "seeds", 25, 1);
   const std::string range = flags.get_string("seed-range", "");
   if (!range.empty()) {
     const std::size_t colon = range.find(':');
@@ -163,7 +197,9 @@ int run(const util::Flags& flags) {
     try {
       const long long lo = std::stoll(range.substr(0, colon));
       const long long hi = std::stoll(range.substr(colon + 1));
-      if (lo < 0 || hi <= lo) throw std::invalid_argument("empty range");
+      if (lo < 0 || hi <= lo || hi - lo > std::numeric_limits<int>::max()) {
+        throw std::invalid_argument("empty or oversized range");
+      }
       first_seed = static_cast<std::uint64_t>(lo);
       num_seeds = static_cast<int>(hi - lo);
     } catch (const std::exception&) {
@@ -172,12 +208,8 @@ int run(const util::Flags& flags) {
     }
   }
   if (flags.has("seed")) {
-    first_seed = static_cast<std::uint64_t>(flags.get_int("seed", 0));
+    first_seed = seed_flag(flags, "seed");
     num_seeds = 1;
-  }
-  if (num_seeds < 1) {
-    std::cerr << "klotski_chaos: --seeds must be >= 1\n";
-    return 2;
   }
 
   const bool single = num_seeds == 1;
